@@ -108,18 +108,6 @@ def crt(congruences) -> Congruence:
     return Congruence(r, m)
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -169,14 +157,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def legendre_rat(x, p: int) -> int:
-    """Legendre symbol of a p-integral rational: (num * den | p)."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"{x} is not {p}-integral")
-    return legendre(x.numerator * x.denominator, p)
 
 
 def _pollard_rho(n: int) -> int:

@@ -21,6 +21,7 @@ from .ffact import factor_mod_p, reduce_mod_p
 from .permgrp import CycleType, power_cycle_type
 from .poly import (
     UniPoly,
+    _bind_s,
     constant_value,
     discriminant_in,
     integer_normalize,
@@ -102,11 +103,6 @@ def intersection_multiplicity(t0, branch, p: int) -> int:
     if t0 == a:
         raise ValueError(f"t0 = {t0} is the branch point itself")
     return valuation(t0 - a, p)
-
-
-def _bind_s(g: UniPoly, s0: Fraction) -> UniPoly:
-    bound = g.bind("s", s0)
-    return UniPoly([constant_value(c) for c in bound.coeffs], "t")
 
 
 def _fraction_leaves(g) -> list:

@@ -10,10 +10,12 @@ against everything that can be computed exactly:
 
 - declared finite branch points must be roots of disc_X(f),
 - the inertia generator's order must match the declared ramification index
-  and generate a normal subgroup of the decomposition model,
-- Newton-polygon probes at sample parameter values must reproduce the
-  declared cycle type (inertia_order_probe), refusing ambiguous polygons
-  rather than guessing.
+  and generate a normal subgroup of the decomposition model.
+
+Loading does not probe the declared cycle types.  inertia_order_probe does
+that for one branch point at one parameter value s0, on request: a
+Newton-polygon probe must reproduce the declared cycle type, and ambiguous
+polygons are refused rather than guessed.
 
 A branch point at t = infinity is handled on the u = 1/t chart throughout.
 """
@@ -31,6 +33,7 @@ from .arith import INFINITY
 from .permgrp import PermGroup, cycle_type, generate, parse_perm
 from .poly import (
     UniPoly,
+    _bind_s,
     constant_value,
     content_in_coeffs,
     discriminant_in,
@@ -56,11 +59,6 @@ class ProbeAmbiguous(Exception):
 
 def _s_const(value) -> UniPoly:
     return UniPoly([Fraction(value)], "s")
-
-
-def _flatten_t(c: UniPoly) -> UniPoly:
-    """Collapse a t-polynomial whose coefficients are constant in s."""
-    return UniPoly([constant_value(x) for x in c.coeffs], "t")
 
 
 def _normalize_s(g: UniPoly) -> UniPoly:
@@ -101,8 +99,11 @@ class BranchPoint:
 class BranchLocus:
     """Rational branch points plus the unfactored remainder of the locus.
 
-    points are s-polynomials (symbolic mode) or Fractions (bound mode);
-    residual is the squarefree non-rational part of the t-discriminant.
+    points are Fractions: the constant branch points t = c (symbolic mode)
+    or every rational branch point of the bound family (bound mode).
+    residual is the squarefree part of the t-discriminant with the points
+    divided out; a loaded manifest's locus also has its declared branch
+    points divided out, so its residual is exactly the non-rational part.
     infinity records whether the u = 1/t chart degenerates at u = 0, which
     happens whenever the cover ramifies over t = infinity (and also for
     branch points merely meeting there, so it is a conservative flag).
@@ -189,6 +190,49 @@ def _has_infinite_branch(f: UniPoly, disc_t_degree: int) -> bool:
     return disc_t_degree < f.degree_in("t") * (2 * f.degree() - 2)
 
 
+def _symbolic_locus(f: UniPoly, disc: UniPoly, declared: list) -> tuple:
+    """(squarefree part of disc in t, rational points, BranchLocus) for the
+    t-discriminant disc = disc_X(f).
+
+    The rational points are the declared finite locations (polynomials in s)
+    followed by the parameter-independent roots t = c that a scan of sample
+    s values finds and no declaration names.  The locus reports the scanned
+    constants as its points; its residual is the squarefree part with every
+    rational point divided out, so it is exactly the non-rational locus.
+    """
+    srf = _squarefree_in_t(disc)
+    constants = []
+    if srf.degree() >= 1:
+        candidates = None
+        for sigma in (1, 2, 3, 5, 7):
+            bound = _bind_s(srf, Fraction(sigma))
+            if not bound or bound.degree() < 1:
+                continue
+            roots = {r for r, _ in rational_roots(bound)}
+            candidates = roots if candidates is None else candidates & roots
+            if not candidates:
+                break
+        constants = [c for c in sorted(candidates or ()) if not srf.evaluate(Fraction(c))]
+
+    rational = list(declared)
+    for c in constants:
+        as_poly = _s_const(c)
+        if all(as_poly != m for m in rational):
+            rational.append(as_poly)
+    for a in range(len(rational)):
+        for b in range(a + 1, len(rational)):
+            if rational[a] == rational[b]:
+                raise ManifestInconsistent("two branch points declared at one location")
+
+    residual = srf
+    for m in rational:
+        residual = residual.exact_div(UniPoly([-m, _s_const(1)], "t"))
+    locus = BranchLocus(
+        tuple(constants), residual, _has_infinite_branch(f, disc.degree())
+    )
+    return srf, rational, locus
+
+
 def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
     """Rational branch points of f in t, the non-rational remainder, and
     whether t -> infinity branches.
@@ -202,12 +246,11 @@ def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
     if not _is_monic(f):
         raise ValueError("family polynomial must be monic in X")
     if s0 is not None:
-        fb = specialize(f, {"s": Fraction(s0)})
-        disc = discriminant_in(fb, "X")
+        # binding s first leaves a t-polynomial over Q
+        disc = discriminant_in(specialize(f, {"s": Fraction(s0)}), "X")
         if not disc:
             raise ValueError("discriminant vanishes; f is not squarefree in X")
-        flat = _flatten_t(disc)
-        srf = flat.exact_div(gcd_field(flat, flat.derivative())) if flat.degree() >= 2 else flat
+        srf = disc.exact_div(gcd_field(disc, disc.derivative())) if disc.degree() >= 2 else disc
         points = []
         work = srf
         if srf.degree() >= 1:
@@ -215,33 +258,13 @@ def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
                 points.append(root)
                 work = work.exact_div(UniPoly([-root, Fraction(1)], "t"))
         return BranchLocus(
-            tuple(points), work.monic(), _has_infinite_branch(f, flat.degree())
+            tuple(points), work.monic(), _has_infinite_branch(f, disc.degree())
         )
 
     disc = discriminant_in(f, "X")
     if not disc:
         raise ValueError("discriminant vanishes; f is not squarefree in X")
-    srf = _squarefree_in_t(disc)
-    points = []
-    if srf.degree() >= 1:
-        candidates = None
-        for sigma in (1, 2, 3, 5, 7):
-            bound = _flatten_t(srf.bind("s", Fraction(sigma)))
-            if not bound or bound.degree() < 1:
-                continue
-            roots = {r for r, _ in rational_roots(bound)}
-            candidates = roots if candidates is None else candidates & roots
-            if not candidates:
-                break
-        for c in sorted(candidates or ()):
-            if not srf.evaluate(Fraction(c)):
-                points.append(c)
-    residual = srf
-    for c in points:
-        residual = residual.exact_div(UniPoly([_s_const(-c), _s_const(1)], "t"))
-    return BranchLocus(
-        tuple(points), residual, _has_infinite_branch(f, disc.degree())
-    )
+    return _symbolic_locus(f, disc, [])[2]
 
 
 def _is_monic(f: UniPoly) -> bool:
@@ -394,25 +417,9 @@ def load_manifest(source) -> FamilyManifest:
             "manifest declares a branch point at infinity but f does not depend on t"
         )
 
-    locus = branch_locus(f)
-    srf = _squarefree_in_t(disc)
-
-    # every rational branch point: declared finite ones plus the constant
-    # ones found by the locus scan, deduplicated
-    rational_points = [bp.location for bp in branch_points if not bp.is_infinite]
-    for c in locus.points:
-        as_poly = _s_const(c)
-        if all(as_poly != m for m in rational_points):
-            rational_points.append(as_poly)
-    for a in range(len(rational_points)):
-        for b in range(a + 1, len(rational_points)):
-            if rational_points[a] == rational_points[b]:
-                raise ManifestInconsistent("two branch points declared at one location")
-
-    residual = srf
-    for m in rational_points:
-        shifted = UniPoly([-m, _s_const(1)], "t")
-        residual = residual.exact_div(shifted)
+    srf, rational_points, locus = _symbolic_locus(
+        f, disc, [bp.location for bp in branch_points if not bp.is_infinite]
+    )
 
     guards = []
     lead = disc.lc()
@@ -434,7 +441,7 @@ def load_manifest(source) -> FamilyManifest:
                 break
         if acc is not None and acc.degree() >= 1:
             guards.append(("family t-degree drops", acc.monic()))
-    guards.extend(_collision_guards(rational_points, residual))
+    guards.extend(_collision_guards(rational_points, locus.residual))
     s_guards = tuple((label, _normalize_s(g)) for label, g in guards)
 
     return FamilyManifest(
@@ -498,10 +505,9 @@ def inertia_order_probe(manifest: FamilyManifest, i: int, s0) -> ProbeResult:
     else:
         f, m = manifest.f, bp.location_at(s0)
 
-    fb = specialize(f, {"s": s0})
     tcoeffs = []
-    for j in range(fb.degree() + 1):
-        c = _flatten_t(fb.coeff(j))
+    for j in range(f.degree() + 1):
+        c = _bind_s(f.coeff(j), s0)
         if c and m:
             shifted = c.evaluate(UniPoly([m, Fraction(1)], "t"))
             # constant coefficients come back as bare scalars

@@ -329,13 +329,6 @@ def poly_pow_mod(K, base: list, n: int, mod: list) -> list:
     return result
 
 
-def poly_eval(K, a: list, x):
-    acc = K.zero()
-    for c in reversed(a):
-        acc = K.add(K.mul(acc, x), c)
-    return acc
-
-
 def poly_key(a: list):
     return (len(a), tuple(field_elt_key(c) for c in a))
 

@@ -26,7 +26,7 @@ from .family import FamilyManifest, infinity_chart, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
 from .padic import WildPrime, padic_shape
 from .permgrp import CycleType, ef_multiset, fingerprint, generate, power_cycle_type
-from .poly import UniPoly, constant_value, integer_normalize, specialize, x_poly_coeffs
+from .poly import UniPoly, _bind_s, integer_normalize, specialize, x_poly_coeffs
 
 AUX_PRIME_BOUND = 5000
 
@@ -322,11 +322,6 @@ def search_t0(manifest: FamilyManifest, s0, conditions, *, limit: int = 10_000):
     merged = crt(congruences) if congruences else Congruence(0, 1)
     prescription = TProgression(chart, merged, tuple(valuations))
     return prescription, _t0_witness(manifest, s0, prescription, limit)
-
-
-def _bind_s(g: UniPoly, s0: Fraction) -> UniPoly:
-    b = g.bind("s", s0)
-    return UniPoly([constant_value(c) for c in b.coeffs], "t")
 
 
 def _mod_power(x: Fraction, m: int) -> int:

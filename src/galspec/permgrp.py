@@ -272,25 +272,6 @@ def fingerprint(G: PermGroup) -> dict:
     return {ct: Fraction(k, G.order) for ct, k in tally.items()}
 
 
-def _orbits_of_elements(elements, n: int) -> list:
-    remaining = set(range(n))
-    out = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            pt = frontier.pop()
-            for g in elements:
-                img = g.images[pt]
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        remaining -= orbit
-        out.append(sorted(orbit))
-    return out
-
-
 def ef_multiset(I: PermGroup, D0: PermGroup) -> tuple:
     """(e, f) pairs of the local factors predicted by an inertia subgroup I
     inside a decomposition subgroup D0 acting on the roots.
@@ -319,24 +300,11 @@ def ef_multiset(I: PermGroup, D0: PermGroup) -> tuple:
     if not any(joins_to_whole(d) for d in D0.elements):
         raise ValueError("decomposition quotient by inertia is not cyclic")
 
+    # I lies inside D0, so each I-orbit lies inside one D0-orbit
+    suborbits = I.orbits()
     out = []
-    for orbit in _orbits_of_elements(D0.elements, D0.degree):
-        seen = set()
-        sizes = []
-        for pt in orbit:
-            if pt in seen:
-                continue
-            sub = {pt}
-            frontier = [pt]
-            while frontier:
-                q = frontier.pop()
-                for g in I.elements:
-                    img = g.images[q]
-                    if img not in sub:
-                        sub.add(img)
-                        frontier.append(img)
-            seen |= sub
-            sizes.append(len(sub))
+    for orbit in D0.orbits():
+        sizes = [len(sub) for sub in suborbits if sub[0] in orbit]
         if len(set(sizes)) != 1:
             raise ValueError(
                 f"inertia suborbits of sizes {sorted(sizes)} inside one "

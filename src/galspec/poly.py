@@ -512,6 +512,11 @@ def specialize(f: TriPoly, bindings: dict):
     return out
 
 
+def _bind_s(g: UniPoly, s0) -> UniPoly:
+    """Bind s = s0 in a polynomial over Q[s][t], leaving one over Q in t."""
+    return UniPoly([constant_value(c) for c in g.bind("s", s0).coeffs], "t")
+
+
 def x_poly_coeffs(f) -> list[Fraction]:
     """Coefficient list of a fully bound polynomial in X over Q."""
     return [constant_value(f.coeff(i)) for i in range(f.degree() + 1)]

@@ -366,6 +366,12 @@ class TestCentralInvariant:
             for t0 in t0s:
                 self.check(m, 0, 1, t0, p)
 
+    def test_s_dependent_branch_points(self):
+        # t0 = 1 + p meets t = s at s0 = 1 and misses t = 2s
+        m = load_manifest(twobranch_manifest())
+        for p in (5, 11, 13):
+            self.check(m, 0, 1, 1 + p, p)
+
     def test_flagship_infinite_ramified(self):
         # v_p(t0) = -1 forces the infinite branch; the u-chart polynomial,
         # made monic, carries the p-adic side of the check

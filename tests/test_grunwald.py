@@ -23,6 +23,7 @@ from galspec.grunwald import (
 )
 from galspec.permgrp import CycleType, ef_multiset, generate, parse_perm, power_cycle_type
 from galspec.poly import parse_poly
+from test_beckmann import twobranch_manifest
 
 
 def quartic_manifest() -> dict:
@@ -378,6 +379,13 @@ class TestRunSearch:
         for name, conditions in cases:
             report = run_search(builtin_manifest(name), conditions, n_id=0)
             assert report.passed, (name, report.records)
+
+    def test_s_dependent_branch_points(self):
+        # branch points t = s and t = 2s are declared, so neither is part of
+        # the non-rational locus that an approach must avoid
+        m = load_manifest(twobranch_manifest())
+        for cond in (Ramified(5, 0, 1, 1), Ramified(7, 1, 1, 2)):
+            assert run_search(m, [cond], n_id=0).passed, cond
 
     def test_progression_members_also_pass(self):
         m = builtin_manifest("psl32")
