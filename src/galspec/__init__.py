@@ -16,8 +16,8 @@ The package is organized bottom-up:
 - ``permgrp``  small permutation groups, cycle types, orbit/subgroup analysis
 - ``family``   family manifests, branch loci, local probes
 - ``beckmann`` bad primes, bad residues, tame inertia predictions
-- ``grunwald`` condition search (s0, t0) and end-to-end verification
-- ``cli``      command-line front end
+- ``grunwald`` condition search (s0, t0), verification, identification, census
+- ``cli``      command-line front end (parses arguments, prints results)
 """
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import NonPrimeError, factorint, is_prime, primes_up_to, valuation
-from .family import FamilyManifest, nondegenerate_check
+from .family import FamilyManifest, require_nondegenerate
 from .ffact import factor_mod_p, reduce_mod_p
 from .permgrp import CycleType, power_cycle_type
 from .poly import (
@@ -117,11 +117,7 @@ def _fraction_leaves(g) -> list:
 @lru_cache(maxsize=64)
 def _certificates(manifest: FamilyManifest, s0: Fraction) -> tuple:
     """(reason, integer) pairs; p is bad for s0 iff it divides one of them."""
-    report = nondegenerate_check(manifest, s0)
-    if not report:
-        raise ValueError(
-            f"s0 = {s0} is degenerate: " + "; ".join(report.reasons)
-        )
+    require_nondegenerate(manifest, s0)
     if manifest.group is None:
         raise ValueError("manifest declares no group; its order is needed")
 

@@ -1,5 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: it only parses arguments and prints results.
 
+The library does the work; census and identification live in ``grunwald``.
 Every subcommand reads a family manifest (a JSON file path or a built-in
 name), writes structured JSON or CSV to --out or stdout, and prints a
 one-line human summary to stderr.  Exit codes: 0 success, 1 a mathematical
@@ -11,22 +12,10 @@ flows from --seed, so equal invocations produce byte-identical output.
 import argparse
 import json
 import sys
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from random import Random
 
-from .arith import format_rat, parse_rat, primes_up_to
-from .beckmann import (
-    InertiaPrediction,
-    PredictionContradiction,
-    UnramifiedPrediction,
-    bad_primes,
-    is_bad_prime,
-    predict_inertia,
-)
+from .arith import format_rat, parse_rat
+from .beckmann import PredictionContradiction, bad_primes
 from .family import (
     FamilyManifest,
     ManifestInconsistent,
@@ -35,22 +24,19 @@ from .family import (
     load_manifest,
     nondegenerate_check,
 )
-from .ffact import NotSquarefree, degree_sequence, reduce_mod_p
 from .grunwald import (
     SearchFailed,
     Unramified,
     UnsupportedConditionCombination,
-    local_model,
+    census,
+    identify,
     parse_condition,
+    predict_any,
     run_search,
     verify,
 )
-from .padic import padic_shape
-from .permgrp import CycleType, cycle_type, fingerprint
-from .poly import format_poly, specialize, x_poly_coeffs
-
-IDENTIFY_PRIME_BOUND = 2000
-IDENTIFY_T_GRID = 10_000
+from .permgrp import cycle_type
+from .poly import format_poly
 
 
 def _load(spec: str) -> FamilyManifest:
@@ -64,12 +50,15 @@ def _load(spec: str) -> FamilyManifest:
         raise ValueError(f"no such manifest file or built-in name: {spec}") from None
 
 
-def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _note(msg: str) -> None:
@@ -139,29 +128,11 @@ def cmd_badprimes(args) -> int:
 # -- predict ---------------------------------------------------------------------
 
 
-def _predict_any(m: FamilyManifest, s0, t0, p: int):
-    """Prediction at whichever branch point t0 meets; None when unramified."""
-    last = None
-    for i in range(len(m.branch_points)):
-        try:
-            result = predict_inertia(m, i, s0, t0, p)
-        except ValueError as exc:
-            last = exc
-            continue
-        if isinstance(result, InertiaPrediction):
-            return result
-        if isinstance(result, UnramifiedPrediction):
-            return None
-    if last is not None:
-        raise last
-    raise ValueError("the manifest declares no branch points")
-
-
 def cmd_predict(args) -> int:
     m = _load(args.manifest)
     s0, t0 = parse_rat(args.s0), parse_rat(args.t0)
     try:
-        result = _predict_any(m, s0, t0, args.p)
+        result = predict_any(m, s0, t0, args.p)
     except PredictionContradiction as exc:
         _emit(
             {
@@ -267,11 +238,7 @@ def _parse_conditions(m: FamilyManifest, texts) -> list:
 def cmd_search(args) -> int:
     m = _load(args.manifest)
     conditions = _parse_conditions(m, args.cond)
-    try:
-        report = run_search(m, conditions, n_id=args.n_id, seed=args.seed)
-    except SearchFailed as exc:
-        _note(f"search failed: {exc}")
-        return 1
+    report = run_search(m, conditions, n_id=args.n_id, seed=args.seed)
     _emit(_report_json(report), args.out)
     _note(
         f"witness (s0, t0) = ({format_rat(report.s0)}, {format_rat(report.t0)}); "
@@ -296,71 +263,6 @@ def cmd_verify(args) -> int:
 # -- identify --------------------------------------------------------------------
 
 
-def identify(
-    m: FamilyManifest, s0, samples: int, seed: int, rel_tol: float = 0.5
-) -> dict:
-    """Sample (t0, p) fibers, tally splitting types, and compare against the
-    declared group's cycle-type distribution.
-
-    Without group generators only the tally is reported (support-only mode).
-    The verdict is REJECT when a type outside the fingerprint shows up or an
-    empirical frequency strays more than rel_tol from its expected value.
-    """
-    s0 = Fraction(s0)
-    check = nondegenerate_check(m, s0)
-    if not check:
-        raise ValueError(f"s0 = {format_rat(s0)} is degenerate: " + "; ".join(check.reasons))
-    odd = [p for p in primes_up_to(IDENTIFY_PRIME_BOUND) if p > 2]
-    if m.group is not None:
-        pool = [p for p in odd if not is_bad_prime(m, s0, p)]
-    else:
-        pool = odd
-    rng = Random(seed)
-    tally = Counter()
-    taken = 0
-    attempts = 0
-    bound = specialize(m.f, {"s": s0})
-    n = m.f.degree()
-    while taken < samples:
-        attempts += 1
-        if attempts > 200 * samples:
-            raise ValueError("sampling stalled: too few readable fibers")
-        t0 = rng.randrange(1, IDENTIFY_T_GRID)
-        p = pool[rng.randrange(len(pool))]
-        coeffs = x_poly_coeffs(specialize(bound, {"t": Fraction(t0)}))
-        if len(coeffs) != n + 1:
-            continue
-        try:
-            seq = degree_sequence(reduce_mod_p(coeffs, p))
-        except NotSquarefree:
-            continue
-        tally[CycleType(tuple(seq))] += 1
-        taken += 1
-
-    observed = {str(ct): tally[ct] for ct in sorted(tally, key=lambda c: c.parts)}
-    result = {"family": m.name, "s0": format_rat(s0), "samples": samples, "observed": observed}
-    if m.group is None:
-        result["verdict"] = "SUPPORT-ONLY"
-        return result
-    fp = fingerprint(m.group)
-    expected = {
-        str(ct): f"{fp[ct].numerator}/{fp[ct].denominator}"
-        for ct in sorted(fp, key=lambda c: c.parts)
-    }
-    alien = [str(ct) for ct in sorted(tally, key=lambda c: c.parts) if ct not in fp]
-    off = []
-    for ct, frac in fp.items():
-        want = float(frac) * samples
-        got = tally[ct]
-        if abs(got - want) > rel_tol * want:
-            off.append(str(ct))
-    result["expected"] = expected
-    result["alien"] = alien
-    result["frequency_violations"] = sorted(off)
-    result["verdict"] = "REJECT" if (alien or off) else "ACCEPT"
-    return result
-
-
 def cmd_identify(args) -> int:
     m = _load(args.manifest)
     result = identify(m, parse_rat(args.s0), args.samples, args.seed)
@@ -372,67 +274,6 @@ def cmd_identify(args) -> int:
 # -- census ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    s0: Fraction
-    t0: int
-    p: int
-    predicted: str
-    observed: str
-    match: str  # "true" | "false" | "bad"
-
-
-CENSUS_COLUMNS = ("s0", "t0", "p", "predicted", "observed", "match")
-
-
-def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int, jobs: int = 1):
-    """One row per (t0, prime): predicted inertia class against the measured
-    p-adic shape.  Returns (rows, bad reason map); rows over good primes
-    must all match."""
-    s0 = Fraction(s0)
-    check = nondegenerate_check(m, s0)
-    if not check:
-        raise ValueError(f"s0 = {format_rat(s0)} is degenerate: " + "; ".join(check.reasons))
-    ps = primes_up_to(p_max)
-    bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
-    n = m.f.degree()
-    disc_t = specialize(m.disc, {"s": s0})
-
-    def one(t0: int) -> list:
-        if disc_t.evaluate(Fraction(t0)) == 0:
-            return []  # exactly on a branch point: no number field to read
-        out = []
-        for p in ps:
-            if p in bad:
-                reasons = ";".join(bad[p])  # comma is the CSV delimiter
-                out.append(CensusRow(s0, t0, p, f"bad({reasons})", "-", "bad"))
-                continue
-            prediction = _predict_any(m, s0, t0, p)
-            if prediction is None:
-                predicted = CycleType((1,) * n)
-            else:
-                predicted = prediction.generator_class
-            shape = padic_shape(local_model(m, s0, t0, p), p)
-            observed = CycleType(tuple(e for e, f in shape.pairs for _ in range(f)))
-            out.append(
-                CensusRow(
-                    s0, t0, p, str(predicted), str(observed),
-                    "true" if observed == predicted else "false",
-                )
-            )
-        return out
-
-    values = range(t_lo, t_hi + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, values))
-    else:
-        chunks = [one(t0) for t0 in values]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r.t0, r.p))
-    return rows, bad
-
-
 def cmd_census(args) -> int:
     m = _load(args.manifest)
     s0 = parse_rat(args.s0)
@@ -441,14 +282,10 @@ def cmd_census(args) -> int:
     except ValueError:
         raise ValueError(f"bad --t-range {args.t_range!r}; expected like -500..500") from None
     rows, bad = census(m, s0, t_lo, t_hi, args.p_max, jobs=args.jobs)
-    lines = [",".join(CENSUS_COLUMNS)]
+    lines = ["s0,t0,p,predicted,observed,match"]
     for r in rows:
         lines.append(f"{format_rat(r.s0)},{r.t0},{r.p},{r.predicted},{r.observed},{r.match}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     good = [r for r in rows if r.match != "bad"]
     matched = sum(1 for r in good if r.match == "true")
     rate = matched / len(good) if good else 1.0
@@ -516,7 +353,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (SearchFailed,) as exc:
+    except SearchFailed as exc:
         _note(f"search failed: {exc}")
         return 1
     except (

@@ -30,7 +30,7 @@ from importlib import resources
 from math import lcm
 
 from .arith import INFINITY
-from .permgrp import PermGroup, cycle_type, generate, parse_perm
+from .permgrp import Perm, PermGroup, cycle_type, generate, parse_perm
 from .poly import (
     UniPoly,
     _bind_s,
@@ -39,13 +39,12 @@ from .poly import (
     discriminant_in,
     format_poly,
     gcd_field,
-    gcd_over_poly_coeffs,
     integer_normalize,
     lower_hull_vertices,
     parse_poly,
-    primitive_part,
     rational_roots,
     specialize,
+    squarefree_part,
 )
 
 
@@ -174,16 +173,6 @@ def infinity_chart(f: UniPoly) -> UniPoly:
     return UniPoly(out, "X")
 
 
-def _squarefree_in_t(disc: UniPoly) -> UniPoly:
-    prim = primitive_part(disc)
-    if disc.degree() < 2:
-        return prim
-    g = gcd_over_poly_coeffs(disc, disc.derivative())
-    if g.degree() == 0:
-        return prim
-    return primitive_part(prim.exact_div(g))
-
-
 def _has_infinite_branch(f: UniPoly, disc_t_degree: int) -> bool:
     # the 1/t chart's discriminant vanishes at u = 0 exactly when the
     # t-degree of disc_X(f) falls short of its generic bound
@@ -200,7 +189,7 @@ def _symbolic_locus(f: UniPoly, disc: UniPoly, declared: list) -> tuple:
     constants as its points; its residual is the squarefree part with every
     rational point divided out, so it is exactly the non-rational locus.
     """
-    srf = _squarefree_in_t(disc)
+    srf = squarefree_part(disc)
     constants = []
     if srf.degree() >= 1:
         candidates = None
@@ -250,7 +239,7 @@ def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
         disc = discriminant_in(specialize(f, {"s": Fraction(s0)}), "X")
         if not disc:
             raise ValueError("discriminant vanishes; f is not squarefree in X")
-        srf = disc.exact_div(gcd_field(disc, disc.derivative())) if disc.degree() >= 2 else disc
+        srf = squarefree_part(disc)
         points = []
         work = srf
         if srf.degree() >= 1:
@@ -483,6 +472,13 @@ def nondegenerate_check(manifest: FamilyManifest, s0) -> NondegeneracyReport:
     return NondegeneracyReport(s0, tuple(reasons))
 
 
+def require_nondegenerate(manifest: FamilyManifest, s0) -> None:
+    """Raise ValueError naming every failed clause when s = s0 is degenerate."""
+    check = nondegenerate_check(manifest, s0)
+    if not check:
+        raise ValueError(f"s0 = {check.s0} is degenerate: " + "; ".join(check.reasons))
+
+
 def inertia_order_probe(manifest: FamilyManifest, i: int, s0) -> ProbeResult:
     """Recompute the local (e, count) data over branch point i at s = s0
     from the Newton polygon of the shifted family, and check it against the
@@ -494,11 +490,7 @@ def inertia_order_probe(manifest: FamilyManifest, i: int, s0) -> ProbeResult:
     that contradicts the declared cycle type raises ManifestInconsistent.
     """
     s0 = Fraction(s0)
-    report = nondegenerate_check(manifest, s0)
-    if not report:
-        raise ValueError(
-            f"s0 = {s0} is degenerate: " + "; ".join(report.reasons)
-        )
+    require_nondegenerate(manifest, s0)
     bp = manifest.branch_points[i]
     if bp.is_infinite:
         f, m = infinity_chart(manifest.f), Fraction(0)

@@ -10,25 +10,34 @@ with its least witness.
 
 Verification is independent of the search: the fiber's p-adic factorization
 shapes are measured from scratch and compared against every lift of the
-prescribed Frobenius into the decomposition model, and auxiliary primes are
-sampled to identify the Galois group by its cycle-type statistics.
+prescribed Frobenius into the decomposition model.  Group identification
+reads cycle types of fibres mod p through one sampler, in two modes: verify
+reads its fibre at many auxiliary primes, identify reads random (t0, p)
+fibres.  census sets predicted inertia against measured shapes on a grid.
 """
 
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from random import Random
 
-from .arith import Congruence, NonPrimeError, crt, is_prime, primes_up_to, valuation
-from .beckmann import bad_s_residues, global_exceptional, is_bad_prime
-from .family import FamilyManifest, infinity_chart, nondegenerate_check
+from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, valuation
+from .beckmann import (
+    InertiaPrediction, UnramifiedPrediction, bad_primes, bad_s_residues,
+    global_exceptional, is_bad_prime, predict_inertia,
+)
+from .family import FamilyManifest, infinity_chart, nondegenerate_check, require_nondegenerate
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
 from .padic import WildPrime, padic_shape
 from .permgrp import CycleType, ef_multiset, fingerprint, generate, power_cycle_type
 from .poly import UniPoly, _bind_s, integer_normalize, specialize, x_poly_coeffs
 
 AUX_PRIME_BOUND = 5000
+IDENTIFY_PRIME_BOUND = 2000
+IDENTIFY_T_GRID = 10_000
+IDENTIFY_REL_TOL = 0.5
 
 
 class SkipResidue(Exception):
@@ -304,9 +313,7 @@ def search_t0(manifest: FamilyManifest, s0, conditions, *, limit: int = 10_000):
     the least witness with a squarefree fiber."""
     validate_conditions(manifest, conditions)
     s0 = Fraction(s0)
-    check = nondegenerate_check(manifest, s0)
-    if not check:
-        raise ValueError(f"s0 = {s0} is degenerate: " + "; ".join(check.reasons))
+    require_nondegenerate(manifest, s0)
     ram = [c for c in conditions if isinstance(c, Ramified)]
     chart = "t"
     if ram and all(manifest.branch_points[c.branch].is_infinite for c in ram):
@@ -383,19 +390,15 @@ def _approach_congruence(manifest, s0, cond, chart) -> Congruence:
 
 def _split_congruence(manifest, s0, cond, chart) -> Congruence:
     q = cond.p
-    n = manifest.f.degree()
     source = manifest.f if chart == "t" else infinity_chart(manifest.f)
     for r in range(q):
         if chart == "u" and r == 0:
             continue  # u = 0 mod q ramifies over infinity
+        # f is monic in X, and the u-chart's leading coefficient r^D is a unit
         coeffs = x_poly_coeffs(specialize(source, {"s": s0, "t": Fraction(r)}))
-        if len(coeffs) != n + 1:
-            continue
         try:
             fp = reduce_mod_p(coeffs, q)
         except NotPIntegral:
-            continue
-        if fp.degree() != n:
             continue
         try:
             seq = degree_sequence(fp)
@@ -554,9 +557,33 @@ def _degree_sequence_at(manifest, s0, t0, q: int) -> tuple:
     return tuple(degree_sequence(fp))
 
 
+def _tally_fibres(draws, n: int) -> Counter:
+    """Cycle types of the first n readable fibres among draws of
+    (X-coefficients, p), fewer when the draws run out.  A fibre that is not
+    p-integral or not squarefree mod p is unreadable and skipped."""
+    tally = Counter()
+    for coeffs, p in draws:
+        if tally.total() == n:
+            break
+        try:
+            seq = degree_sequence(reduce_mod_p(coeffs, p))
+        except (NotPIntegral, NotSquarefree):
+            continue  # p in a denominator, or an index prime: take the next
+        tally[CycleType(tuple(seq))] += 1
+    return tally
+
+
+def _compare(fp: dict, tally: Counter, n: int) -> tuple:
+    """(alien, missing, expected): tallied types outside the fingerprint fp
+    and fp types never tallied, by parts; each fp type's count in n fibres."""
+    alien = tuple(ct for ct in sorted(tally, key=lambda c: c.parts) if ct not in fp)
+    missing = tuple(ct for ct in sorted(fp, key=lambda c: c.parts) if ct not in tally)
+    expected = {ct: float(frac) * n for ct, frac in fp.items()}
+    return alien, missing, expected
+
+
 def _identify(manifest, s0, t0, conditions, n_id, seed) -> IdentificationSummary:
-    G = manifest.group
-    if G is None:
+    if manifest.group is None:
         raise ValueError("group identification needs group_generators")
     skip = {2} | {c.p for c in conditions}
     pool = [
@@ -569,30 +596,14 @@ def _identify(manifest, s0, t0, conditions, n_id, seed) -> IdentificationSummary
     ]
     Random(seed).shuffle(pool)
     coeffs = x_poly_coeffs(specialize(manifest.f, {"s": s0, "t": t0}))
-    counts = Counter()
-    sampled = 0
-    for q in pool:
-        if sampled == n_id:
-            break
-        try:
-            seq = degree_sequence(reduce_mod_p(coeffs, q))
-        except NotSquarefree:
-            continue  # unreadable at q (an index prime, say): take the next
-        counts[CycleType(tuple(seq))] += 1
-        sampled += 1
+    counts = _tally_fibres(((coeffs, q) for q in pool), n_id)
+    sampled = counts.total()
     if sampled < n_id:
         raise ValueError(
             f"only {sampled} of {n_id} auxiliary primes below "
             f"{AUX_PRIME_BOUND} were readable"
         )
-    fp = fingerprint(G)
-    floor = Fraction(1, G.order)
-    missing = tuple(
-        ct
-        for ct in sorted(fp, key=lambda c: c.parts)
-        if fp[ct] >= floor and ct not in counts
-    )
-    alien = tuple(ct for ct in sorted(counts, key=lambda c: c.parts) if ct not in fp)
+    alien, missing, _ = _compare(fingerprint(manifest.group), counts, sampled)
     return IdentificationSummary(
         sampled,
         tuple(sorted(counts.items(), key=lambda kv: kv[0].parts)),
@@ -600,6 +611,55 @@ def _identify(manifest, s0, t0, conditions, n_id, seed) -> IdentificationSummary
         alien,
         not missing and not alien,
     )
+
+
+def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
+    """Sample (t0, p) fibers, tally splitting types, and compare against the
+    declared group's cycle-type distribution.
+
+    Without group generators only the tally is reported (support-only mode).
+    The verdict is REJECT when a type outside the fingerprint shows up or a
+    count strays more than IDENTIFY_REL_TOL from its expected value.
+    """
+    s0 = Fraction(s0)
+    require_nondegenerate(m, s0)
+    pool = [
+        p for p in primes_up_to(IDENTIFY_PRIME_BOUND)
+        if p > 2 and (m.group is None or not is_bad_prime(m, s0, p))
+    ]
+    rng = Random(seed)
+    bound = specialize(m.f, {"s": s0})
+
+    def draws():
+        for _ in range(200 * samples):
+            t0 = rng.randrange(1, IDENTIFY_T_GRID)
+            p = pool[rng.randrange(len(pool))]
+            yield x_poly_coeffs(specialize(bound, {"t": Fraction(t0)})), p
+
+    tally = _tally_fibres(draws(), samples)
+    if tally.total() < samples:
+        raise ValueError("sampling stalled: too few readable fibers")
+
+    observed = {str(ct): tally[ct] for ct in sorted(tally, key=lambda c: c.parts)}
+    result = {"family": m.name, "s0": format_rat(s0), "samples": samples, "observed": observed}
+    if m.group is None:
+        result["verdict"] = "SUPPORT-ONLY"
+        return result
+    fp = fingerprint(m.group)
+    alien, _, expected = _compare(fp, tally, samples)
+    off = [
+        str(ct)
+        for ct, want in expected.items()
+        if abs(tally[ct] - want) > IDENTIFY_REL_TOL * want
+    ]
+    result["expected"] = {
+        str(ct): f"{fp[ct].numerator}/{fp[ct].denominator}"
+        for ct in sorted(fp, key=lambda c: c.parts)
+    }
+    result["alien"] = [str(ct) for ct in alien]
+    result["frequency_violations"] = sorted(off)
+    result["verdict"] = "REJECT" if (alien or off) else "ACCEPT"
+    return result
 
 
 def verify(
@@ -613,12 +673,87 @@ def verify(
     """
     validate_conditions(manifest, conditions)
     s0, t0 = Fraction(s0), Fraction(t0)
-    check = nondegenerate_check(manifest, s0)
-    if not check:
-        raise ValueError(f"s0 = {s0} is degenerate: " + "; ".join(check.reasons))
+    require_nondegenerate(manifest, s0)
     records = tuple(_check_condition(manifest, s0, t0, c) for c in conditions)
     summary = _identify(manifest, s0, t0, conditions, n_id, seed) if n_id else None
     return SpecializationReport(s0, t0, records, summary)
+
+
+# -- census --------------------------------------------------------------------
+
+
+def predict_any(m: FamilyManifest, s0, t0, p: int):
+    """Prediction at whichever branch point t0 meets; None when unramified."""
+    last = None
+    for i in range(len(m.branch_points)):
+        try:
+            result = predict_inertia(m, i, s0, t0, p)
+        except ValueError as exc:
+            last = exc
+            continue
+        if isinstance(result, InertiaPrediction):
+            return result
+        if isinstance(result, UnramifiedPrediction):
+            return None
+    if last is not None:
+        raise last
+    raise ValueError("the manifest declares no branch points")
+
+
+@dataclass(frozen=True)
+class CensusRow:
+    s0: Fraction
+    t0: int
+    p: int
+    predicted: str
+    observed: str
+    match: str  # "true" | "false" | "bad"
+
+
+def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int, jobs: int = 1):
+    """One row per (t0, prime): predicted inertia class against the measured
+    p-adic shape.  Returns (rows, bad reason map); rows over good primes
+    must all match."""
+    s0 = Fraction(s0)
+    require_nondegenerate(m, s0)
+    ps = primes_up_to(p_max)
+    bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
+    n = m.f.degree()
+    disc_t = specialize(m.disc, {"s": s0})
+
+    def one(t0: int) -> list:
+        if disc_t.evaluate(Fraction(t0)) == 0:
+            return []  # exactly on a branch point: no number field to read
+        out = []
+        for p in ps:
+            if p in bad:
+                reasons = ";".join(bad[p])  # comma is the CSV delimiter
+                out.append(CensusRow(s0, t0, p, f"bad({reasons})", "-", "bad"))
+                continue
+            prediction = predict_any(m, s0, t0, p)
+            if prediction is None:
+                predicted = CycleType((1,) * n)
+            else:
+                predicted = prediction.generator_class
+            shape = padic_shape(local_model(m, s0, t0, p), p)
+            observed = CycleType(tuple(e for e, f in shape.pairs for _ in range(f)))
+            out.append(
+                CensusRow(
+                    s0, t0, p, str(predicted), str(observed),
+                    "true" if observed == predicted else "false",
+                )
+            )
+        return out
+
+    values = range(t_lo, t_hi + 1)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(one, values))
+    else:
+        chunks = [one(t0) for t0 in values]
+    rows = [row for chunk in chunks for row in chunk]
+    rows.sort(key=lambda r: (r.t0, r.p))
+    return rows, bad
 
 
 def run_search(

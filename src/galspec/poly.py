@@ -241,13 +241,6 @@ class UniPoly:
             self.var,
         )
 
-    def variables(self) -> set[str]:
-        out = {self.var}
-        for c in self.coeffs:
-            if isinstance(c, UniPoly):
-                out |= c.variables()
-        return out
-
     def degree_in(self, var: str) -> int:
         """Total view: the highest power of `var` appearing anywhere."""
         if self.var == var:
@@ -796,20 +789,17 @@ def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
-    """f divided by gcd(f, f'); works over Fraction or Q[s] coefficients."""
-    if f.degree() < 1:
-        return f
-    if isinstance(f.coeffs[0], UniPoly) or any(
-        isinstance(c, UniPoly) for c in f.coeffs
-    ):
+    """f divided by gcd(f, f'); works over Fraction or Q[s] coefficients,
+    and over Q[s] the result is always primitive."""
+    over_s = any(isinstance(c, UniPoly) for c in f.coeffs)
+    base = primitive_part(f) if over_s else f
+    if f.degree() < 2:
+        return base
+    if over_s:
         g = gcd_over_poly_coeffs(f, f.derivative())
-        if g.degree() == 0:
-            return f
-        return primitive_part(f).exact_div(g)
+        return base if g.degree() == 0 else primitive_part(base.exact_div(g))
     g = gcd_field(f, f.derivative())
-    if g.degree() == 0:
-        return f
-    return f.exact_div(g)
+    return f if g.degree() == 0 else f.exact_div(g)
 
 
 # -- Newton polygons ---------------------------------------------------------

@@ -312,6 +312,18 @@ class TestIdentify:
         )
         assert code == 2
 
+    def test_fibre_not_p_integral_is_skipped(self, capsys, tmp_path):
+        # s0 = 1/3 puts 3 in the fibres' denominators, and 3 is in the pool
+        path = tmp_path / "m1.json"
+        path.write_text(json.dumps({"name": "m1", "poly": "X^2 - s*t"}))
+        code, payload = run(
+            capsys, "identify", "--manifest", str(path), "--s0", "1/3",
+            "--samples", "300", "--seed", "1",
+        )
+        assert code == 0
+        assert payload["verdict"] == "SUPPORT-ONLY"
+        assert sum(payload["observed"].values()) == 300
+
 
 class TestCensus:
     def test_quadratic_small_grid(self, capsys):
@@ -387,3 +399,12 @@ class TestDeterminism:
         _, one = run(capsys, "identify", "--manifest", "x3mt", "--samples", "60", "--seed", "1")
         _, two = run(capsys, "identify", "--manifest", "x3mt", "--samples", "60", "--seed", "2")
         assert one["observed"] != two["observed"]
+
+
+class TestLibraryBindings:
+    def test_census_and_identify_live_in_the_library(self):
+        import galspec.cli
+        import galspec.grunwald
+
+        assert galspec.cli.census is galspec.grunwald.census
+        assert galspec.cli.identify is galspec.grunwald.identify

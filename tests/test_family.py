@@ -1,11 +1,13 @@
 """Manifests, branch loci, nondegeneracy, and Newton-polygon probes."""
 
+import typing
 from fractions import Fraction
 
 import pytest
 
 from galspec.arith import INFINITY
 from galspec.family import (
+    BranchPoint,
     FamilyManifest,
     ManifestInconsistent,
     ProbeAmbiguous,
@@ -15,7 +17,9 @@ from galspec.family import (
     infinity_chart,
     load_manifest,
     nondegenerate_check,
+    require_nondegenerate,
 )
+from galspec.permgrp import Perm
 from galspec.poly import parse_poly
 
 
@@ -124,6 +128,10 @@ class TestInfinityChart:
 
 
 class TestBuiltinManifests:
+    def test_branch_point_annotations_resolve(self):
+        hints = typing.get_type_hints(BranchPoint)
+        assert hints["inertia_generator"] is Perm
+
     def test_x2mt(self):
         m = builtin_manifest("x2mt")
         assert m.group.order == 2
@@ -312,6 +320,12 @@ class TestLoadValidation:
 
 
 class TestNondegenerate:
+    def test_require_names_every_failed_clause(self):
+        m = load_manifest(collision_manifest())
+        require_nondegenerate(m, 1)
+        with pytest.raises(ValueError, match=r"^s0 = 0 is degenerate: .*collide"):
+            require_nondegenerate(m, 0)
+
     def test_single_moving_branch_point_never_degenerates(self):
         m = load_manifest(shifted_manifest())
         for s0 in (0, 1, 5, -3, Fraction(7, 2)):

@@ -14,6 +14,7 @@ from galspec.grunwald import (
     Unramified,
     UnsupportedConditionCombination,
     frobenius_in_residue_field,
+    identify,
     parse_condition,
     run_search,
     search_s0,
@@ -440,3 +441,38 @@ class TestTameConsistencyTriangle:
         report = verify(m, 0, 25, [Ramified(5, 0, 2, 1)], n_id=0)
         (record,) = report.records
         assert record.observed == power_cycle_type(bp.inertia_generator, 2).parts
+
+
+class TestIdentificationSamples:
+    """Exact draws of both identification modes, pinned so a change to the
+    shared sampler cannot shift which fibres or primes either mode reads."""
+
+    def test_random_fibres(self):
+        assert identify(builtin_manifest("x3mt"), 0, 80, 9) == {
+            "family": "x3mt", "s0": "0", "samples": 80,
+            "observed": {"1^3": 13, "2.1": 40, "3": 27},
+            "expected": {"1^3": "1/6", "2.1": "1/2", "3": "1/3"},
+            "alien": [], "frequency_violations": [], "verdict": "ACCEPT",
+        }
+        assert identify(builtin_manifest("psl32"), 1, 300, 0) == {
+            "family": "psl32", "s0": "1", "samples": 300,
+            "observed": {"1^7": 1, "2^2.1^3": 30, "3^2.1": 99, "4.2.1": 86, "7": 84},
+            "expected": {
+                "1^7": "1/168", "2^2.1^3": "1/8", "3^2.1": "1/3", "4.2.1": "1/4", "7": "2/7",
+            },
+            "alien": [], "frequency_violations": [], "verdict": "ACCEPT",
+        }
+
+    def test_one_fibre_at_auxiliary_primes(self):
+        m = builtin_manifest("psl32")
+        report = verify(m, 1, Fraction(1, 11), [Ramified(11, 0, 1, 2)], n_id=300, seed=0)
+        ident = report.identification
+        assert ident.sampled == 300
+        assert ident.counts == (
+            (CycleType((2, 2, 1, 1, 1)), 42),
+            (CycleType((3, 3, 1)), 92),
+            (CycleType((4, 2, 1)), 70),
+            (CycleType((7,)), 96),
+        )
+        assert ident.missing == (CycleType((1,) * 7),)
+        assert ident.alien == ()

@@ -1,0 +1,24 @@
+"""Package-wide rules: the runtime imports only the standard library."""
+
+import ast
+import sys
+from importlib import resources
+
+
+def test_runtime_imports_are_stdlib_or_galspec():
+    outside = []
+    for src in resources.files("galspec").iterdir():
+        if not src.name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(src.read_text(), src.name)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "galspec" and top not in sys.stdlib_module_names:
+                    outside.append(f"{src.name}: {name}")
+    assert outside == []

@@ -329,6 +329,12 @@ class TestGcdTower:
         expected = parse_poly("(t - s)(t + 1)").coeff(0)
         assert sq == expected or sq == -expected
 
+    def test_squarefree_part_over_s_is_primitive(self):
+        # s*(t^2 + 1) is squarefree in t; the content s still goes
+        f = parse_poly("s*t^2 + s").coeff(0)
+        assert squarefree_part(f) == parse_poly("t^2 + 1").coeff(0)
+        assert squarefree_part(parse_poly("s*t").coeff(0)) == parse_poly("t").coeff(0)
+
     def test_squarefree_part_univariate(self):
         f = qpoly(0, 0, 1) * qpoly(-1, 1)  # X^2 (X-1)
         assert squarefree_part(f) == qpoly(0, 1) * qpoly(-1, 1)
