@@ -65,6 +65,10 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _note_bad_prime(report) -> None:
+    _note(f"p={report.p} is bad at this specialization: {', '.join(report.reasons)}")
+
+
 def _shape_list(pairs) -> list:
     return [list(pair) for pair in pairs]
 
@@ -142,7 +146,7 @@ def cmd_predict(args) -> int:
             },
             args.out,
         )
-        _note(f"p={args.p} is bad at this specialization: {', '.join(exc.report.reasons)}")
+        _note_bad_prime(exc.report)
         return 1
     if result is None:
         _emit({"p": args.p, "ramified": False}, args.out)
@@ -355,6 +359,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except SearchFailed as exc:
         _note(f"search failed: {exc}")
+        return 1
+    except PredictionContradiction as exc:
+        _note_bad_prime(exc.report)
         return 1
     except (
         ValueError,

@@ -139,8 +139,11 @@ class ProbeResult:
     e_multiset: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyManifest:
+    """A loaded family.  It hashes and compares by identity, so caches keyed
+    on a manifest (beckmann's certificates) never hash its polynomials."""
+
     name: str
     f: UniPoly
     group: PermGroup | None

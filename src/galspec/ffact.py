@@ -7,9 +7,13 @@ are supported directly.  The top layer is the mod-p interface used by the
 rest of the package: FpPoly, complete factorization, and squarefree degree
 sequences for Frobenius fingerprints.
 
-Equal-degree splitting is randomized (Cantor-Zassenhaus, with the trace
-construction in characteristic 2) but seeded, and factor lists are sorted
-canonically, so every public result is deterministic.
+Distinct-degree splitting applies the q-power map as one linear map, the
+Frobenius matrix of von zur Gathen and Shoup, rather than exponentiating
+afresh at every degree.  Equal-degree splitting is randomized
+(Cantor-Zassenhaus, with the trace construction in characteristic 2) but
+seeded, and factor lists are sorted canonically, so every public result is
+deterministic.  Over F_p the multiply, divide, gcd and power helpers work on
+plain ints and reduce each coefficient mod p once per operation.
 """
 
 from __future__ import annotations
@@ -196,6 +200,10 @@ def field_elt_key(a):
 
 
 def poly_trim(cs: list) -> list:
+    if cs and isinstance(cs[-1], int):
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
     while cs and not _is_nonzero(cs[-1]):
         cs.pop()
     return cs
@@ -232,12 +240,7 @@ def poly_mul(K, a: list, b: list) -> list:
         return []
     if isinstance(K, FpField):
         p = K.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return poly_trim(out)
+        return poly_trim([c % p for c in _fp_mul(a, b)])
     out = [K.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if _is_nonzero(x):
@@ -252,18 +255,11 @@ def poly_divmod(K, a: list, b: list) -> tuple[list, list]:
     if len(a) < len(b):
         return [], list(a)
     inv_lc = K.inv(b[-1])
+    if isinstance(K, FpField):
+        quot, rem = _fp_divmod(K.p, list(a), b, inv_lc)
+        return poly_trim(quot), poly_trim(rem)
     rem = list(a)
     quot = [K.zero()] * (len(a) - len(b) + 1)
-    if isinstance(K, FpField):
-        p = K.p
-        for k in range(len(quot) - 1, -1, -1):
-            top = rem[k + len(b) - 1]
-            if top:
-                q = top * inv_lc % p
-                quot[k] = q
-                for j, c in enumerate(b):
-                    rem[k + j] = (rem[k + j] - q * c) % p
-        return poly_trim(quot), poly_trim(rem)
     for k in range(len(quot) - 1, -1, -1):
         top = rem[k + len(b) - 1]
         if _is_nonzero(top):
@@ -318,15 +314,56 @@ def poly_deriv(K, a: list) -> list:
 
 
 def poly_pow_mod(K, base: list, n: int, mod: list) -> list:
-    result = [K.one()]
+    if not n:
+        return [K.one()]
     base = poly_mod(K, base, mod)
-    while n:
-        if n & 1:
-            result = poly_mod(K, poly_mul(K, result, base), mod)
-        n >>= 1
-        if n:
-            base = poly_mod(K, poly_mul(K, base, base), mod)
+    if isinstance(K, FpField):
+        p, inv_lc = K.p, K.inv(mod[-1])
+
+        def mul(a, b):
+            return poly_trim(_fp_divmod(p, _fp_mul(a, b), mod, inv_lc)[1])
+
+    else:
+
+        def mul(a, b):
+            return poly_mod(K, poly_mul(K, a, b), mod)
+
+    # left to right, so that every product but the squares is by base
+    # itself, which is short when base is x as in distinct_degree
+    result = base
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
     return result
+
+
+def _fp_mul(a: list, b: list) -> list:
+    # the product over Z, left unreduced for the caller's single % p
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _fp_divmod(p: int, a: list, b: list, inv_lc: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b over F_p, both untrimmed.
+
+    a is an int list, consumed as the work space, and need not be reduced:
+    an entry is reduced only when read as a leading term, so each product
+    is added over Z and the % p is taken once per coefficient.
+    """
+    n = len(b) - 1
+    quot = [0] * (len(a) - n)
+    for k in range(len(quot) - 1, -1, -1):
+        q = a[k + n] * inv_lc % p
+        if q:
+            quot[k] = q
+            for j, c in enumerate(b, k):
+                a[j] -= q * c
+    return quot, [c % p for c in a[:n]]
 
 
 def poly_key(a: list):
@@ -389,22 +426,46 @@ def _poly_pth_root(K, f: list) -> list:
 def distinct_degree(K, f: list) -> list[tuple[list, int]]:
     """Split monic squarefree f into products of same-degree irreducibles.
 
-    Returns [(product, d)] with d strictly increasing.
+    Returns [(product, d)] with d strictly increasing.  The q-power map
+    (q = |K|) is K-linear on K[x]/(f), so it is computed once as the
+    Frobenius matrix of rows x^(q*i) mod f (von zur Gathen and Shoup,
+    1992); each further x^(q^d) mod f is one matrix application instead of
+    a fresh exponentiation.  Gcds are taken against the cofactor left after
+    removing the factors found so far, which divides f.
     """
     out = []
+    n = len(f) - 1
     x = [K.zero(), K.one()]
-    h = list(x)
+    rows = [[K.one()], poly_pow_mod(K, x, K.size, f)]
+    for _ in range(2, n):
+        rows.append(poly_mod(K, poly_mul(K, rows[-1], rows[1]), f))
+    h = x
     d = 0
     while len(f) - 1 > 2 * d:
         d += 1
-        h = poly_pow_mod(K, h, K.size, f)
+        h = _frobenius(K, h, rows)
         g = poly_gcd(K, poly_sub(K, h, x), f)
         if len(g) > 1:
             out.append((g, d))
             f = poly_divmod(K, f, g)[0]
-            h = poly_mod(K, h, f)
     if len(f) > 1:
         out.append((f, len(f) - 1))
+    return out
+
+
+def _frobenius(K, h: list, rows: list) -> list:
+    # h^q = sum of h_i * x^(q*i), since h_i^q = h_i for h_i in K
+    if isinstance(K, FpField):
+        out = [0] * len(rows)
+        for c, row in zip(h, rows):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        p = K.p
+        return poly_trim([v % p for v in out])
+    out = []
+    for c, row in zip(h, rows):
+        out = poly_add(K, out, poly_scale(K, row, c))
     return out
 
 
@@ -542,9 +603,10 @@ def factor_mod_p(f: FpPoly, seed: int = 0) -> FactorizationModP:
 def degree_sequence(f: FpPoly) -> list[int]:
     """Sorted degrees of the irreducible factors of a squarefree f mod p.
 
-    Distinct-degree splitting alone determines the multiset, so no
-    randomized stage is involved.  Raises NotSquarefree when f has a
-    repeated factor (the caller treats that prime as ramified or bad).
+    Distinct-degree splitting by the Frobenius matrix (see
+    distinct_degree) alone determines the multiset, so no randomized stage
+    is involved.  Raises NotSquarefree when f has a repeated factor (the
+    caller treats that prime as ramified or bad).
     """
     if not f:
         raise ValueError("zero polynomial")

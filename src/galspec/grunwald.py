@@ -479,10 +479,7 @@ def local_model(manifest: FamilyManifest, s0, t0, p: int) -> UniPoly:
         source, at = infinity_chart(manifest.f), 1 / t0
     else:
         source, at = manifest.f, t0
-    coeffs = x_poly_coeffs(specialize(source, {"s": s0, "t": at}))
-    if len(coeffs) != manifest.f.degree() + 1:
-        raise ValueError(f"the fiber at t = {t0} degenerates")
-    return _monic_model(coeffs)
+    return _monic_model(x_poly_coeffs(specialize(source, {"s": s0, "t": at})))
 
 
 def _monic_model(coeffs: list) -> UniPoly:

@@ -192,6 +192,14 @@ class TestBadPrimes:
         with pytest.raises(ValueError, match="degenerate"):
             bad_primes(m, 0)
 
+    def test_manifests_cache_by_identity(self):
+        # two loads of one dict are distinct cache keys with equal answers
+        m1, m2 = load_manifest(twobranch_manifest()), load_manifest(twobranch_manifest())
+        assert m1 != m2
+        assert bad_primes(m1, 7, 1000) == bad_primes(m2, 7, 1000)
+        for p in primes_up_to(60):
+            assert is_bad_prime(m1, 7, p) == is_bad_prime(m2, 7, p)
+
 
 class TestBadSResidues:
     def test_no_conditions(self):

@@ -375,6 +375,21 @@ class TestCensus:
         code = main(["census", "--manifest", "x2mt", "--t-range", "oops"])
         assert code == 2
 
+    def test_prediction_contradiction_exits_one(self, capsys, monkeypatch):
+        from galspec import grunwald
+        from galspec.beckmann import BadPrimeReport, PredictionContradiction
+
+        def collide(m, s0, t0, p):
+            raise PredictionContradiction(BadPrimeReport(p, ("BranchCollision",)))
+
+        monkeypatch.setattr(grunwald, "predict_any", collide)
+        code = main(["census", "--manifest", "x2mt", "--t-range", "1..2", "--p-max", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip().splitlines() == [
+            "p=3 is bad at this specialization: BranchCollision"
+        ]
+
 
 class TestDeterminism:
     def test_search_json_byte_identical(self, tmp_path, capsys):

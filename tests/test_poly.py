@@ -153,11 +153,9 @@ class TestResultant:
         assert resultant(f, g) == sylvester_resultant(f, g)
 
     @given(qpolys(3, nonzero=True), qpolys(3, nonzero=True))
-    def test_matches_sympy(self, f, g):
+    def test_matches_sympy(self, sympy, f, g):
         # sympy drops the swap sign when deg f < deg g; feed it the ordered
         # pair and apply (-1)^(mn) ourselves
-        import sympy
-
         X = sympy.Symbol("X")
         sf = sum(sympy.Rational(c) * X**i for i, c in enumerate(f.coeffs))
         sg = sum(sympy.Rational(c) * X**i for i, c in enumerate(g.coeffs))
