@@ -1,9 +1,11 @@
 """Exact integer and rational arithmetic: valuations, CRT, primality.
 
-Rational numbers are ``fractions.Fraction`` throughout the package; this
-module adds the number-theoretic layer on top (p-adic valuations, congruence
-classes with a Chinese-remainder merge, deterministic primality, Legendre
-symbols, and small-integer factorization used for certificate bookkeeping).
+Rational numbers are exact throughout the package: an ``int`` or a
+``fractions.Fraction``, never a float (polynomial leaves are ints whenever
+they are integral), and every function here accepts either.  This module
+adds the number-theoretic layer on top (p-adic valuations, congruence classes
+with a Chinese-remainder merge, deterministic primality, Legendre symbols,
+and small-integer factorization used for certificate bookkeeping).
 
 The base field is Q.  Extending to a general number field would replace
 `valuation` and `Congruence` with prime-ideal analogues; nothing else in this

@@ -139,11 +139,11 @@ def _certificates(manifest: FamilyManifest, s0: Fraction) -> tuple:
 
     # the squarefree integer model of the branch locus: degree or
     # separability loss mod p means branch points collide or escape
-    prim = UniPoly([Fraction(v) for v in ints], "t")
+    prim = UniPoly(ints, "t")
     _, wints = integer_normalize(squarefree_part(prim))
     add("NonIntegralBranchPoint", wints[-1])
     if len(wints) > 2:
-        w = UniPoly([Fraction(v) for v in wints], "t")
+        w = UniPoly(wints, "t")
         dw = discriminant_in(w, "t")
         add("BranchCollision", dw)
         add("DiscriminantInseparable", dw)
@@ -260,7 +260,7 @@ def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
     residual = manifest.locus.residual
     if residual.degree() >= 1:
         _, rints = integer_normalize(_bind_s(residual, s0))
-        value = UniPoly([Fraction(v) for v in rints], "t").evaluate(t0)
+        value = UniPoly(rints, "t").evaluate(t0)
         if value == 0:
             raise ValueError(f"t0 = {t0} is an undeclared branch point")
         residual_contact = max(0, valuation(value, p))

@@ -88,7 +88,8 @@ class BranchPoint:
     def location_at(self, s0) -> Fraction:
         if self.is_infinite:
             raise ValueError("branch point at infinity has no finite location")
-        return self.location.evaluate(Fraction(s0))
+        # a constant location evaluates to its bare int leaf
+        return Fraction(self.location.evaluate(Fraction(s0)))
 
     def inertia_group(self) -> PermGroup:
         return generate([self.inertia_generator])

@@ -567,6 +567,9 @@ def reduce_mod_p(coeffs, p: int) -> FpPoly:
     """Reduce rational coefficients mod p; denominators must be prime to p."""
     out = []
     for c in coeffs:
+        if isinstance(c, int):
+            out.append(c % p)
+            continue
         c = Fraction(c)
         if c.denominator % p == 0:
             raise NotPIntegral(f"{c} is not p-integral at {p}")
@@ -579,15 +582,6 @@ class FactorizationModP:
     p: int
     unit: int
     factors: tuple  # ((FpPoly, multiplicity), ...) canonically sorted
-
-    def product(self) -> FpPoly:
-        """unit times the product of factor^multiplicity; equals the input."""
-        K = FpField(self.p)
-        acc = [self.unit % self.p]
-        for g, mult in self.factors:
-            for _ in range(mult):
-                acc = poly_mul(K, acc, list(g.coeffs))
-        return FpPoly(self.p, tuple(acc))
 
 
 def factor_mod_p(f: FpPoly, seed: int = 0) -> FactorizationModP:

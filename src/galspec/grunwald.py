@@ -488,8 +488,8 @@ def _monic_model(coeffs: list) -> UniPoly:
     n = len(coeffs) - 1
     if lc != 1:
         coeffs = [c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1])]
-        coeffs.append(Fraction(1))
-    return UniPoly([Fraction(c) for c in coeffs], "X")
+        coeffs.append(1)
+    return UniPoly(coeffs, "X")
 
 
 def _expand(pairs) -> tuple:

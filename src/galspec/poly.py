@@ -1,11 +1,14 @@
 """Dense univariate polynomials over exact coefficient domains.
 
 One class covers every layer of the tower used by the package: a
-``UniPoly`` holds coefficients that are either ``Fraction`` or again
+``UniPoly`` holds coefficients that are either rational leaves or again
 ``UniPoly``, so Q[s], Q[s][t] and Q[s][t][X] are all instances of the same
-type, nested.  Trivariate family polynomials f(s, t, X) are represented with
-X outermost, then t, then s, and that fixed nesting order is what the parser
-produces (``TriPoly`` is an alias documenting the convention).
+type, nested.  A leaf is an ``int`` when its value is integral and a
+``Fraction`` only when it is not, never a float, so arithmetic over Z[s][t]
+runs on plain ints.  Trivariate family polynomials f(s, t, X) are
+represented with X outermost, then t, then s, and that fixed nesting order
+is what the parser produces (``TriPoly`` is an alias documenting the
+convention).
 
 On top of the ring arithmetic this module provides subresultant-PRS
 resultants and discriminants, rational root extraction, coefficient-valuation
@@ -23,10 +26,10 @@ from .arith import INFINITY, factorint
 
 
 def _coerce(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    if isinstance(c, UniPoly):
+    if isinstance(c, (int, UniPoly)):
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
@@ -35,7 +38,8 @@ class UniPoly:
 
     The zero polynomial has an empty coefficient tuple.  Binary operations
     require equal variable tags; ints and Fractions are accepted wherever a
-    coefficient-ring scalar makes sense.
+    coefficient-ring scalar makes sense.  Leaves are stored as ints when
+    integral and as Fractions otherwise; a float is a TypeError.
     """
 
     __slots__ = ("coeffs", "var")
@@ -54,8 +58,8 @@ class UniPoly:
         return cls([value], var)
 
     @classmethod
-    def gen(cls, var: str, one=Fraction(1)) -> "UniPoly":
-        return cls([one * 0, one], var)
+    def gen(cls, var: str) -> "UniPoly":
+        return cls([0, 1], var)
 
     # -- structure ---------------------------------------------------------
 
@@ -79,7 +83,7 @@ class UniPoly:
     def _zero_scalar(self):
         if self.coeffs and isinstance(self.coeffs[0], UniPoly):
             return UniPoly((), self.coeffs[0].var)
-        return Fraction(0)
+        return 0
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.lc() == 1
@@ -109,7 +113,7 @@ class UniPoly:
             if len(self.coeffs) > 1:
                 return False
             val = self.coeffs[0] if self.coeffs else self._zero_scalar()
-            return val == Fraction(other) if isinstance(val, Fraction) else val == other
+            return val == other
         if isinstance(other, UniPoly):
             return self.var == other.var and self.coeffs == other.coeffs
         return NotImplemented
@@ -182,8 +186,8 @@ class UniPoly:
 
     def __divmod__(self, other):
         """Quotient and remainder; every leading-coefficient division must be
-        exact in the coefficient domain (always true over Fraction, and used
-        over polynomial coefficients only where divisibility is guaranteed)."""
+        exact in the coefficient domain (always true over Q, and used over
+        polynomial coefficients only where divisibility is guaranteed)."""
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
@@ -226,7 +230,7 @@ class UniPoly:
         """Horner evaluation; the result lives one nesting level down when
         `value` is a scalar."""
         if not self.coeffs:
-            return self._zero_scalar() * 0 if isinstance(value, UniPoly) else Fraction(0)
+            return 0
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * value + c
@@ -273,21 +277,24 @@ TriPoly = UniPoly
 def _one_like(zero):
     if isinstance(zero, UniPoly):
         return UniPoly([_one_like(zero._zero_scalar())], zero.var)
-    return Fraction(1)
+    return 1
 
 
 def _exact_div(a, b):
-    if isinstance(a, Fraction) and isinstance(b, (int, Fraction)):
-        return a / b
     if isinstance(a, UniPoly):
-        if isinstance(b, (int, Fraction)):
-            return a if b == 1 else a * (Fraction(1) / Fraction(b))
-        return a.exact_div(b)
-    if isinstance(b, UniPoly) and isinstance(a, Fraction):
+        if isinstance(b, UniPoly):
+            return a.exact_div(b)
+        return a if b == 1 else UniPoly([_exact_div(c, b) for c in a.coeffs], a.var)
+    if isinstance(b, UniPoly):
         if not a:
             return UniPoly((), b.var)
         raise ArithmeticError("scalar not divisible by a nonconstant polynomial")
-    raise TypeError(f"cannot divide {a!r} by {b!r}")
+    if isinstance(a, int) and isinstance(b, int):
+        # divmod raises ZeroDivisionError for b = 0; a / b would be a float
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    # a Fraction operand keeps the quotient exact; a float fails in _coerce
+    return _coerce(a / b)
 
 
 # -- parsing and printing ---------------------------------------------------
@@ -296,16 +303,16 @@ VARS = ("s", "t", "X")
 
 
 def _nested_const(value) -> UniPoly:
-    p = UniPoly([Fraction(value)], "s")
+    p = UniPoly([value], "s")
     p = UniPoly([p], "t")
     return UniPoly([p], "X")
 
 
 def _nested_var(name: str) -> UniPoly:
-    s0 = UniPoly([Fraction(0)], "s")
-    s1 = UniPoly([Fraction(1)], "s")
+    s0 = UniPoly([0], "s")
+    s1 = UniPoly([1], "s")
     if name == "s":
-        inner = UniPoly([Fraction(0), Fraction(1)], "s")
+        inner = UniPoly([0, 1], "s")
         return UniPoly([UniPoly([inner], "t")], "X")
     if name == "t":
         return UniPoly([UniPoly([s0, s1], "t")], "X")
@@ -343,7 +350,7 @@ def _tokenize(text: str):
                 tokens.append(("num", Fraction(num, int(text[j + 1 : k]))))
                 i = k
             else:
-                tokens.append(("num", Fraction(num)))
+                tokens.append(("num", num))
                 i = j
             continue
         if ch in VARS:
@@ -435,7 +442,7 @@ def parse_poly(text: str) -> TriPoly:
 
 def format_poly(p) -> str:
     """Human-readable form, highest degree first, parseable back."""
-    if isinstance(p, Fraction):
+    if isinstance(p, (int, Fraction)):
         from .arith import format_rat
 
         return format_rat(p)
@@ -477,16 +484,17 @@ def _scalar_like(c: UniPoly) -> bool:
     while isinstance(c, UniPoly):
         if c.degree() > 0:
             return False
-        c = c.coeff(0) if c.coeffs else Fraction(0)
+        c = c.coeff(0) if c.coeffs else 0
     return True
 
 
-def constant_value(p) -> Fraction:
-    """Collapse a polynomial that is constant in every variable to a Fraction."""
+def constant_value(p):
+    """Collapse a polynomial that is constant in every variable to its
+    scalar leaf (an int when integral, else a Fraction)."""
     while isinstance(p, UniPoly):
         if p.degree() > 0:
             raise ValueError(f"{p} is not constant")
-        p = p.coeff(0) if p.coeffs else Fraction(0)
+        p = p.coeff(0) if p.coeffs else 0
     return p
 
 
@@ -494,14 +502,16 @@ def constant_value(p) -> Fraction:
 
 
 def specialize(f: TriPoly, bindings: dict):
-    """Bind some of s, t to rationals; binding X is rejected."""
+    """Bind some of s, t to rationals; binding X is rejected.
+
+    An integral value is bound as an int, so Horner's rule stays in Z."""
     if "X" in bindings:
         raise ValueError("X is never specialized")
     out = f
     for var, value in bindings.items():
         if var not in ("s", "t"):
             raise ValueError(f"unknown variable {var!r}")
-        out = out.bind(var, Fraction(value))
+        out = out.bind(var, _coerce(Fraction(value)))
     return out
 
 
@@ -510,7 +520,7 @@ def _bind_s(g: UniPoly, s0) -> UniPoly:
     return UniPoly([constant_value(c) for c in g.bind("s", s0).coeffs], "t")
 
 
-def x_poly_coeffs(f) -> list[Fraction]:
+def x_poly_coeffs(f) -> list:
     """Coefficient list of a fully bound polynomial in X over Q."""
     return [constant_value(f.coeff(i)) for i in range(f.degree() + 1)]
 
@@ -538,16 +548,33 @@ def pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
     return r
 
 
+def _leaf_denominator(g) -> int:
+    """lcm of the denominators of every leaf of g."""
+    if isinstance(g, UniPoly):
+        return math.lcm(1, *(_leaf_denominator(c) for c in g.coeffs))
+    return g.denominator
+
+
 def resultant(f: UniPoly, g: UniPoly):
     """Res(f, g) by the subresultant PRS; exact over nested domains.
 
     Zero iff f and g share a root in an algebraic closure (for nonzero
-    inputs of positive degree).
+    inputs of positive degree).  Leaf denominators are cleared first,
+    since Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g), so the PRS runs in
+    integer leaves.
     """
     if isinstance(f, UniPoly) and isinstance(g, UniPoly) and f.var != g.var:
         raise ValueError(f"variable mismatch: {f.var} vs {g.var}")
     if not f or not g:
-        return Fraction(0) if not isinstance(f, UniPoly) else f._zero_scalar()
+        return 0 if not isinstance(f, UniPoly) else f._zero_scalar()
+    a, b = _leaf_denominator(f), _leaf_denominator(g)
+    if a == b == 1:
+        return _subresultant(f, g)
+    res = _subresultant(f.scale(a), g.scale(b))
+    return _exact_div(res, a ** g.degree() * b ** f.degree())
+
+
+def _subresultant(f: UniPoly, g: UniPoly):
     sign = 1
     A, B = f, g
     if A.degree() < B.degree():
@@ -581,53 +608,6 @@ def resultant(f: UniPoly, g: UniPoly):
             return sign * h_final
 
 
-def sylvester_resultant(f: UniPoly, g: UniPoly):
-    """Resultant as the Sylvester determinant (reference implementation).
-
-    Intended for small degrees; used to cross-check the PRS code path.
-    Requires Fraction coefficients.
-    """
-    m, n = f.degree(), g.degree()
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0 and n == 0:
-        return Fraction(1)
-    size = m + n
-    rows = []
-    fc = [Fraction(c) for c in f.coeffs]
-    gc = [Fraction(c) for c in g.coeffs]
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
-    # fraction-based Gaussian elimination
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
 def discriminant_in(f: UniPoly, var: str):
     """disc(f) = (-1)^(n(n-1)/2) * Res(f, f') / lc(f), taken in `var`.
 
@@ -656,7 +636,7 @@ def fraction_poly(coeffs) -> UniPoly:
 def integer_normalize(f: UniPoly) -> tuple[Fraction, list[int]]:
     """Write f = content * primitive with primitive integral, lc > 0.
 
-    Returns (content, primitive coefficient list).  Fraction coefficients
+    Returns (content, primitive coefficient list).  Rational coefficients
     only.
     """
     if not f:
@@ -670,7 +650,7 @@ def integer_normalize(f: UniPoly) -> tuple[Fraction, list[int]]:
 
 
 def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, sorted; Fraction coefficients.
+    """All rational roots with multiplicities, sorted; rational coefficients.
 
     Uses the rational root theorem on the primitive integer form, with the
     divisor sets of the outer coefficients obtained by exact factorization.
@@ -719,7 +699,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def gcd_field(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over Fraction coefficients."""
+    """Monic gcd over rational coefficients."""
     a, b = f, g
     while b:
         a, b = b, a % b
@@ -789,7 +769,7 @@ def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
-    """f divided by gcd(f, f'); works over Fraction or Q[s] coefficients,
+    """f divided by gcd(f, f'); works over Q or Q[s] coefficients,
     and over Q[s] the result is always primitive."""
     over_s = any(isinstance(c, UniPoly) for c in f.coeffs)
     base = primitive_part(f) if over_s else f

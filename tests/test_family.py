@@ -20,7 +20,15 @@ from galspec.family import (
     require_nondegenerate,
 )
 from galspec.permgrp import Perm
-from galspec.poly import parse_poly
+from galspec.poly import UniPoly, parse_poly
+
+
+def leaves(g):
+    if isinstance(g, UniPoly):
+        for c in g.coeffs:
+            yield from leaves(c)
+    else:
+        yield g
 
 
 def collision_manifest() -> dict:
@@ -174,6 +182,23 @@ class TestBuiltinManifests:
 
     def test_cached(self):
         assert builtin_manifest("x2mt") is builtin_manifest("x2mt")
+
+    @pytest.mark.parametrize("name", ["psl32", "x2mt", "x3mt"])
+    def test_leaves_are_canonical(self, name):
+        m = builtin_manifest(name)
+        polys = [m.disc, m.squarefree_disc, m.locus.residual]
+        polys += [g for _, g in m.s_guards]
+        for g in polys:
+            for c in leaves(g):
+                assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+    def test_constant_location_is_a_fraction(self):
+        spec = shifted_manifest()
+        spec["poly"] = "X^2 - t + 3"
+        spec["branch_points"][0]["location"] = "3"
+        bp = load_manifest(spec).branch_points[0]
+        assert type(bp.location_at(7)) is Fraction
+        assert bp.location_at(7) == 3
 
     def test_infinite_location_has_no_value(self):
         m = builtin_manifest("psl32")

@@ -23,7 +23,6 @@ from galspec.poly import (
     resultant,
     specialize,
     squarefree_part,
-    sylvester_resultant,
     x_poly_coeffs,
 )
 
@@ -52,6 +51,53 @@ def qpolys(max_degree=4, nonzero=False, monic=False):
     if nonzero or monic:
         strat = strat.filter(lambda p: bool(p))
     return strat
+
+
+def sylvester_resultant(f: UniPoly, g: UniPoly):
+    """Resultant as the Sylvester determinant (reference implementation).
+
+    Intended for small degrees; cross-checks the PRS code path.  Eliminates
+    over Fraction copies of the coefficients.
+    """
+    m, n = f.degree(), g.degree()
+    if m < 0 or n < 0:
+        return Fraction(0)
+    if m == 0 and n == 0:
+        return Fraction(1)
+    size = m + n
+    rows = []
+    fc = [Fraction(c) for c in f.coeffs]
+    gc = [Fraction(c) for c in g.coeffs]
+    for i in range(n):
+        row = [Fraction(0)] * size
+        for j, c in enumerate(reversed(fc)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(m):
+        row = [Fraction(0)] * size
+        for j, c in enumerate(reversed(gc)):
+            row[i + j] = c
+        rows.append(row)
+    # fraction-based Gaussian elimination
+    det = Fraction(1)
+    for col in range(size):
+        pivot = None
+        for r in range(col, size):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            if rows[r][col]:
+                factor = rows[r][col] * inv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
 
 
 class TestParser:
@@ -103,6 +149,29 @@ class TestParser:
             lhs = [constant_value(c) for c in f.bind("t", tv).coeffs]
             rhs = [constant_value(c) for c in g.bind("t", tv).coeffs]
             assert lhs == rhs
+
+
+class TestCanonicalLeaves:
+    """A leaf is an int when integral and a Fraction only when it is not."""
+
+    def test_integral_fractions_become_ints(self):
+        p = UniPoly([Fraction(4), Fraction(1, 2), 3], "X")
+        assert p.coeffs == (4, Fraction(1, 2), 3)
+        assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+
+    def test_exact_division_keeps_ints(self):
+        q = UniPoly([4, 6], "t").exact_div(UniPoly([2], "t"))
+        assert q.coeffs == (2, 3)
+        assert all(type(c) is int for c in q.coeffs)
+
+    def test_inexact_division_gives_fraction(self):
+        m = UniPoly([1, 3], "t").monic()
+        assert m.coeffs == (Fraction(1, 3), 1)
+        assert [type(c) for c in m.coeffs] == [Fraction, int]
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            UniPoly([1, 0.5], "X")
 
 
 class TestSpecialize:
