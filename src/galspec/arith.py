@@ -36,10 +36,19 @@ def _check_prime(p: int) -> None:
         raise NonPrimeError(f"prime {p} exceeds the supported limit 2^31")
 
 
+def rational(x) -> Fraction:
+    """Fraction(x), refusing a float: its binary value is not the rational
+    it was meant to be (Fraction(0.1) has denominator 2^55)."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass an int or a Fraction")
+    return Fraction(x)
+
+
 def valuation(x, p: int):
     """p-adic valuation of a rational (or integer) x; +inf for x = 0."""
     _check_prime(p)
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = rational(x)  # ints and Fractions both carry numerator/denominator
     if x == 0:
         return INFINITY
     v = 0
@@ -56,7 +65,7 @@ def valuation(x, p: int):
 
 def unit_part(x, p: int) -> Fraction:
     """x / p^valuation(x, p); undefined (raises) for x = 0."""
-    x = Fraction(x)
+    x = rational(x)
     if x == 0:
         raise ZeroDivisionError("zero has no unit part")
     v = valuation(x, p)

@@ -8,6 +8,11 @@ tau generates inertia over that branch point and I is the contact order.
 
 The bad set is carried as a list of integer certificates, one per reason, so
 membership can be decided exactly for any prime without factoring anything.
+
+specialization(manifest, s0) binds s = s0 once per parameter value: it
+refuses a degenerate s0, then caches the bound family, discriminant, branch
+locations, integer residual locus and certificates that every per-s0 entry
+point here and in grunwald reads.
 """
 
 from dataclasses import dataclass
@@ -15,16 +20,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import NonPrimeError, factorint, is_prime, primes_up_to, valuation
+from .arith import NonPrimeError, factorint, is_prime, primes_up_to, rational, valuation
 from .family import FamilyManifest, require_nondegenerate
 from .ffact import factor_mod_p, reduce_mod_p
 from .permgrp import CycleType, power_cycle_type
 from .poly import (
     UniPoly,
     _bind_s,
+    _leaf_denominator,
     constant_value,
     discriminant_in,
     integer_normalize,
+    specialize,
     squarefree_part,
 )
 
@@ -105,22 +112,26 @@ def intersection_multiplicity(t0, branch, p: int) -> int:
     return valuation(t0 - a, p)
 
 
-def _fraction_leaves(g) -> list:
-    if isinstance(g, UniPoly):
-        out = []
-        for c in g.coeffs:
-            out.extend(_fraction_leaves(c))
-        return out
-    return [Fraction(g)]
+@dataclass(frozen=True)
+class Specialization:
+    """The family at one nondegenerate s = s0: f and its X-discriminant
+    bound, each declared branch point's t-location (None at infinity), the
+    primitive integer model of the non-rational locus (None when empty), and
+    (reason, integer) certificates: p is bad for s0 iff it divides one."""
+
+    s0: Fraction
+    f: UniPoly
+    disc: UniPoly
+    locations: tuple
+    residual: UniPoly | None
+    certificates: tuple
 
 
 @lru_cache(maxsize=64)
-def _certificates(manifest: FamilyManifest, s0: Fraction) -> tuple:
-    """(reason, integer) pairs; p is bad for s0 iff it divides one of them."""
+def specialization(manifest: FamilyManifest, s0) -> Specialization:
+    """Bind s = s0 once; raises ValueError when s0 is degenerate."""
+    s0 = rational(s0)
     require_nondegenerate(manifest, s0)
-    if manifest.group is None:
-        raise ValueError("manifest declares no group; its order is needed")
-
     certs = []
 
     def add(reason, n):
@@ -128,38 +139,41 @@ def _certificates(manifest: FamilyManifest, s0: Fraction) -> tuple:
         if n > 1:
             certs.append((reason, n))
 
-    add("DividesGroupOrder", manifest.group.order)
+    if manifest.group is not None:
+        add("DividesGroupOrder", manifest.group.order)
 
     # vertical ramification: the t-discriminant must stay nonzero mod p
-    delta = _bind_s(manifest.disc, s0)
-    c, ints = integer_normalize(delta)
+    disc = _bind_s(manifest.disc, s0)
+    c, ints = integer_normalize(disc)
     add("VerticalRamification", c.numerator)
     add("VerticalRamification", c.denominator)
     add("DiscriminantInseparable", ints[-1])
 
     # the squarefree integer model of the branch locus: degree or
     # separability loss mod p means branch points collide or escape
-    prim = UniPoly(ints, "t")
-    _, wints = integer_normalize(squarefree_part(prim))
+    _, wints = integer_normalize(squarefree_part(UniPoly(ints, "t")))
     add("NonIntegralBranchPoint", wints[-1])
     if len(wints) > 2:
-        w = UniPoly(wints, "t")
-        dw = discriminant_in(w, "t")
+        dw = discriminant_in(UniPoly(wints, "t"), "t")
         add("BranchCollision", dw)
         add("DiscriminantInseparable", dw)
 
-    locations = [
-        bp.location_at(s0)
-        for bp in manifest.branch_points
-        if not bp.is_infinite
-    ]
-    for a in locations:
+    locations = tuple(
+        None if bp.is_infinite else bp.location_at(s0) for bp in manifest.branch_points
+    )
+    finite = [a for a in locations if a is not None]
+    for i, a in enumerate(finite):
         add("NonIntegralBranchPoint", a.denominator)
-    for i, a in enumerate(locations):
-        for b in locations[i + 1 :]:
+        for b in finite[i + 1 :]:
             add("BranchCollision", (a - b).numerator)
 
-    return tuple(certs)
+    residual = None
+    if manifest.locus.residual.degree() >= 1:
+        _, rints = integer_normalize(_bind_s(manifest.locus.residual, s0))
+        residual = UniPoly(rints, "t")
+    return Specialization(
+        s0, specialize(manifest.f, {"s": s0}), disc, locations, residual, tuple(certs)
+    )
 
 
 def bad_primes(manifest: FamilyManifest, s0, bound: int = 1000) -> list:
@@ -168,7 +182,9 @@ def bad_primes(manifest: FamilyManifest, s0, bound: int = 1000) -> list:
     The reports are complete below the bound; use is_bad_prime for exact
     membership of any individual prime, however large.
     """
-    certs = _certificates(manifest, Fraction(s0))
+    certs = specialization(manifest, s0).certificates
+    if manifest.group is None:
+        raise ValueError("manifest declares no group; its order is needed")
     out = []
     for p in primes_up_to(bound):
         reasons = {reason for reason, n in certs if n % p == 0}
@@ -180,7 +196,9 @@ def bad_primes(manifest: FamilyManifest, s0, bound: int = 1000) -> list:
 def is_bad_prime(manifest: FamilyManifest, s0, p: int) -> bool:
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
-    certs = _certificates(manifest, Fraction(s0))
+    certs = specialization(manifest, s0).certificates
+    if manifest.group is None:
+        raise ValueError("manifest declares no group; its order is needed")
     return any(n % p == 0 for _, n in certs)
 
 
@@ -197,10 +215,7 @@ def global_exceptional(manifest: FamilyManifest) -> frozenset:
     for _, g in manifest.s_guards:
         lc = g.coeff(g.degree())
         out.update(factorint(abs(lc.numerator)))
-    dens = [x.denominator for x in _fraction_leaves(manifest.f)]
-    for d in dens:
-        if d > 1:
-            out.update(factorint(d))
+    out.update(factorint(_leaf_denominator(manifest.f)))
     return frozenset(out)
 
 
@@ -233,11 +248,13 @@ def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
     through the bad-prime set and raises PredictionContradiction.
 
     The caller is responsible for keeping p outside bad_primes(manifest, s0);
-    only the wild case (p dividing the group order) is rejected here.
+    only a degenerate s0 and the wild case (p dividing the group order) are
+    rejected here.
     """
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
-    s0, t0 = Fraction(s0), Fraction(t0)
+    spec = specialization(manifest, s0)
+    t0 = Fraction(t0)
     if manifest.group is not None and manifest.group.order % p == 0:
         raise ValueError(
             f"p = {p} divides the group order; the tame criterion does not apply"
@@ -246,21 +263,18 @@ def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
         raise IndexError(f"no branch point with index {i}")
 
     mults = []
-    for j, bp in enumerate(manifest.branch_points):
-        if bp.is_infinite:
+    for j, a in enumerate(spec.locations):
+        if a is None:
             contact = -valuation(t0, p) if t0 else 0
         else:
-            a = bp.location_at(s0)
             if t0 == a:
                 raise ValueError(f"t0 = {t0} is the branch point at index {j}")
             contact = valuation(t0 - a, p)
         mults.append(max(0, contact))
 
     residual_contact = 0
-    residual = manifest.locus.residual
-    if residual.degree() >= 1:
-        _, rints = integer_normalize(_bind_s(residual, s0))
-        value = UniPoly(rints, "t").evaluate(t0)
+    if spec.residual is not None:
+        value = spec.residual.evaluate(t0)
         if value == 0:
             raise ValueError(f"t0 = {t0} is an undeclared branch point")
         residual_contact = max(0, valuation(value, p))

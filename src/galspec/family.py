@@ -30,7 +30,7 @@ from importlib import resources
 from math import lcm
 
 from .arith import INFINITY
-from .permgrp import Perm, PermGroup, cycle_type, generate, parse_perm
+from .permgrp import Perm, PermGroup, cycle_type, generate, parse_perm, require_normal_inertia
 from .poly import (
     UniPoly,
     _bind_s,
@@ -289,21 +289,6 @@ def _parse_location(text: str):
     return inner
 
 
-def _check_normal_inertia(tau: Perm, D: PermGroup):
-    I = generate([tau])
-    i_set = set(I.elements)
-    if not i_set <= set(D.elements):
-        raise ManifestInconsistent(
-            "inertia generator lies outside the decomposition model"
-        )
-    for d in D.generators:
-        dinv = d.inverse()
-        if any(d * g * dinv not in i_set for g in I.elements):
-            raise ManifestInconsistent(
-                "inertia subgroup is not normal in the decomposition model"
-            )
-
-
 def _load_branch_point(raw: dict, degree: int, disc: UniPoly) -> BranchPoint:
     unknown = set(raw) - _BRANCH_KEYS
     if unknown:
@@ -317,7 +302,10 @@ def _load_branch_point(raw: dict, degree: int, disc: UniPoly) -> BranchPoint:
         raise ManifestInconsistent(
             f"inertia generator has order {tau.order()}, declared e = {e}"
         )
-    _check_normal_inertia(tau, D)
+    try:
+        require_normal_inertia(generate([tau]), D)
+    except ValueError as exc:
+        raise ManifestInconsistent(str(exc)) from None
 
     denominator = 1
     if location is not INFINITY:

@@ -26,13 +26,13 @@ from random import Random
 from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, valuation
 from .beckmann import (
     InertiaPrediction, UnramifiedPrediction, bad_primes, bad_s_residues,
-    global_exceptional, is_bad_prime, predict_inertia,
+    global_exceptional, is_bad_prime, predict_inertia, specialization,
 )
-from .family import FamilyManifest, infinity_chart, nondegenerate_check, require_nondegenerate
+from .family import FamilyManifest, infinity_chart, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
 from .padic import WildPrime, padic_shape
 from .permgrp import CycleType, ef_multiset, fingerprint, generate, power_cycle_type
-from .poly import UniPoly, _bind_s, integer_normalize, specialize, x_poly_coeffs
+from .poly import UniPoly, specialize, x_poly_coeffs
 
 AUX_PRIME_BOUND = 5000
 IDENTIFY_PRIME_BOUND = 2000
@@ -312,8 +312,8 @@ def search_t0(manifest: FamilyManifest, s0, conditions, *, limit: int = 10_000):
     """Progression of t-values realizing every condition at s = s0, plus
     the least witness with a squarefree fiber."""
     validate_conditions(manifest, conditions)
-    s0 = Fraction(s0)
-    require_nondegenerate(manifest, s0)
+    spec = specialization(manifest, s0)
+    s0 = spec.s0
     ram = [c for c in conditions if isinstance(c, Ramified)]
     chart = "t"
     if ram and all(manifest.branch_points[c.branch].is_infinite for c in ram):
@@ -321,55 +321,31 @@ def search_t0(manifest: FamilyManifest, s0, conditions, *, limit: int = 10_000):
     congruences = []
     valuations = []
     for cond in ram:
-        congruences.append(_approach_congruence(manifest, s0, cond, chart))
+        congruences.append(_approach_congruence(spec, cond, chart))
         valuations.append((cond.p, cond.d))
     for cond in conditions:
         if isinstance(cond, Unramified):
             congruences.append(_split_congruence(manifest, s0, cond, chart))
     merged = crt(congruences) if congruences else Congruence(0, 1)
     prescription = TProgression(chart, merged, tuple(valuations))
-    return prescription, _t0_witness(manifest, s0, prescription, limit)
+    return prescription, _t0_witness(spec, prescription, limit)
 
 
-def _mod_power(x: Fraction, m: int) -> int:
-    return x.numerator * pow(x.denominator, -1, m) % m
-
-
-def _residual_mod_p(manifest, s0, p, chart):
-    """Non-rational part of the branch locus mod p, in chart coordinates."""
-    W = manifest.locus.residual
-    if W.degree() < 1:
-        return None
-    coeffs = list(_bind_s(W, s0).coeffs)
-    if chart == "u":
-        coeffs.reverse()  # roots move by t -> 1/t; any at t = 0 drop out
-    _, ints = integer_normalize(UniPoly(coeffs, "t"))
-    return reduce_mod_p(ints, p)
-
-
-def _horner(fp, r: int) -> int:
-    acc = 0
-    for c in reversed(fp.coeffs):
-        acc = (acc * r + c) % fp.p
-    return acc
-
-
-def _approach_congruence(manifest, s0, cond, chart) -> Congruence:
+def _approach_congruence(spec, cond, chart) -> Congruence:
     # order-d contact with the target branch point, order-0 with every other
     p, d = cond.p, cond.d
     if chart == "u":
         center = Fraction(0)
     else:
-        center = manifest.branch_points[cond.branch].location_at(s0)
+        center = spec.locations[cond.branch]
         if center and valuation(center, p) < 0:
             raise ValueError(
                 f"branch point {center} is not p-integral at {p}; no integer "
                 "progression approaches it"
             )
-    for j, other in enumerate(manifest.branch_points):
-        if j == cond.branch or other.is_infinite:
+    for j, cj in enumerate(spec.locations):
+        if j == cond.branch or cj is None:
             continue
-        cj = other.location_at(s0)
         if chart == "u":
             if cj == 0:
                 continue  # t = 0 is u = infinity, out of reach
@@ -379,13 +355,16 @@ def _approach_congruence(manifest, s0, cond, chart) -> Congruence:
                 f"branch point {j} meets the target branch point mod {p}; "
                 "every approach inherits its ramification"
             )
-    residual = _residual_mod_p(manifest, s0, p, chart)
-    if residual is not None and _horner(residual, _mod_power(center, p)) == 0:
+    # a root of the residual W meets the approach residue: W(center) = 0 mod p
+    # (center is p-integral), or on the u chart p | lc(W) (a root at u = 0)
+    W = spec.residual
+    if W is not None and valuation(W.lc() if chart == "u" else W.evaluate(center), p) > 0:
         raise TargetNotFound(
             f"a non-rational branch point meets the approach residue mod {p}"
         )
     modulus = p ** (d + 1)
-    return Congruence(_mod_power(center, modulus) + p**d, modulus)
+    residue = center.numerator * pow(center.denominator, -1, modulus)
+    return Congruence(residue + p**d, modulus)
 
 
 def _split_congruence(manifest, s0, cond, chart) -> Congruence:
@@ -409,15 +388,14 @@ def _split_congruence(manifest, s0, cond, chart) -> Congruence:
     raise TargetNotFound(f"no residue class mod {q} splits with type {cond.target}")
 
 
-def _t0_witness(manifest, s0, prescription, limit) -> Fraction:
-    disc = _bind_s(manifest.disc, s0)
+def _t0_witness(spec, prescription, limit) -> Fraction:
     cong = prescription.congruence
     for k in range(limit):
         w = cong.residue + k * cong.modulus
         if prescription.chart == "u" and w == 0:
             continue
         t0 = Fraction(1, w) if prescription.chart == "u" else Fraction(w)
-        if disc.evaluate(t0) == 0:
+        if spec.disc.evaluate(t0) == 0:
             continue  # exactly on a branch point
         return t0
     raise TargetNotFound("no specialization of t with a squarefree fiber in range")
@@ -579,7 +557,7 @@ def _compare(fp: dict, tally: Counter, n: int) -> tuple:
     return alien, missing, expected
 
 
-def _identify(manifest, s0, t0, conditions, n_id, seed) -> IdentificationSummary:
+def _identify(manifest, spec, t0, conditions, n_id, seed) -> IdentificationSummary:
     if manifest.group is None:
         raise ValueError("group identification needs group_generators")
     skip = {2} | {c.p for c in conditions}
@@ -587,12 +565,12 @@ def _identify(manifest, s0, t0, conditions, n_id, seed) -> IdentificationSummary
         q
         for q in primes_up_to(AUX_PRIME_BOUND)
         if q not in skip
-        and s0.denominator % q
+        and spec.s0.denominator % q
         and t0.denominator % q
-        and not is_bad_prime(manifest, s0, q)
+        and not is_bad_prime(manifest, spec.s0, q)
     ]
     Random(seed).shuffle(pool)
-    coeffs = x_poly_coeffs(specialize(manifest.f, {"s": s0, "t": t0}))
+    coeffs = x_poly_coeffs(specialize(spec.f, {"t": t0}))
     counts = _tally_fibres(((coeffs, q) for q in pool), n_id)
     sampled = counts.total()
     if sampled < n_id:
@@ -618,20 +596,19 @@ def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
     The verdict is REJECT when a type outside the fingerprint shows up or a
     count strays more than IDENTIFY_REL_TOL from its expected value.
     """
-    s0 = Fraction(s0)
-    require_nondegenerate(m, s0)
+    spec = specialization(m, s0)
+    s0 = spec.s0
     pool = [
         p for p in primes_up_to(IDENTIFY_PRIME_BOUND)
         if p > 2 and (m.group is None or not is_bad_prime(m, s0, p))
     ]
     rng = Random(seed)
-    bound = specialize(m.f, {"s": s0})
 
     def draws():
         for _ in range(200 * samples):
             t0 = rng.randrange(1, IDENTIFY_T_GRID)
             p = pool[rng.randrange(len(pool))]
-            yield x_poly_coeffs(specialize(bound, {"t": Fraction(t0)})), p
+            yield x_poly_coeffs(specialize(spec.f, {"t": Fraction(t0)})), p
 
     tally = _tally_fibres(draws(), samples)
     if tally.total() < samples:
@@ -669,11 +646,10 @@ def verify(
     product.  n_id = 0 skips the identification stage.
     """
     validate_conditions(manifest, conditions)
-    s0, t0 = Fraction(s0), Fraction(t0)
-    require_nondegenerate(manifest, s0)
-    records = tuple(_check_condition(manifest, s0, t0, c) for c in conditions)
-    summary = _identify(manifest, s0, t0, conditions, n_id, seed) if n_id else None
-    return SpecializationReport(s0, t0, records, summary)
+    spec, t0 = specialization(manifest, s0), Fraction(t0)
+    records = tuple(_check_condition(manifest, spec.s0, t0, c) for c in conditions)
+    summary = _identify(manifest, spec, t0, conditions, n_id, seed) if n_id else None
+    return SpecializationReport(spec.s0, t0, records, summary)
 
 
 # -- census --------------------------------------------------------------------
@@ -711,15 +687,14 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int, jobs: int = 
     """One row per (t0, prime): predicted inertia class against the measured
     p-adic shape.  Returns (rows, bad reason map); rows over good primes
     must all match."""
-    s0 = Fraction(s0)
-    require_nondegenerate(m, s0)
+    spec = specialization(m, s0)
+    s0 = spec.s0
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
     n = m.f.degree()
-    disc_t = specialize(m.disc, {"s": s0})
 
     def one(t0: int) -> list:
-        if disc_t.evaluate(Fraction(t0)) == 0:
+        if spec.disc.evaluate(Fraction(t0)) == 0:
             return []  # exactly on a branch point: no number field to read
         out = []
         for p in ps:

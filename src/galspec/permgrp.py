@@ -272,6 +272,21 @@ def fingerprint(G: PermGroup) -> dict:
     return {ct: Fraction(k, G.order) for ct, k in tally.items()}
 
 
+def require_normal_inertia(I: PermGroup, D0: PermGroup) -> None:
+    """Raise ValueError unless the inertia group I is a normal subgroup of
+    the decomposition group D0."""
+    i_set = set(I.elements)
+    if not i_set <= set(D0.elements):
+        raise ValueError(
+            "inertia subgroup not contained in decomposition group: "
+            "some element lies outside it"
+        )
+    for d in D0.generators:
+        dinv = d.inverse()
+        if any(d * g * dinv not in i_set for g in I.elements):
+            raise ValueError("inertia subgroup not normal in decomposition group")
+
+
 def ef_multiset(I: PermGroup, D0: PermGroup) -> tuple:
     """(e, f) pairs of the local factors predicted by an inertia subgroup I
     inside a decomposition subgroup D0 acting on the roots.
@@ -283,13 +298,8 @@ def ef_multiset(I: PermGroup, D0: PermGroup) -> tuple:
     """
     if I.degree != D0.degree:
         raise ValueError("inertia and decomposition act on different points")
-    i_set = set(I.elements)
-    if not i_set <= set(D0.elements):
-        raise ValueError("inertia subgroup not contained in decomposition group")
-    for d in D0.generators:
-        dinv = d.inverse()
-        if any(d * g * dinv not in i_set for g in I.elements):
-            raise ValueError("inertia subgroup not normal in decomposition group")
+    require_normal_inertia(I, D0)
+
     def joins_to_whole(d: Perm) -> bool:
         gens = [g.images for g in I.elements] + [d.images]
         try:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, factorint
+from .arith import INFINITY, factorint, rational
 
 
 def _coerce(c):
@@ -511,7 +511,7 @@ def specialize(f: TriPoly, bindings: dict):
     for var, value in bindings.items():
         if var not in ("s", "t"):
             raise ValueError(f"unknown variable {var!r}")
-        out = out.bind(var, _coerce(Fraction(value)))
+        out = out.bind(var, _coerce(rational(value)))
     return out
 
 
@@ -630,7 +630,7 @@ def discriminant_in(f: UniPoly, var: str):
 
 def fraction_poly(coeffs) -> UniPoly:
     """Build a Q-coefficient polynomial in X from a coefficient list."""
-    return UniPoly([Fraction(c) for c in coeffs], "X")
+    return UniPoly([rational(c) for c in coeffs], "X")
 
 
 def integer_normalize(f: UniPoly) -> tuple[Fraction, list[int]]:

@@ -36,6 +36,11 @@ class TestValuation:
     def test_integer_input(self):
         assert valuation(50, 5) == 2
 
+    def test_float_rejected(self):
+        # Fraction(1/3) is the dyadic rational nearest 1/3, of 3-adic valuation 3, not -1
+        with pytest.raises(TypeError, match="float"):
+            valuation(1 / 3, 3)
+
     def test_rejects_composite(self):
         with pytest.raises(NonPrimeError):
             valuation(Fraction(4), 6)

@@ -1,6 +1,7 @@
 """Bad primes, bad residue classes, and tame inertia predictions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from galspec.beckmann import (
     is_bad_prime,
     predict_inertia,
     residue_class_bound,
+    specialization,
 )
 from galspec.family import builtin_manifest, load_manifest
 from galspec.padic import padic_shape
@@ -322,12 +324,51 @@ class TestPredictInertia:
         with pytest.raises(ValueError, match="divides the group order"):
             predict_inertia(m, 0, 0, 12, 2)
 
+    def test_degenerate_s0_refused(self):
+        m = builtin_manifest("psl32")
+        with pytest.raises(ValueError, match="discriminant t-degree drops"):
+            predict_inertia(m, 0, 0, Fraction(1, 11), 11)
+
     def test_undeclared_branch_meeting_refused(self):
         # W(1, 2) = 11 * 2287: t0 = 2 meets a non-rational branch point
         # mod 11, for which no inertia generator is on file
         m = builtin_manifest("psl32")
         with pytest.raises(ValueError, match="non-rational"):
             predict_inertia(m, 0, 1, 2, 11)
+
+
+class TestSpecialization:
+    def test_cached_per_manifest_and_s0(self):
+        m = builtin_manifest("psl32")
+        spec = specialization(m, 1)
+        assert specialization(m, Fraction(1)) is spec
+        assert spec.s0 == 1 and spec.locations == (None,)
+        assert spec.disc == specialize(m.disc, {"s": 1})
+
+    def test_residual_is_a_primitive_integer_model(self):
+        spec = specialization(builtin_manifest("psl32"), 1)
+        leaves = spec.residual.coeffs
+        assert all(isinstance(c, int) for c in leaves)
+        assert gcd(*leaves) == 1 and leaves[-1] > 0
+        assert spec.residual.degree() == 5
+        assert specialization(builtin_manifest("x2mt"), 0).residual is None
+
+    def test_degenerate_s0_refused(self):
+        with pytest.raises(ValueError, match="discriminant t-degree drops"):
+            specialization(builtin_manifest("psl32"), 0)
+
+    def test_float_s0_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            specialization(builtin_manifest("psl32"), 0.1)
+
+    def test_group_less_manifest(self):
+        m = load_manifest({"name": "m1", "poly": "X^2 - s*t"})
+        reasons = {reason for reason, _ in specialization(m, 3).certificates}
+        assert "DividesGroupOrder" not in reasons
+        with pytest.raises(ValueError, match="declares no group"):
+            bad_primes(m, 3)
+        with pytest.raises(ValueError, match="declares no group"):
+            is_bad_prime(m, 3, 5)
 
 
 def expanded_shape(shape) -> tuple:

@@ -149,6 +149,12 @@ class TestPredict:
         code, _ = run(capsys, "predict", "--manifest", "x2mt", "--t0", "12", "--p", "4")
         assert code == 2
 
+    def test_degenerate_s0_is_usage_error(self, capsys):
+        # predict's default s0 = 0 is degenerate for psl32
+        code = main(["predict", "--manifest", "psl32", "--s0", "0", "--t0", "1/11", "--p", "11"])
+        assert code == 2
+        assert "discriminant t-degree drops" in capsys.readouterr().err
+
     def test_collision_reported_as_bad_prime(self, capsys, tmp_path):
         code, payload = run(
             capsys, "predict", "--manifest", twobranch_file(tmp_path),

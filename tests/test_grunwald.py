@@ -60,6 +60,18 @@ def no_infinity_manifest() -> dict:
     }
 
 
+def residual_manifest(poly: str) -> dict:
+    """X^2 - t*W(t): branch points t = 0 and infinity (e = 2), plus the
+    non-rational roots of the quadratic W."""
+    point = {"e": 2, "inertia_generator": "(1 2)", "decomposition_generators": ["(1 2)"]}
+    return {
+        "name": "residual",
+        "poly": poly,
+        "group_generators": ["(1 2)"],
+        "branch_points": [{"location": "0", **point}, {"location": "inf", **point}],
+    }
+
+
 class TestParseCondition:
     def test_ramified(self):
         m = builtin_manifest("psl32")
@@ -256,6 +268,19 @@ class TestSearchT0:
         m = builtin_manifest("x3mt")
         with pytest.raises(TargetNotFound):
             search_t0(m, 0, [Unramified(7, CycleType((2, 1)))])
+
+    @pytest.mark.parametrize(
+        "poly, branch, chart",
+        [("X^2 - t*(t^2 - 23)", 0, "t"), ("X^2 - t*(23*t^2 - 1)", 1, "u")],
+    )
+    def test_non_rational_point_on_the_approach_residue(self, poly, branch, chart):
+        # the residual root pair sqrt(23) (or 1/sqrt(23)) meets t = 0 (or u = 0) mod 23
+        m = load_manifest(residual_manifest(poly))
+        with pytest.raises(TargetNotFound, match="non-rational branch point meets"):
+            search_t0(m, 1, [Ramified(23, branch, 1)])
+        for p in (29, 31):
+            prescription, _ = search_t0(m, 1, [Ramified(p, branch, 1)])
+            assert prescription.chart == chart
 
     def test_member_enumeration(self):
         m = builtin_manifest("psl32")

@@ -1,4 +1,5 @@
-"""Package-wide rules: the runtime imports only the standard library."""
+"""Package-wide rules: the runtime imports only the standard library, and
+binding s = s0 stays behind family and beckmann."""
 
 import ast
 import sys
@@ -22,3 +23,17 @@ def test_runtime_imports_are_stdlib_or_galspec():
                 if top != "galspec" and top not in sys.stdlib_module_names:
                     outside.append(f"{src.name}: {name}")
     assert outside == []
+
+
+def test_s_binding_stays_behind_family_and_beckmann():
+    # every other module reads a bound family from beckmann.specialization
+    importers = set()
+    for src in resources.files("galspec").iterdir():
+        if not src.name.endswith(".py") or src.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(src.read_text(), src.name)):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name in ("_bind_s", "integer_normalize") for alias in node.names
+            ):
+                importers.add(src.name)
+    assert importers <= {"family.py", "beckmann.py"}

@@ -173,6 +173,10 @@ class TestCanonicalLeaves:
         with pytest.raises(TypeError):
             UniPoly([1, 0.5], "X")
 
+    def test_fraction_poly_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            fraction_poly([1, 0.5])
+
 
 class TestSpecialize:
     def test_quadratic(self):
@@ -193,6 +197,11 @@ class TestSpecialize:
         g = specialize(f, {"s": 1})
         assert g.degree() == 7
         assert g.degree_in("t") == 1
+
+    def test_rejects_float_value(self):
+        # 0.1 is not 1/10 in binary; binding it would silently change t0
+        with pytest.raises(TypeError, match="float"):
+            specialize(parse_poly("X - t"), {"t": 0.1})
 
     def test_rejects_x_binding(self):
         with pytest.raises(ValueError):
