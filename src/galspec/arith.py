@@ -21,9 +21,6 @@ from fractions import Fraction
 
 INFINITY = float("inf")
 
-#: Residue arithmetic is kept within native word range.
-PRIME_LIMIT = 2**31
-
 
 class NonPrimeError(ValueError):
     pass
@@ -32,8 +29,6 @@ class NonPrimeError(ValueError):
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
-    if p >= PRIME_LIMIT:
-        raise NonPrimeError(f"prime {p} exceeds the supported limit 2^31")
 
 
 def rational(x) -> Fraction:

@@ -5,6 +5,8 @@ out by binding (s, t) = (s0, t0) is read off from the contact order between
 t0 and the branch points: a prime p ramifies only if t0 meets some branch
 point p-adically, and the inertia group is then generated by tau^I, where
 tau generates inertia over that branch point and I is the contact order.
+predict_any reads each contact once and predicts at the one branch point t0
+meets; predict_inertia holds that prediction to a given branch point.
 
 The bad set is carried as a list of integer certificates, one per reason, so
 membership can be decided exactly for any prime without factoring anything.
@@ -239,18 +241,23 @@ def bad_s_residues(manifest: FamilyManifest, p: int) -> frozenset:
     return frozenset(out)
 
 
-def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
+def predict_any(manifest: FamilyManifest, s0, t0, p: int):
     """Predict the inertia class over p in the (s0, t0) specialization.
 
-    Returns an InertiaPrediction when t0 meets the declared branch point i,
-    an UnramifiedPrediction when it meets nothing.  The uniqueness of the
-    met branch point is asserted at runtime: a double meeting means p leaked
-    through the bad-prime set and raises PredictionContradiction.
+    Reads t0's contact with each branch point once and returns the
+    InertiaPrediction at the declared branch point that t0 meets, or None
+    when it meets none.  The uniqueness of the met branch point is asserted
+    at runtime: a double meeting means p leaked through the bad-prime set
+    and raises PredictionContradiction.  A meeting with a non-rational
+    branch point raises ValueError, since no inertia generator is declared
+    for it.
 
     The caller is responsible for keeping p outside bad_primes(manifest, s0);
     only a degenerate s0 and the wild case (p dividing the group order) are
     rejected here.
     """
+    if not manifest.branch_points:
+        raise ValueError("the manifest declares no branch points")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     spec = specialization(manifest, s0)
@@ -259,10 +266,8 @@ def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
         raise ValueError(
             f"p = {p} divides the group order; the tame criterion does not apply"
         )
-    if not 0 <= i < len(manifest.branch_points):
-        raise IndexError(f"no branch point with index {i}")
 
-    mults = []
+    met = []  # (branch index, contact); index None for the residual locus
     for j, a in enumerate(spec.locations):
         if a is None:
             contact = -valuation(t0, p) if t0 else 0
@@ -270,34 +275,46 @@ def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
             if t0 == a:
                 raise ValueError(f"t0 = {t0} is the branch point at index {j}")
             contact = valuation(t0 - a, p)
-        mults.append(max(0, contact))
-
-    residual_contact = 0
+        if contact > 0:
+            met.append((j, contact))
     if spec.residual is not None:
         value = spec.residual.evaluate(t0)
         if value == 0:
             raise ValueError(f"t0 = {t0} is an undeclared branch point")
-        residual_contact = max(0, valuation(value, p))
+        if valuation(value, p) > 0:
+            met.append((None, 0))
 
-    positives = [(j, contact) for j, contact in enumerate(mults) if contact > 0]
-    total = len(positives) + (1 if residual_contact > 0 else 0)
-    if total == 0:
-        return UnramifiedPrediction(p)
-    if total >= 2:
+    if not met:
+        return None
+    if len(met) >= 2:
         raise PredictionContradiction(BadPrimeReport(p, ("BranchCollision",)))
-    if residual_contact > 0:
+    j, contact = met[0]
+    if j is None:
         raise ValueError(
             f"t0 = {t0} meets a non-rational branch point at p = {p}; "
             "no inertia generator is declared for it"
         )
-    j, contact = positives[0]
-    if j != i:
-        raise ValueError(f"t0 = {t0} meets branch point {j}, not {i}")
-    bp = manifest.branch_points[i]
+    bp = manifest.branch_points[j]
     return InertiaPrediction(
         p,
-        i,
+        j,
         contact,
         power_cycle_type(bp.inertia_generator, contact),
         bp.e // gcd(bp.e, contact),
     )
+
+
+def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
+    """predict_any, held to the declared branch point i: an
+    InertiaPrediction when t0 meets it, an UnramifiedPrediction when t0
+    meets nothing, and ValueError when t0 meets another branch point."""
+    if not 0 <= i < len(manifest.branch_points):
+        raise IndexError(f"no branch point with index {i}")
+    prediction = predict_any(manifest, s0, t0, p)
+    if prediction is None:
+        return UnramifiedPrediction(p)
+    if prediction.branch != i:
+        raise ValueError(
+            f"t0 = {Fraction(t0)} meets branch point {prediction.branch}, not {i}"
+        )
+    return prediction

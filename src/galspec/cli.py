@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .arith import format_rat, parse_rat
-from .beckmann import PredictionContradiction, bad_primes
+from .beckmann import PredictionContradiction, bad_primes, predict_any
 from .family import (
     FamilyManifest,
     ManifestInconsistent,
@@ -31,7 +31,6 @@ from .grunwald import (
     census,
     identify,
     parse_condition,
-    predict_any,
     run_search,
     verify,
 )
@@ -285,7 +284,7 @@ def cmd_census(args) -> int:
         t_lo, t_hi = (int(x) for x in args.t_range.split("..", 1))
     except ValueError:
         raise ValueError(f"bad --t-range {args.t_range!r}; expected like -500..500") from None
-    rows, bad = census(m, s0, t_lo, t_hi, args.p_max, jobs=args.jobs)
+    rows, bad = census(m, s0, t_lo, t_hi, args.p_max)
     lines = ["s0,t0,p,predicted,observed,match"]
     for r in rows:
         lines.append(f"{format_rat(r.s0)},{r.t0},{r.p},{r.predicted},{r.observed},{r.match}")
@@ -348,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("census", help="prediction vs shape over a grid"), s0_default="0")
     p.add_argument("--t-range", required=True, help="like -500..500")
     p.add_argument("--p-max", type=int, default=97)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(run=cmd_census)
     return top
 

@@ -411,17 +411,11 @@ def load_manifest(source) -> FamilyManifest:
         guards.append(("discriminant content vanishes", content))
     tdeg = f.degree_in("t")
     if tdeg:
-        tops = [c.coeff(tdeg) for c in (f.coeff(j) for j in range(n + 1))
-                if c.degree() >= tdeg]
-        acc = None
-        for top in tops:
-            if not top:
-                continue
-            acc = top if acc is None else gcd_field(acc, top)
-            if acc.degree() == 0:
-                break
-        if acc is not None and acc.degree() >= 1:
-            guards.append(("family t-degree drops", acc.monic()))
+        # gcd of the s-coefficients of t^tdeg across the X-coefficients
+        tops = [c.lc() for c in f.coeffs if c.degree() == tdeg]
+        top = content_in_coeffs(UniPoly(tops, "t"))
+        if top.degree() >= 1:
+            guards.append(("family t-degree drops", top))
     guards.extend(_collision_guards(rational_points, locus.residual))
     s_guards = tuple((label, _normalize_s(g)) for label, g in guards)
 

@@ -17,7 +17,6 @@ fibres.  census sets predicted inertia against measured shapes on a grid.
 """
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -25,8 +24,7 @@ from random import Random
 
 from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, valuation
 from .beckmann import (
-    InertiaPrediction, UnramifiedPrediction, bad_primes, bad_s_residues,
-    global_exceptional, is_bad_prime, predict_inertia, specialization,
+    bad_primes, bad_s_residues, global_exceptional, is_bad_prime, predict_any, specialization,
 )
 from .family import FamilyManifest, infinity_chart, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
@@ -655,24 +653,6 @@ def verify(
 # -- census --------------------------------------------------------------------
 
 
-def predict_any(m: FamilyManifest, s0, t0, p: int):
-    """Prediction at whichever branch point t0 meets; None when unramified."""
-    last = None
-    for i in range(len(m.branch_points)):
-        try:
-            result = predict_inertia(m, i, s0, t0, p)
-        except ValueError as exc:
-            last = exc
-            continue
-        if isinstance(result, InertiaPrediction):
-            return result
-        if isinstance(result, UnramifiedPrediction):
-            return None
-    if last is not None:
-        raise last
-    raise ValueError("the manifest declares no branch points")
-
-
 @dataclass(frozen=True)
 class CensusRow:
     s0: Fraction
@@ -683,7 +663,7 @@ class CensusRow:
     match: str  # "true" | "false" | "bad"
 
 
-def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int, jobs: int = 1):
+def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     """One row per (t0, prime): predicted inertia class against the measured
     p-adic shape.  Returns (rows, bad reason map); rows over good primes
     must all match."""
@@ -691,40 +671,27 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int, jobs: int = 
     s0 = spec.s0
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
-    n = m.f.degree()
-
-    def one(t0: int) -> list:
+    unramified = CycleType((1,) * m.f.degree())
+    rows = []
+    for t0 in range(t_lo, t_hi + 1):
         if spec.disc.evaluate(Fraction(t0)) == 0:
-            return []  # exactly on a branch point: no number field to read
-        out = []
+            continue  # exactly on a branch point: no number field to read
+        # an integer t0 is p-integral at every p, so local_model never switches chart
+        model = _monic_model(x_poly_coeffs(specialize(spec.f, {"t": t0})))
         for p in ps:
             if p in bad:
                 reasons = ";".join(bad[p])  # comma is the CSV delimiter
-                out.append(CensusRow(s0, t0, p, f"bad({reasons})", "-", "bad"))
+                rows.append(CensusRow(s0, t0, p, f"bad({reasons})", "-", "bad"))
                 continue
             prediction = predict_any(m, s0, t0, p)
-            if prediction is None:
-                predicted = CycleType((1,) * n)
-            else:
-                predicted = prediction.generator_class
-            shape = padic_shape(local_model(m, s0, t0, p), p)
-            observed = CycleType(tuple(e for e, f in shape.pairs for _ in range(f)))
-            out.append(
+            predicted = unramified if prediction is None else prediction.generator_class
+            observed = CycleType(_expand(padic_shape(model, p).pairs))
+            rows.append(
                 CensusRow(
                     s0, t0, p, str(predicted), str(observed),
                     "true" if observed == predicted else "false",
                 )
             )
-        return out
-
-    values = range(t_lo, t_hi + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, values))
-    else:
-        chunks = [one(t0) for t0 in values]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r.t0, r.p))
     return rows, bad
 
 

@@ -574,6 +574,27 @@ def resultant(f: UniPoly, g: UniPoly):
     return _exact_div(res, a ** g.degree() * b ** f.degree())
 
 
+def _prs(A: UniPoly, B: UniPoly):
+    """The subresultant PRS from deg A >= deg B: yields each pair (A, B) with
+    its subresultant coefficient h, the given pair first, and stops after a
+    pair whose B is zero or constant.  Exact coefficient divisions control
+    growth without the per-step content gcds of the primitive PRS."""
+    g = h = _one_like(A._zero_scalar())
+    while True:
+        yield A, B, h
+        if B.degree() < 1:
+            return
+        delta = A.degree() - B.degree()
+        R = pseudo_rem(A, B)
+        denom = g * h**delta
+        A, B = B, UniPoly([_exact_div(c, denom) for c in R.coeffs], R.var)
+        g = A.lc()
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _exact_div(g**delta, h ** (delta - 1))
+
+
 def _subresultant(f: UniPoly, g: UniPoly):
     sign = 1
     A, B = f, g
@@ -583,29 +604,12 @@ def _subresultant(f: UniPoly, g: UniPoly):
         A, B = B, A
     if B.degree() == 0:
         return sign * B.lc() ** A.degree() if A.degree() > 0 else _one_like(A._zero_scalar()) * sign
-    g_coef = _one_like(A._zero_scalar())
-    h_coef = g_coef
-    while True:
-        delta = A.degree() - B.degree()
-        if A.degree() % 2 == 1 and B.degree() % 2 == 1:
+    for A, B, h in _prs(A, B):
+        if B.degree() >= 1 and A.degree() % 2 == 1 and B.degree() % 2 == 1:
             sign = -sign
-        R = pseudo_rem(A, B)
-        A = B
-        if not R:
-            # positive-degree common factor
-            return A._zero_scalar()
-        denom = g_coef * h_coef**delta
-        B = UniPoly([_exact_div(c, denom) for c in R.coeffs], R.var)
-        g_coef = A.lc()
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h_coef = g_coef
-        else:
-            h_coef = _exact_div(g_coef**delta, h_coef ** (delta - 1))
-        if B.degree() == 0:
-            h_final = _exact_div(B.lc() ** A.degree(), h_coef ** (A.degree() - 1))
-            return sign * h_final
+    if not B:
+        return A._zero_scalar()  # positive-degree common factor
+    return sign * _exact_div(B.lc() ** A.degree(), h ** (A.degree() - 1))
 
 
 def discriminant_in(f: UniPoly, var: str):
@@ -730,11 +734,8 @@ def primitive_part(f: UniPoly) -> UniPoly:
 
 
 def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Primitive gcd in the outer variable over Q[s] coefficients.
-
-    Subresultant PRS: exact coefficient divisions control growth without the
-    per-step content gcds of the primitive PRS.
-    """
+    """Primitive gcd in the outer variable over Q[s] coefficients, by the
+    subresultant PRS."""
     if not f:
         return primitive_part(g) if g else g
     if not g:
@@ -742,25 +743,10 @@ def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
     a, b = f, g
     if a.degree() < b.degree():
         a, b = b, a
-    if b.degree() == 0:
+    for a, b, _ in _prs(a, b):
+        pass
+    if b:
         return UniPoly([_one_like(a._zero_scalar())], a.var)
-    g_coef = _one_like(a._zero_scalar())
-    h_coef = g_coef
-    while True:
-        delta = a.degree() - b.degree()
-        r = pseudo_rem(a, b)
-        a = b
-        if not r:
-            break
-        denom = g_coef * h_coef**delta
-        b = UniPoly([_exact_div(c, denom) for c in r.coeffs], r.var)
-        if b.degree() == 0:
-            return UniPoly([_one_like(a._zero_scalar())], a.var)
-        g_coef = a.lc()
-        if delta == 1:
-            h_coef = g_coef
-        elif delta > 1:
-            h_coef = _exact_div(g_coef**delta, h_coef ** (delta - 1))
     out = primitive_part(a)
     lead = out.lc()
     if isinstance(lead, UniPoly) and lead.degree() == 0:

@@ -36,6 +36,10 @@ class TestValuation:
     def test_integer_input(self):
         assert valuation(50, 5) == 2
 
+    def test_prime_past_two_to_the_31(self):
+        q = 2147483659  # the least prime above 2^31
+        assert valuation(5 * q, q) == 1
+
     def test_float_rejected(self):
         # Fraction(1/3) is the dyadic rational nearest 1/3, of 3-adic valuation 3, not -1
         with pytest.raises(TypeError, match="float"):

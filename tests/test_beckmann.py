@@ -17,6 +17,7 @@ from galspec.beckmann import (
     global_exceptional,
     intersection_multiplicity,
     is_bad_prime,
+    predict_any,
     predict_inertia,
     residue_class_bound,
     specialization,
@@ -335,6 +336,23 @@ class TestPredictInertia:
         m = builtin_manifest("psl32")
         with pytest.raises(ValueError, match="non-rational"):
             predict_inertia(m, 0, 1, 2, 11)
+
+
+class TestPredictAny:
+    def test_reads_the_branch_point_met(self):
+        m = load_manifest(twobranch_manifest())
+        assert predict_any(m, 1, 13, 11).branch == 1
+        assert predict_any(m, 1, 12, 11).branch == 0
+        assert predict_any(m, 1, 14, 11) is None
+
+    def test_no_branch_points(self):
+        m = load_manifest({"name": "nb", "poly": "X^2 - s*t", "group_generators": ["(1 2)"]})
+        with pytest.raises(ValueError, match="declares no branch points"):
+            predict_any(m, 1, 1, 7)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError, match="no branch point with index 2"):
+            predict_inertia(builtin_manifest("x2mt"), 2, 0, 12, 3)
 
 
 class TestSpecialization:

@@ -369,14 +369,6 @@ class TestCensus:
         assert by_p[5][3:] == ["3", "3", "true"]  # t0 = 5: full contact at p = 5
         assert by_p[7][3:] == ["1^3", "1^3", "true"]
 
-    def test_jobs_do_not_change_output(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["census", "--manifest", "x3mt", "--t-range", "1..20",
-                     "--p-max", "11", "--jobs", "1", "--out", str(a)]) == 0
-        assert main(["census", "--manifest", "x3mt", "--t-range", "1..20",
-                     "--p-max", "11", "--jobs", "3", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_bad_t_range_is_usage_error(self, capsys):
         code = main(["census", "--manifest", "x2mt", "--t-range", "oops"])
         assert code == 2

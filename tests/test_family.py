@@ -180,6 +180,13 @@ class TestBuiltinManifests:
             "non-rational branch points collide": 51,
         }
 
+    @pytest.mark.parametrize("c0, guard", [("s^2 - 1", "s - 1"), ("s + 1", None)])
+    def test_family_t_degree_guard(self, c0, guard):
+        # the t^2 coefficients s - 1 and c0 vanish together where their gcd does
+        m = load_manifest({"name": "td", "poly": f"X^2 + (s - 1)*t^2*X + ({c0})*t^2 + t"})
+        guards = {label: str(g) for label, g in m.s_guards}
+        assert guards.get("family t-degree drops") == guard
+
     def test_cached(self):
         assert builtin_manifest("x2mt") is builtin_manifest("x2mt")
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from galspec.arith import Congruence, legendre
+from galspec.arith import Congruence, legendre, primes_up_to
+from galspec.beckmann import InertiaPrediction, predict_inertia
 from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
 from galspec.grunwald import (
     NoResidueFound,
@@ -13,8 +14,10 @@ from galspec.grunwald import (
     TargetNotFound,
     Unramified,
     UnsupportedConditionCombination,
+    census,
     frobenius_in_residue_field,
     identify,
+    local_model,
     parse_condition,
     run_search,
     search_s0,
@@ -22,6 +25,7 @@ from galspec.grunwald import (
     validate_conditions,
     verify,
 )
+from galspec.padic import padic_shape
 from galspec.permgrp import CycleType, ef_multiset, generate, parse_perm, power_cycle_type
 from galspec.poly import parse_poly
 from test_beckmann import twobranch_manifest
@@ -466,6 +470,32 @@ class TestTameConsistencyTriangle:
         report = verify(m, 0, 25, [Ramified(5, 0, 2, 1)], n_id=0)
         (record,) = report.records
         assert record.observed == power_cycle_type(bp.inertia_generator, 2).parts
+
+
+class TestCensus:
+    def test_rows_match_per_cell_recomputation(self):
+        # branch points t = 1 and t = 2 at s0 = 1; t0 = 2 + kp meets the second
+        m = load_manifest(twobranch_manifest())
+        rows, bad = census(m, 1, 3, 40, 31)
+        ps = primes_up_to(31)
+        assert [(r.t0, r.p) for r in rows] == [(t0, p) for t0 in range(3, 41) for p in ps]
+        met = set()
+        for r in rows:
+            if r.p in bad:
+                assert r.match == "bad"
+                continue
+            i = 1 if (r.t0 - 2) % r.p == 0 else 0
+            pred = predict_inertia(m, i, 1, r.t0, r.p)
+            if isinstance(pred, InertiaPrediction):
+                predicted = pred.generator_class
+                met.add(pred.branch)
+            else:
+                predicted = CycleType((1, 1, 1, 1))
+            shape = padic_shape(local_model(m, 1, r.t0, r.p), r.p)
+            observed = CycleType(tuple(e for e, f in shape.pairs for _ in range(f)))
+            assert (r.predicted, r.observed) == (str(predicted), str(observed)), r
+            assert r.match == "true"
+        assert met == {0, 1}
 
 
 class TestIdentificationSamples:

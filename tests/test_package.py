@@ -1,13 +1,14 @@
-"""Package-wide rules: the runtime imports only the standard library, and
-binding s = s0 stays behind family and beckmann."""
+"""Package-wide rules: the runtime imports only the standard library and
+no concurrency machinery, and binding s = s0 stays behind family and
+beckmann."""
 
 import ast
 import sys
 from importlib import resources
 
 
-def test_runtime_imports_are_stdlib_or_galspec():
-    outside = []
+def _absolute_imports():
+    """(file name, module name) for every absolute import in galspec."""
     for src in resources.files("galspec").iterdir():
         if not src.name.endswith(".py"):
             continue
@@ -19,9 +20,15 @@ def test_runtime_imports_are_stdlib_or_galspec():
             else:
                 continue
             for name in names:
-                top = name.split(".")[0]
-                if top != "galspec" and top not in sys.stdlib_module_names:
-                    outside.append(f"{src.name}: {name}")
+                yield src.name, name
+
+
+def test_runtime_imports_are_stdlib_or_galspec():
+    outside = []
+    for file, name in _absolute_imports():
+        top = name.split(".")[0]
+        if top != "galspec" and top not in sys.stdlib_module_names:
+            outside.append(f"{file}: {name}")
     assert outside == []
 
 
@@ -37,3 +44,12 @@ def test_s_binding_stays_behind_family_and_beckmann():
             ):
                 importers.add(src.name)
     assert importers <= {"family.py", "beckmann.py"}
+
+
+def test_no_concurrency_machinery():
+    # the work is pure-Python CPU work in one thread; a pool adds code, not speed
+    banned = {"concurrent", "threading", "multiprocessing"}
+    found = [
+        f"{file}: {name}" for file, name in _absolute_imports() if name.split(".")[0] in banned
+    ]
+    assert found == []
