@@ -28,7 +28,7 @@ from .beckmann import (
 )
 from .family import FamilyManifest, infinity_chart, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
-from .padic import WildPrime, padic_shape
+from .padic import WildPrime, _shape, padic_shape
 from .permgrp import CycleType, ef_multiset, fingerprint, generate, power_cycle_type
 from .poly import UniPoly, specialize, x_poly_coeffs
 
@@ -674,9 +674,11 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     unramified = CycleType((1,) * m.f.degree())
     rows = []
     for t0 in range(t_lo, t_hi + 1):
-        if spec.disc.evaluate(Fraction(t0)) == 0:
+        disc = spec.disc.evaluate(Fraction(t0))
+        if disc == 0:
             continue  # exactly on a branch point: no number field to read
-        # an integer t0 is p-integral at every p, so local_model never switches chart
+        # an integer t0 is p-integral at every p, so local_model never switches chart;
+        # f is monic in X, so the model is the fibre itself and disc is its discriminant
         model = _monic_model(x_poly_coeffs(specialize(spec.f, {"t": t0})))
         for p in ps:
             if p in bad:
@@ -685,7 +687,7 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                 continue
             prediction = predict_any(m, s0, t0, p)
             predicted = unramified if prediction is None else prediction.generator_class
-            observed = CycleType(_expand(padic_shape(model, p).pairs))
+            observed = CycleType(_expand(_shape(model, p, disc).pairs))
             rows.append(
                 CensusRow(
                     s0, t0, p, str(predicted), str(observed),

@@ -5,7 +5,7 @@ prime p, what are the ramification indices and residue degrees (e, f) of
 the irreducible factors of f over the p-adic completion?  The answer is a
 multiset of pairs, nothing more; factor coefficients are never produced.
 
-The method is exact throughout.  When f stays squarefree mod p every
+The method is exact throughout.  When p does not divide disc(f) every
 factor is unramified and the shape is read off the mod-p degree sequence.
 Otherwise the engine runs chains of inductive valuations: starting from a
 Newton polygon face it grows a key polynomial stage by stage, factoring a
@@ -26,15 +26,15 @@ from fractions import Fraction
 from .arith import INFINITY, _check_prime, valuation
 from .ffact import (
     ExtField,
+    FpField,
     NotPIntegral,
     NotSquarefree,
-    degree_sequence,
+    distinct_degree,
     factor_poly,
     poly_trim,
     reduce_mod_p,
 )
-from .ffact import FpField
-from .poly import UniPoly, discriminant_in, gcd_field, lower_hull, newton_polygon
+from .poly import UniPoly, discriminant_in, lower_hull, newton_polygon
 
 # Augmentation steps per polygon face before giving up.  Legitimate chains
 # are bounded by the p-valuation of the discriminant; hitting the cap means
@@ -361,52 +361,48 @@ def _shape_exact(f: UniPoly, p: int) -> list:
     return pairs
 
 
-def _shape_unramified(f: UniPoly, p: int):
-    """Fast path: f squarefree mod p means every factor is unramified."""
-    try:
-        seq = degree_sequence(reduce_mod_p(f.coeffs, p))
-    except NotSquarefree:
-        return None
-    return [(1, d) for d in seq]
-
-
 def padic_shape(f: UniPoly, p: int) -> PadicShape:
     """Ramification indices and residue degrees of f's p-adic factors.
 
-    f must be monic, squarefree over Q, univariate (bind any parameters
-    first), with p-integral coefficients.  Raises WildPrime when p divides
-    a ramification index: the result would be correct but the toolkit's
-    tame reasoning does not apply, so it is withheld.
+    f must be monic, squarefree over Q (checked as disc(f) != 0),
+    univariate (bind any parameters first), with p-integral coefficients.
+    Raises WildPrime when p divides a ramification index: the result would
+    be correct but the toolkit's tame reasoning does not apply, so it is
+    withheld.
     """
     _check_prime(p)
     if not isinstance(f, UniPoly):
         raise TypeError("expected a UniPoly over Q")
     if any(isinstance(c, UniPoly) for c in f.coeffs):
         raise ValueError("polynomial still has free parameters; bind them first")
-    n = f.degree()
-    if n < 1:
+    if f.degree() < 1:
         raise ValueError("shape analysis needs degree at least 1")
     if not f.is_monic():
         raise ValueError("leading coefficient must be 1")
-    for c in f.coeffs:
-        if c and valuation(c, p) < 0:
-            raise NotPIntegral(f"coefficient {c} has {p} in the denominator")
-    if gcd_field(f, f.derivative()).degree() != 0:
-        raise NotSquarefree("repeated factor over Q; shapes need squarefree input")
+    return _shape(f, p, discriminant_in(f, f.var))
 
-    pairs = _shape_unramified(f, p)
-    exact = pairs is None
-    if exact:
+
+def _shape(f: UniPoly, p: int, disc) -> PadicShape:
+    """padic_shape of a checked monic f of degree >= 1, given disc = disc(f)."""
+    for c in f.coeffs:
+        if not isinstance(c, int) and c.denominator % p == 0:
+            raise NotPIntegral(f"coefficient {c} has {p} in the denominator")
+    if disc == 0:
+        raise NotSquarefree("repeated factor over Q; shapes need squarefree input")
+    dv = valuation(disc, p)
+    if dv == 0:  # f is squarefree mod p, so every factor is unramified
+        split = distinct_degree(FpField(p), list(reduce_mod_p(f.coeffs, p).coeffs))
+        pairs = [(1, d) for prod, d in split for _ in range((len(prod) - 1) // d)]
+    else:
         pairs = _shape_exact(f, p)
-    assert sum(e * res for e, res in pairs) == n
+    assert sum(e * res for e, res in pairs) == f.degree()
 
     for e, _res in pairs:
         if e % p == 0:
             raise WildPrime(f"ramification index {e} at p={p}")
-    if exact:
+    if dv:
         # tame conductor bound: v_p(disc f) exceeds sum (e-1)*f by twice
         # the p-valuation of the index of Z[x]/(f) in the maximal order
-        dv = valuation(discriminant_in(f, f.var), p)
         gap = dv - sum((e - 1) * res for e, res in pairs)
         assert gap >= 0 and gap % 2 == 0
     return PadicShape(p, tuple(sorted(pairs, reverse=True)), True)

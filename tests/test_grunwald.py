@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from galspec.arith import Congruence, legendre, primes_up_to
-from galspec.beckmann import InertiaPrediction, predict_inertia
+from galspec.beckmann import InertiaPrediction, bad_primes, predict_inertia, specialization
 from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
 from galspec.grunwald import (
     NoResidueFound,
@@ -25,9 +25,9 @@ from galspec.grunwald import (
     validate_conditions,
     verify,
 )
-from galspec.padic import padic_shape
+from galspec.padic import _shape, padic_shape
 from galspec.permgrp import CycleType, ef_multiset, generate, parse_perm, power_cycle_type
-from galspec.poly import parse_poly
+from galspec.poly import discriminant_in, parse_poly
 from test_beckmann import twobranch_manifest
 
 
@@ -472,6 +472,14 @@ class TestTameConsistencyTriangle:
         assert record.observed == power_cycle_type(bp.inertia_generator, 2).parts
 
 
+def _outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any refusal: callers compare its type
+        return type(exc)
+
+
 class TestCensus:
     def test_rows_match_per_cell_recomputation(self):
         # branch points t = 1 and t = 2 at s0 = 1; t0 = 2 + kp meets the second
@@ -496,6 +504,39 @@ class TestCensus:
             assert (r.predicted, r.observed) == (str(predicted), str(observed)), r
             assert r.match == "true"
         assert met == {0, 1}
+
+    def test_bound_discriminant_is_the_fibre_discriminant(self):
+        # census hands spec.disc at t0 to padic._shape as disc_X of its model
+        cases = [
+            (builtin_manifest("x3mt"), 0),
+            (builtin_manifest("x2mt"), 0),
+            (builtin_manifest("psl32"), 1),
+            (builtin_manifest("psl32"), 7),
+            (builtin_manifest("psl32"), Fraction(3, 7)),
+            (load_manifest(twobranch_manifest()), 1),
+        ]
+        for m, s0 in cases:
+            spec = specialization(m, s0)
+            for t0 in range(-30, 31):
+                model = local_model(m, s0, t0, 2)
+                assert spec.disc.evaluate(Fraction(t0)) == discriminant_in(model, "X"), (s0, t0)
+
+    def test_cell_route_matches_public_shape_on_flagship(self):
+        # degree-7 fibres with Fraction coefficients at s0 = 3/7
+        m = builtin_manifest("psl32")
+        for s0 in (1, Fraction(3, 7)):
+            spec = specialization(m, s0)
+            bad = {r.p for r in bad_primes(m, s0, bound=97)}
+            ps = [p for p in primes_up_to(97) if p not in bad]
+            for t0 in range(-20, 21):
+                disc = spec.disc.evaluate(Fraction(t0))
+                if disc == 0:
+                    continue
+                model = local_model(m, s0, t0, 2)
+                for p in ps:
+                    cell = _outcome(_shape, model, p, disc)
+                    public = _outcome(padic_shape, local_model(m, s0, t0, p), p)
+                    assert cell == public, (s0, t0, p)
 
 
 class TestIdentificationSamples:

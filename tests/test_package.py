@@ -1,10 +1,14 @@
 """Package-wide rules: the runtime imports only the standard library and
-no concurrency machinery, and binding s = s0 stays behind family and
-beckmann."""
+no concurrency machinery, binding s = s0 stays behind family and
+beckmann, and census validates its fibre once per t0, not per cell."""
 
 import ast
 import sys
 from importlib import resources
+
+
+def _tree(name: str):
+    return ast.parse(resources.files("galspec").joinpath(name).read_text(), name)
 
 
 def _absolute_imports():
@@ -53,3 +57,30 @@ def test_no_concurrency_machinery():
         f"{file}: {name}" for file, name in _absolute_imports() if name.split(".")[0] in banned
     ]
     assert found == []
+
+
+def test_census_calls_no_public_padic_shape():
+    # census computes disc once per t0 and calls padic._shape; padic_shape
+    # would redo the validation and the discriminant at every prime
+    (census,) = [
+        node
+        for node in ast.walk(_tree("grunwald.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "census"
+    ]
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(census)
+        if isinstance(node, ast.Call)
+    }
+    assert "padic_shape" not in called
+
+
+def test_padic_imports_no_gcd_field():
+    # squarefreeness over Q is disc(f) != 0; a gcd would be a second route
+    imported = {
+        alias.name
+        for node in ast.walk(_tree("padic.py"))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "gcd_field" not in imported

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galspec.arith import NonPrimeError
+from galspec.arith import NonPrimeError, primes_up_to
 from galspec.ffact import (
     FpPoly,
     NotPIntegral,
@@ -193,6 +193,16 @@ class TestRefusals:
         with pytest.raises(ValueError):
             padic_shape(xp(5), 3)
 
+    def test_integrality_is_refused_before_squarefreeness(self):
+        # (X + 1/6)^2 is both: the denominator wins at 3, the square at 5
+        f = xp(Fraction(1, 36), Fraction(1, 3), 1)
+        with pytest.raises(NotPIntegral):
+            padic_shape(f, 3)
+        with pytest.raises(NotSquarefree):
+            padic_shape(f, 5)
+        with pytest.raises(NotSquarefree):
+            padic_shape(xp(0, 0, 1), 7)
+
 
 class TestDiscValuationCheck:
     def test_maximal_orders(self):
@@ -311,3 +321,32 @@ class TestRandomizedInvariants:
         assert shape.degree() == f.degree()
         assert all(e % p for e, _ in shape.pairs)
         assert padic_shape(f, p) == shape
+
+
+@st.composite
+def monic_integer_polys(draw):
+    """Monic integer f of degree 1-6; half are g^2 * h, so disc(f) = 0."""
+    if draw(st.booleans()):
+        return xp(*draw(st.lists(st.integers(-60, 60), min_size=1, max_size=6)), 1)
+    g = xp(*draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2)), 1)
+    h = xp(*draw(st.lists(st.integers(-9, 9), max_size=2)), 1)
+    return g * g * h
+
+
+class TestDiscriminantDispatch:
+    @settings(max_examples=80)
+    @given(monic_integer_polys(), st.sampled_from(primes_up_to(47)))
+    def test_prime_to_disc_is_unramified_mod_p_split(self, sympy, f, p):
+        # oracle: sympy's discriminant and its factorization mod p
+        X = sympy.Symbol("X")
+        sf = sum(int(c) * X**i for i, c in enumerate(f.coeffs))
+        disc = int(sympy.discriminant(sf, X))
+        if disc == 0:
+            with pytest.raises(NotSquarefree):
+                padic_shape(f, p)
+            return
+        if disc % p == 0:
+            return
+        _unit, factors = sympy.factor_list(sympy.Poly(sf, X, modulus=p))
+        expected = sorted(((1, g.degree()) for g, _m in factors), reverse=True)
+        assert list(padic_shape(f, p).pairs) == expected
