@@ -216,16 +216,6 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def prime_divisors(x) -> list[int]:
-    """Primes dividing numerator or denominator of a nonzero rational."""
-    x = Fraction(x)
-    if not x:
-        raise ValueError("zero has every prime divisor")
-    out = set(factorint(abs(x.numerator)))
-    out.update(factorint(x.denominator))
-    return sorted(out)
-
-
 def parse_rat(text: str) -> Fraction:
     """Parse "a" or "a/b" with the sign on the numerator."""
     text = text.strip()

@@ -30,7 +30,6 @@ from .poly import (
     UniPoly,
     _bind_s,
     _leaf_denominator,
-    constant_value,
     discriminant_in,
     integer_normalize,
     specialize,
@@ -89,29 +88,6 @@ class PredictionContradiction(Exception):
             f"p = {report.p} intersects several branch points; "
             f"it must be treated as bad ({', '.join(report.reasons)})"
         )
-
-
-def intersection_multiplicity(t0, branch, p: int) -> int:
-    """Contact order of t0 with a branch point at p.
-
-    branch is either a rational number a (contact = v_p(t0 - a)) or the
-    minimal polynomial g of an algebraic branch point (contact = v_p(g(t0))).
-    The value is negative when t0 itself is not p-integral.
-    """
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
-    t0 = Fraction(t0)
-    if isinstance(branch, UniPoly):
-        v = branch.evaluate(t0)
-        if isinstance(v, UniPoly):
-            v = constant_value(v)
-        if v == 0:
-            raise ValueError(f"t0 = {t0} is the branch point itself")
-        return valuation(v, p)
-    a = Fraction(branch)
-    if t0 == a:
-        raise ValueError(f"t0 = {t0} is the branch point itself")
-    return valuation(t0 - a, p)
 
 
 @dataclass(frozen=True)

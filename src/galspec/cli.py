@@ -3,10 +3,12 @@
 The library does the work; census and identification live in ``grunwald``.
 Every subcommand reads a family manifest (a JSON file path or a built-in
 name), writes structured JSON or CSV to --out or stdout, and prints a
-one-line human summary to stderr.  Exit codes: 0 success, 1 a mathematical
-check failed (a verification mismatch, an unrealizable condition, a census
-mismatch, a rejected identification), 2 malformed input.  All randomness
-flows from --seed, so equal invocations produce byte-identical output.
+one-line human summary to stderr, plus one line when verify's or search's
+identification ends REJECT or INCONCLUSIVE.  Exit codes: 0 success, 1 a
+mathematical check failed (a verification mismatch, an unrealizable
+condition, a census mismatch, a rejected or inconclusive identification),
+2 malformed input.  All randomness flows from --seed, so equal invocations
+produce byte-identical output.
 """
 
 import argparse
@@ -228,8 +230,24 @@ def _report_json(report) -> dict:
             "missing": [str(ct) for ct in ident.missing],
             "alien": [str(ct) for ct in ident.alien],
             "passed": ident.passed,
+            "verdict": ident.verdict,
+            "certificate": [str(ct) for ct in ident.certificate],
         }
     return payload
+
+
+def _note_identification(report) -> None:
+    ident = report.identification
+    if ident is None or ident.passed:
+        return
+    if ident.verdict == "REJECT":
+        types = ", ".join(map(str, ident.alien))
+        _note(f"identification REJECT: type(s) {types} lie outside the declared group")
+    else:
+        _note(
+            f"identification INCONCLUSIVE: no two types in {ident.sampled} readable "
+            "prime(s) invariably generate the declared group"
+        )
 
 
 def _parse_conditions(m: FamilyManifest, texts) -> list:
@@ -247,6 +265,7 @@ def cmd_search(args) -> int:
         f"witness (s0, t0) = ({format_rat(report.s0)}, {format_rat(report.t0)}); "
         f"{'all conditions verified' if report.passed else 'VERIFICATION FAILED'}"
     )
+    _note_identification(report)
     return 0 if report.passed else 1
 
 
@@ -260,6 +279,7 @@ def cmd_verify(args) -> int:
     _emit(_report_json(report), args.out)
     ok = sum(1 for r in report.records if r.passed)
     _note(f"{ok}/{len(report.records)} condition(s) hold; report {'passed' if report.passed else 'FAILED'}")
+    _note_identification(report)
     return 0 if report.passed else 1
 
 
@@ -329,14 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("search", help="find and verify a specialization"))
     p.add_argument("--cond", action="append", default=[])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-id", type=int, default=300)
+    p.add_argument("--n-id", type=int, default=300, help="cap on readable auxiliary primes")
     p.set_defaults(run=cmd_search)
 
     p = common(sub.add_parser("verify", help="check conditions at a given (s0, t0)"), s0_default="0")
     p.add_argument("--t0", required=True)
     p.add_argument("--cond", action="append", default=[])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-id", type=int, default=300)
+    p.add_argument("--n-id", type=int, default=300, help="cap on readable auxiliary primes")
     p.set_defaults(run=cmd_verify)
 
     p = common(sub.add_parser("identify", help="group identification by sampling"), s0_default="0")

@@ -12,13 +12,15 @@ Verification is independent of the search: the fiber's p-adic factorization
 shapes are measured from scratch and compared against every lift of the
 prescribed Frobenius into the decomposition model.  Group identification
 reads cycle types of fibres mod p through one sampler, in two modes: verify
-reads its fibre at many auxiliary primes, identify reads random (t0, p)
-fibres.  census sets predicted inertia against measured shapes on a grid.
+reads its fibre at auxiliary primes until the types it saw prove the group,
+identify reads random (t0, p) fibres.  census sets predicted inertia
+against measured shapes on a grid.
 """
 
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from random import Random
 
@@ -27,9 +29,13 @@ from .beckmann import (
     bad_primes, bad_s_residues, global_exceptional, is_bad_prime, predict_any, specialization,
 )
 from .family import FamilyManifest, infinity_chart, nondegenerate_check
-from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
+from .ffact import (
+    FpField, NotPIntegral, NotSquarefree, degree_sequence, distinct_degree, reduce_mod_p,
+)
 from .padic import WildPrime, _shape, padic_shape
-from .permgrp import CycleType, ef_multiset, fingerprint, generate, power_cycle_type
+from .permgrp import (
+    CycleType, ef_multiset, fingerprint, generate, invariably_generates, power_cycle_type,
+)
 from .poly import UniPoly, specialize, x_poly_coeffs
 
 AUX_PRIME_BOUND = 5000
@@ -420,13 +426,25 @@ class ConditionRecord:
 
 @dataclass(frozen=True)
 class IdentificationSummary:
-    """Splitting types at auxiliary primes vs the group's cycle types."""
+    """Splitting types at auxiliary primes vs the group's cycle types.
+
+    verdict is "ACCEPT" (certificate holds two observed types that
+    invariably generate the group), "REJECT" (alien holds a type outside
+    it) or "INCONCLUSIVE" (neither within the cap on readable primes).
+    missing lists the group's types the fibre is not known to realize:
+    those never read, and none after ACCEPT, which proves it realizes all.
+    """
 
     sampled: int
     counts: tuple
     missing: tuple
     alien: tuple
-    passed: bool
+    verdict: str
+    certificate: tuple
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "ACCEPT"
 
 
 @dataclass(frozen=True)
@@ -530,19 +548,30 @@ def _degree_sequence_at(manifest, s0, t0, q: int) -> tuple:
     return tuple(degree_sequence(fp))
 
 
-def _tally_fibres(draws, n: int) -> Counter:
+def _tally_fibres(draws, n: int, stop=None) -> Counter:
     """Cycle types of the first n readable fibres among draws of
-    (X-coefficients, p), fewer when the draws run out.  A fibre that is not
-    p-integral or not squarefree mod p is unreadable and skipped."""
+    (X-coefficients, X-discriminant, p), fewer when the draws run out or
+    stop(tally) holds after a read.
+
+    f is monic in X, so disc(f mod p) = disc(f) mod p: a p-integral fibre
+    is squarefree mod p exactly when p does not divide disc, and then
+    (Dedekind) its split degrees are the cycle type of a Frobenius element.
+    Any other fibre is unreadable and skipped.
+    """
     tally = Counter()
-    for coeffs, p in draws:
+    for coeffs, disc, p in draws:
         if tally.total() == n:
             break
         try:
-            seq = degree_sequence(reduce_mod_p(coeffs, p))
-        except (NotPIntegral, NotSquarefree):
-            continue  # p in a denominator, or an index prime: take the next
-        tally[CycleType(tuple(seq))] += 1
+            fp = reduce_mod_p(coeffs, p)
+        except NotPIntegral:
+            continue  # p in a denominator: take the next
+        if disc.numerator % p == 0:
+            continue  # a repeated factor mod p: an index prime or a ramified one
+        split = distinct_degree(FpField(p), list(fp.coeffs))
+        tally[CycleType(tuple(d for prod, d in split for _ in range((len(prod) - 1) // d)))] += 1
+        if stop is not None and stop(tally):
+            break
     return tally
 
 
@@ -555,7 +584,33 @@ def _compare(fp: dict, tally: Counter, n: int) -> tuple:
     return alien, missing, expected
 
 
+@lru_cache(maxsize=256)
+def _generates(manifest, lam: CycleType, mu: CycleType) -> bool:
+    return invariably_generates(manifest.group, lam, mu)
+
+
+def _certificate(manifest, types) -> tuple:
+    """The first pair of types, by parts, that invariably generates the
+    declared group, or () when no pair does."""
+    types = sorted(types, key=lambda c: c.parts)
+    for i, lam in enumerate(types):
+        for mu in types[i + 1 :]:
+            if _generates(manifest, lam, mu):
+                return lam, mu
+    return ()
+
+
 def _identify(manifest, spec, t0, conditions, n_id, seed) -> IdentificationSummary:
+    """Read the fibre at (s0, t0) at shuffled auxiliary primes, at most n_id
+    readable ones, and stop at the first verdict.
+
+    Premise: the declared group G contains the Galois group of f over
+    Q(s, t), so the fibre's group D lies in G up to conjugacy.  Each
+    readable prime gives the cycle type of an element of D.  REJECT at the
+    first type outside G: no such D exists.  ACCEPT once two observed
+    types invariably generate G: then D = G, a theorem, with the pair as
+    its certificate.  INCONCLUSIVE when n_id readable primes give neither.
+    """
     if manifest.group is None:
         raise ValueError("group identification needs group_generators")
     skip = {2} | {c.p for c in conditions}
@@ -569,20 +624,29 @@ def _identify(manifest, spec, t0, conditions, n_id, seed) -> IdentificationSumma
     ]
     Random(seed).shuffle(pool)
     coeffs = x_poly_coeffs(specialize(spec.f, {"t": t0}))
-    counts = _tally_fibres(((coeffs, q) for q in pool), n_id)
+    disc = spec.disc.evaluate(t0)
+    fp = fingerprint(manifest.group)
+
+    def settled(tally) -> bool:
+        return not tally.keys() <= fp.keys() or bool(_certificate(manifest, tally))
+
+    counts = _tally_fibres(((coeffs, disc, q) for q in pool), n_id, settled)
     sampled = counts.total()
-    if sampled < n_id:
+    alien, missing, _ = _compare(fp, counts, sampled)
+    certificate = () if alien else _certificate(manifest, counts)
+    verdict = "REJECT" if alien else "ACCEPT" if certificate else "INCONCLUSIVE"
+    if verdict == "INCONCLUSIVE" and sampled < n_id:
         raise ValueError(
             f"only {sampled} of {n_id} auxiliary primes below "
             f"{AUX_PRIME_BOUND} were readable"
         )
-    alien, missing, _ = _compare(fingerprint(manifest.group), counts, sampled)
     return IdentificationSummary(
         sampled,
         tuple(sorted(counts.items(), key=lambda kv: kv[0].parts)),
-        missing,
+        () if certificate else missing,
         alien,
-        not missing and not alien,
+        verdict,
+        certificate,
     )
 
 
@@ -606,7 +670,7 @@ def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
         for _ in range(200 * samples):
             t0 = rng.randrange(1, IDENTIFY_T_GRID)
             p = pool[rng.randrange(len(pool))]
-            yield x_poly_coeffs(specialize(spec.f, {"t": Fraction(t0)})), p
+            yield x_poly_coeffs(specialize(spec.f, {"t": Fraction(t0)})), spec.disc.evaluate(t0), p
 
     tally = _tally_fibres(draws(), samples)
     if tally.total() < samples:
@@ -638,7 +702,9 @@ def verify(
     manifest: FamilyManifest, s0, t0, conditions, *, n_id: int = 300, seed: int = 0
 ) -> SpecializationReport:
     """Check every condition against the measured p-adic shape of the fiber
-    at (s0, t0), then identify the Galois group from auxiliary primes.
+    at (s0, t0), then identify the fibre's Galois group from at most n_id
+    readable auxiliary primes (see _identify for the verdicts and their
+    premise).
 
     Mismatches produce failing records, never exceptions: the report is the
     product.  n_id = 0 skips the identification stage.

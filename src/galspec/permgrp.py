@@ -272,6 +272,38 @@ def fingerprint(G: PermGroup) -> dict:
     return {ct: Fraction(k, G.order) for ct, k in tally.items()}
 
 
+def invariably_generates(G: PermGroup, lam: CycleType, mu: CycleType) -> bool:
+    """True when <x, y> = G for every x of cycle type lam and y of type mu.
+
+    Then any subgroup of G holding an element of each type is G itself.
+    x runs over one representative per G-class of type lam, y over every
+    element of type mu; conjugating a pair by G covers the rest.  A closure
+    that passes |G| / 2 elements is G; the first closure that completes is
+    a proper subgroup and settles the answer as False.
+    """
+    def of_type(ct):
+        return [g.images for g in G.elements if cycle_type(g) == ct]
+
+    reps, covered = [], set()
+    for x in of_type(lam):
+        if x not in covered:
+            reps.append(x)
+            covered.update(
+                tuple(g.images[x[j]] for j in g.inverse().images) for g in G.elements
+            )
+    ys = of_type(mu)
+    if not reps or not ys:
+        return False
+    for x in reps:
+        for y in ys:
+            try:
+                _closure_tuples([x, y], G.degree, G.order // 2)
+            except CapExceeded:
+                continue
+            return False
+    return True
+
+
 def require_normal_inertia(I: PermGroup, D0: PermGroup) -> None:
     """Raise ValueError unless the inertia group I is a normal subgroup of
     the decomposition group D0."""

@@ -16,11 +16,21 @@ from galspec.arith import (
     is_prime,
     legendre,
     parse_rat,
-    prime_divisors,
     primes_up_to,
     unit_part,
     valuation,
 )
+
+
+def prime_divisors(x) -> list[int]:
+    """Primes dividing numerator or denominator of a nonzero rational
+    (test-only helper over factorint)."""
+    x = Fraction(x)
+    if not x:
+        raise ValueError("zero has every prime divisor")
+    out = set(factorint(abs(x.numerator)))
+    out.update(factorint(x.denominator))
+    return sorted(out)
 
 
 class TestValuation:

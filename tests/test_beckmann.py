@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galspec.arith import is_prime, primes_up_to
+from galspec.arith import NonPrimeError, is_prime, primes_up_to, valuation
 from galspec.beckmann import (
     BadPrimeReport,
     InertiaPrediction,
@@ -15,7 +15,6 @@ from galspec.beckmann import (
     bad_primes,
     bad_s_residues,
     global_exceptional,
-    intersection_multiplicity,
     is_bad_prime,
     predict_any,
     predict_inertia,
@@ -24,7 +23,7 @@ from galspec.beckmann import (
 )
 from galspec.family import builtin_manifest, load_manifest
 from galspec.padic import padic_shape
-from galspec.poly import UniPoly, parse_poly, specialize
+from galspec.poly import UniPoly, constant_value, parse_poly, specialize
 
 
 def twobranch_manifest() -> dict:
@@ -66,6 +65,30 @@ def shifted_manifest() -> dict:
             }
         ],
     }
+
+
+def intersection_multiplicity(t0, branch, p: int) -> int:
+    """Contact order of t0 with a branch point at p (reference oracle for
+    the contact rule that beckmann.predict_any applies).
+
+    branch is either a rational number a (contact = v_p(t0 - a)) or the
+    minimal polynomial g of an algebraic branch point (contact = v_p(g(t0))).
+    The value is negative when t0 itself is not p-integral.
+    """
+    if not is_prime(p):
+        raise NonPrimeError(f"{p} is not prime")
+    t0 = Fraction(t0)
+    if isinstance(branch, UniPoly):
+        v = branch.evaluate(t0)
+        if isinstance(v, UniPoly):
+            v = constant_value(v)
+        if v == 0:
+            raise ValueError(f"t0 = {t0} is the branch point itself")
+        return valuation(v, p)
+    a = Fraction(branch)
+    if t0 == a:
+        raise ValueError(f"t0 = {t0} is the branch point itself")
+    return valuation(t0 - a, p)
 
 
 def reasons_by_prime(reports) -> dict:

@@ -40,6 +40,16 @@ def twobranch_file(tmp_path):
     return str(path)
 
 
+def s7claim_file(tmp_path):
+    """psl32's family with its group declared as S7, a strict overgroup."""
+    raw = json.loads(resources.files("galspec").joinpath("data/psl32.json").read_text())
+    raw["group_generators"] = ["(1 2)", "(1 2 3 4 5 6 7)"]
+    raw["name"] = "s7claim"
+    path = tmp_path / "s7claim.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
 class TestManifestLoading:
     def test_builtin_bare_name(self, capsys):
         code, _ = run(capsys, "branch", "--manifest", "x2mt")
@@ -250,6 +260,51 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_identification_certified(self, capsys):
+        argv = [
+            "verify", "--manifest", "psl32", "--s0", "1", "--t0", "1/11",
+            "--cond", "p=11,branch=0,d=1,frob=2",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        ident = json.loads(captured.out)["identification"]
+        assert ident["verdict"] == "ACCEPT" and ident["passed"] is True
+        assert ident["certificate"] == ["2^2.1^3", "7"]
+        assert ident["sampled"] <= 300
+        assert captured.err.strip().splitlines() == ["1/1 condition(s) hold; report passed"]
+
+    def test_identification_inconclusive(self, capsys, tmp_path):
+        # every PSL(3,2) type lies in A7, so no pair certifies the claimed S7
+        argv = [
+            "verify", "--manifest", s7claim_file(tmp_path), "--s0", "1", "--t0", "1/11",
+            "--cond", "p=11,branch=0,d=1,frob=2", "--n-id", "20",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        ident = json.loads(captured.out)["identification"]
+        assert ident["verdict"] == "INCONCLUSIVE" and ident["passed"] is False
+        assert ident["certificate"] == [] and ident["alien"] == []
+        assert ident["sampled"] == 20
+        assert captured.err.strip().splitlines() == [
+            "1/1 condition(s) hold; report FAILED",
+            "identification INCONCLUSIVE: no two types in 20 readable prime(s) "
+            "invariably generate the declared group",
+        ]
+
+    def test_identification_reject_note(self, capsys, tmp_path):
+        # x3mt's fibres realize S3; a manifest claiming A3 meets a transposition
+        raw = json.loads(resources.files("galspec").joinpath("data/x3mt.json").read_text())
+        raw["group_generators"] = ["(1 2 3)"]
+        path = tmp_path / "a3claim.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--manifest", str(path), "--t0", "56", "--n-id", "60",
+                     "--cond", "p=7,branch=0,d=1"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["identification"]["verdict"] == "REJECT"
+        assert captured.err.strip().splitlines()[-1] == (
+            "identification REJECT: type(s) 2.1 lie outside the declared group"
+        )
+
 
 class TestIdentify:
     def test_quadratic_accepts(self, capsys):
@@ -285,15 +340,8 @@ class TestIdentify:
 
     def test_wrong_group_rejected(self, capsys, tmp_path):
         # the fibers realize PSL3(2); a manifest claiming S7 must be caught
-        raw = json.loads(
-            resources.files("galspec").joinpath("data/psl32.json").read_text()
-        )
-        raw["group_generators"] = ["(1 2)", "(1 2 3 4 5 6 7)"]
-        raw["name"] = "s7claim"
-        path = tmp_path / "s7claim.json"
-        path.write_text(json.dumps(raw))
         code, payload = run(
-            capsys, "identify", "--manifest", str(path), "--s0", "1",
+            capsys, "identify", "--manifest", s7claim_file(tmp_path), "--s0", "1",
             "--samples", "300", "--seed", "0",
         )
         assert code == 1

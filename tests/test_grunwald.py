@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import dataclasses
+
 from galspec.arith import Congruence, legendre, primes_up_to
-from galspec.beckmann import InertiaPrediction, bad_primes, predict_inertia, specialization
+from galspec.beckmann import (
+    InertiaPrediction, bad_primes, is_bad_prime, predict_inertia, specialization,
+)
 from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
+from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
 from galspec.grunwald import (
     NoResidueFound,
     Ramified,
@@ -14,6 +19,7 @@ from galspec.grunwald import (
     TargetNotFound,
     Unramified,
     UnsupportedConditionCombination,
+    _tally_fibres,
     census,
     frobenius_in_residue_field,
     identify,
@@ -27,7 +33,7 @@ from galspec.grunwald import (
 )
 from galspec.padic import _shape, padic_shape
 from galspec.permgrp import CycleType, ef_multiset, generate, parse_perm, power_cycle_type
-from galspec.poly import discriminant_in, parse_poly
+from galspec.poly import discriminant_in, parse_poly, specialize, x_poly_coeffs
 from test_beckmann import twobranch_manifest
 
 
@@ -357,7 +363,8 @@ class TestVerify:
         report = verify(m, 0, 56, [Ramified(7, 0, 1, 1)], n_id=60, seed=0)
         ident = report.identification
         assert ident is not None
-        assert ident.sampled == 60
+        assert ident.sampled <= 60  # n_id caps the reads; a certificate stops them
+        assert ident.verdict == "ACCEPT"
         assert not ident.alien
         assert not ident.missing
         assert ident.passed
@@ -563,12 +570,77 @@ class TestIdentificationSamples:
         m = builtin_manifest("psl32")
         report = verify(m, 1, Fraction(1, 11), [Ramified(11, 0, 1, 2)], n_id=300, seed=0)
         ident = report.identification
-        assert ident.sampled == 300
+        assert ident.sampled == 5
         assert ident.counts == (
-            (CycleType((2, 2, 1, 1, 1)), 42),
-            (CycleType((3, 3, 1)), 92),
-            (CycleType((4, 2, 1)), 70),
-            (CycleType((7,)), 96),
+            (CycleType((2, 2, 1, 1, 1)), 1),
+            (CycleType((3, 3, 1)), 2),
+            (CycleType((7,)), 2),
         )
-        assert ident.missing == (CycleType((1,) * 7),)
+        assert ident.verdict == "ACCEPT"
+        assert ident.certificate == (CycleType((2, 2, 1, 1, 1)), CycleType((7,)))
+        assert ident.missing == ()
         assert ident.alien == ()
+
+
+class TestIdentificationCertificate:
+    """verify's identification stops at a theorem: ACCEPT once two observed
+    types invariably generate the declared group, REJECT at an alien type."""
+
+    def test_true_group_is_certified_on_every_seed(self):
+        m = builtin_manifest("psl32")
+        for seed in range(100):
+            report = verify(m, 1, Fraction(1, 11), [Ramified(11, 0, 1, 2)], seed=seed)
+            ident = report.identification
+            assert ident.verdict == "ACCEPT", seed
+            assert len(ident.certificate) == 2 and ident.alien == ()
+            assert report.passed
+
+    def test_overgroup_claim_is_never_certified(self):
+        # every type of PSL(3,2) is even, and every pair of even types lies
+        # in A7, a proper subgroup of the claimed S7
+        m = builtin_manifest("psl32")
+        s7 = generate([parse_perm("(1 2 3 4 5 6 7)", 7), parse_perm("(1 2)", 7)])
+        claim = dataclasses.replace(m, group=s7)
+        for seed in range(10):
+            report = verify(claim, 1, Fraction(1, 11), [Ramified(11, 0, 1, 2)], n_id=60, seed=seed)
+            ident = report.identification
+            assert ident.verdict == "INCONCLUSIVE", seed
+            assert ident.sampled == 60 and ident.certificate == ()
+            assert not report.passed
+
+    def test_alien_type_rejects_at_once(self):
+        # x3mt's fibres realize S3; a claimed A3 sees a transposition type
+        m = builtin_manifest("x3mt")
+        claim = dataclasses.replace(m, group=generate([parse_perm("(1 2 3)", 3)]))
+        ident = verify(claim, 0, 56, [], n_id=60, seed=0).identification
+        assert ident.verdict == "REJECT"
+        assert ident.alien == (CycleType((2, 1)),)
+        assert dict(ident.counts)[CycleType((2, 1))] == 1  # the read stops there
+        assert not ident.passed
+
+
+class TestReadability:
+    def test_disc_residue_matches_the_squarefree_gcd(self):
+        # a fibre is readable at p exactly when degree_sequence reads it, and
+        # then both routes give the same split degrees
+        cases = [
+            (builtin_manifest("psl32"), 1),
+            (builtin_manifest("psl32"), Fraction(3, 7)),
+            (builtin_manifest("x3mt"), 0),
+            (load_manifest(twobranch_manifest()), 1),
+        ]
+        grid = [Fraction(t) for t in range(-6, 7)] + [Fraction(1, 11), Fraction(-5, 3)]
+        for m, s0 in cases:
+            spec = specialization(m, s0)
+            ps = [p for p in primes_up_to(200) if not is_bad_prime(m, s0, p)]
+            for t0 in grid:
+                coeffs = x_poly_coeffs(specialize(spec.f, {"t": t0}))
+                disc = spec.disc.evaluate(t0)
+                for p in ps:
+                    tally = _tally_fibres([(coeffs, disc, p)], 1)
+                    try:
+                        seq = degree_sequence(reduce_mod_p(coeffs, p))
+                    except (NotPIntegral, NotSquarefree):
+                        assert not tally, (m.name, s0, t0, p)
+                        continue
+                    assert tally == {CycleType(tuple(seq)): 1}, (m.name, s0, t0, p)

@@ -1,6 +1,7 @@
 """Package-wide rules: the runtime imports only the standard library and
 no concurrency machinery, binding s = s0 stays behind family and
-beckmann, and census validates its fibre once per t0, not per cell."""
+beckmann, census validates its fibre once per t0, not per cell, and the
+identification sampler decides readability by one discriminant residue."""
 
 import ast
 import sys
@@ -9,6 +10,24 @@ from importlib import resources
 
 def _tree(name: str):
     return ast.parse(resources.files("galspec").joinpath(name).read_text(), name)
+
+
+def _called(tree) -> set:
+    """Names of the functions and methods called anywhere inside tree."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def _function(file: str, name: str):
+    (func,) = [
+        node
+        for node in ast.walk(_tree(file))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return func
 
 
 def _absolute_imports():
@@ -62,16 +81,7 @@ def test_no_concurrency_machinery():
 def test_census_calls_no_public_padic_shape():
     # census computes disc once per t0 and calls padic._shape; padic_shape
     # would redo the validation and the discriminant at every prime
-    (census,) = [
-        node
-        for node in ast.walk(_tree("grunwald.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "census"
-    ]
-    called = {
-        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-        for node in ast.walk(census)
-        if isinstance(node, ast.Call)
-    }
+    called = _called(_function("grunwald.py", "census"))
     assert "padic_shape" not in called
 
 
@@ -84,3 +94,21 @@ def test_padic_imports_no_gcd_field():
         for alias in node.names
     }
     assert "gcd_field" not in imported
+
+
+def test_sampler_reads_fibres_without_a_squarefree_gcd():
+    # p ∤ disc(f) decides readability; degree_sequence would add a gcd per fibre
+    assert "degree_sequence" not in _called(_function("grunwald.py", "_tally_fibres"))
+
+
+def test_subgroup_lattice_scan_stays_in_permgrp():
+    # the full lattice scan takes seconds at order 168; identification
+    # certifies by invariable generation instead
+    callers = [
+        src.name
+        for src in resources.files("galspec").iterdir()
+        if src.name.endswith(".py")
+        and src.name != "permgrp.py"
+        and "_subgroup_classes" in _called(ast.parse(src.read_text(), src.name))
+    ]
+    assert callers == []

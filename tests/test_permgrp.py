@@ -20,6 +20,7 @@ from galspec.permgrp import (
     ef_multiset,
     fingerprint,
     generate,
+    invariably_generates,
     parse_perm,
     power_cycle_type,
     subgroups_with_orbit_lengths,
@@ -348,9 +349,9 @@ def _order_by_stabilizer_chain(elements, n):
     return len(orbit) * _order_by_stabilizer_chain(stab, n)
 
 
-def small_groups():
+def small_groups(n=6):
     return st.lists(
-        st.permutations(range(6)).map(lambda t: Perm(tuple(t))),
+        st.permutations(range(n)).map(lambda t: Perm(tuple(t))),
         min_size=1,
         max_size=2,
     ).map(lambda gens: generate(gens, cap=720))
@@ -386,3 +387,35 @@ class TestInvariants:
         assert (g * h).inverse() == h.inverse() * g.inverse()
         assert g * g.inverse() == Perm.identity(6)
         assert g**5 == g * g * g * g * g
+
+
+class TestInvariableGeneration:
+    def test_order_168_pairs(self):
+        # maximal subgroups: 7:3 holds types 7 and 3^2.1, the two S4 classes
+        # hold every type but 7, so 7 with 2^2.1^3 or 4.2.1 generates
+        G = psl32()
+        seven, four = CycleType((7,)), CycleType((4, 2, 1))
+        assert invariably_generates(G, seven, four)
+        assert invariably_generates(G, four, seven)
+        assert invariably_generates(G, seven, CycleType((2, 2, 1, 1, 1)))
+        assert not invariably_generates(G, seven, CycleType((3, 3, 1)))
+        assert not invariably_generates(G, four, CycleType((3, 3, 1)))
+        assert not invariably_generates(G, CycleType((1,) * 7), seven)
+
+    def test_type_outside_the_group(self):
+        assert not invariably_generates(psl32(), CycleType((7,)), CycleType((6, 1)))
+
+    @given(small_groups(5))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_every_pair(self, G):
+        types = sorted(fingerprint(G), key=lambda c: c.parts)
+        for i, lam in enumerate(types):
+            for mu in types[i + 1 :]:
+                brute = all(
+                    generate([x, y]).order == G.order
+                    for x in G.elements
+                    if cycle_type(x) == lam
+                    for y in G.elements
+                    if cycle_type(y) == mu
+                )
+                assert invariably_generates(G, lam, mu) == brute, (G, lam, mu)
