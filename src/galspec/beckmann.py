@@ -24,7 +24,7 @@ from math import gcd
 
 from .arith import NonPrimeError, factorint, is_prime, primes_up_to, rational, valuation
 from .family import FamilyManifest, require_nondegenerate
-from .ffact import factor_mod_p, reduce_mod_p
+from .ffact import FpField, factor_poly, reduce_mod_p
 from .permgrp import CycleType, power_cycle_type
 from .poly import (
     UniPoly,
@@ -209,11 +209,13 @@ def bad_s_residues(manifest: FamilyManifest, p: int) -> frozenset:
     if p in global_exceptional(manifest):
         raise ValueError(f"p = {p} is in the global exceptional set")
     out = set()
+    K = FpField(p)
     for _, g in manifest.s_guards:
         coeffs = [g.coeff(i) for i in range(g.degree() + 1)]
-        for factor, _ in factor_mod_p(reduce_mod_p(coeffs, p)).factors:
-            if factor.degree() == 1:
-                out.add(-factor.coeffs[0] % p)
+        _unit, factors = factor_poly(K, reduce_mod_p(coeffs, p))
+        for factor, _ in factors:
+            if len(factor) == 2:  # monic linear: the root is -factor[0]
+                out.add(-factor[0] % p)
     return frozenset(out)
 
 

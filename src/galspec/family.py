@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import lcm
 
 from .arith import INFINITY
 from .permgrp import Perm, PermGroup, cycle_type, generate, parse_perm, require_normal_inertia
@@ -70,8 +69,7 @@ class BranchPoint:
     """One declared branch point of the family.
 
     location is a polynomial in s (the branch point t = m(s)) or the
-    INFINITY sentinel; denominator is the lcm of the location's coefficient
-    denominators, kept so non-integral branch data can be flagged per prime.
+    INFINITY sentinel.
     """
 
     location: object
@@ -79,7 +77,6 @@ class BranchPoint:
     inertia_generator: Perm
     decomposition: PermGroup
     rho: UniPoly | None
-    denominator: int
 
     @property
     def is_infinite(self) -> bool:
@@ -149,7 +146,6 @@ class FamilyManifest:
     f: UniPoly
     group: PermGroup | None
     branch_points: tuple
-    infinity_transformed: bool
     disc: UniPoly
     squarefree_disc: UniPoly
     locus: BranchLocus
@@ -269,6 +265,7 @@ def _is_monic(f: UniPoly) -> bool:
 
 # -- manifest loading ---------------------------------------------------------
 
+# infinity_transformed is accepted and ignored: the 1/t chart is always derived
 _MANIFEST_KEYS = {"name", "poly", "group_generators", "branch_points", "infinity_transformed"}
 _BRANCH_KEYS = {"location", "e", "inertia_generator", "decomposition_generators", "residue_subextension"}
 
@@ -307,14 +304,11 @@ def _load_branch_point(raw: dict, degree: int, disc: UniPoly) -> BranchPoint:
     except ValueError as exc:
         raise ManifestInconsistent(str(exc)) from None
 
-    denominator = 1
-    if location is not INFINITY:
-        if disc.evaluate(location):
-            raise ManifestInconsistent(
-                f"declared branch point t = {format_poly(location)} is not a "
-                "root of the t-discriminant"
-            )
-        denominator = lcm(*(c.denominator for c in location.coeffs))
+    if location is not INFINITY and disc.evaluate(location):
+        raise ManifestInconsistent(
+            f"declared branch point t = {format_poly(location)} is not a "
+            "root of the t-discriminant"
+        )
 
     rho = None
     if raw.get("residue_subextension") is not None:
@@ -330,7 +324,7 @@ def _load_branch_point(raw: dict, degree: int, disc: UniPoly) -> BranchPoint:
                 f"residue subextension degree {rho.degree()} does not divide "
                 f"|decomposition| / e = {D.order}/{e}"
             )
-    return BranchPoint(location, e, tau, D, rho, denominator)
+    return BranchPoint(location, e, tau, D, rho)
 
 
 def _collision_guards(rational_points: list, residual: UniPoly) -> list:
@@ -424,7 +418,6 @@ def load_manifest(source) -> FamilyManifest:
         f=f,
         group=group,
         branch_points=branch_points,
-        infinity_transformed=bool(raw.get("infinity_transformed", False)),
         disc=disc,
         squarefree_disc=srf,
         locus=locus,

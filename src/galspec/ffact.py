@@ -1,11 +1,14 @@
 """Factorization over prime fields and their finite extensions.
 
-Two layers.  The bottom layer is a small field protocol (FpField and
-ExtField) plus polynomial helpers that work over any such field; extension
-fields nest, so towers F_p ⊂ k_1 ⊂ k_2 ⊂ … built one augmentation at a time
-are supported directly.  The top layer is the mod-p interface used by the
-rest of the package: FpPoly, complete factorization, and squarefree degree
-sequences for Frobenius fingerprints.
+A small field protocol (FpField and ExtField) carries polynomial helpers
+that work over any such field, on one representation: plain coefficient
+lists, lowest degree first, trailing zeros trimmed.  Extension fields nest,
+so towers F_p ⊂ k_1 ⊂ k_2 ⊂ … built one augmentation at a time are
+supported directly; factor_poly factors completely over any of them.  The
+rest of the package enters mod p through three functions: reduce_mod_p
+reduces rational coefficients, split_degrees reads the factor degrees of an
+f known to be squarefree mod p, and degree_sequence checks squarefreeness
+first.
 
 Distinct-degree splitting applies the q-power map as one linear map, the
 Frobenius matrix of von zur Gathen and Shoup, rather than exponentiating
@@ -19,10 +22,9 @@ plain ints and reduce each coefficient mod p once per operation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import NonPrimeError, _check_prime
+from .arith import _check_prime
 
 
 class FpField:
@@ -519,42 +521,6 @@ def factor_poly(K, f: list, seed: int = 0):
 # -- the mod-p interface ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FpPoly:
-    """Coefficients mod p, lowest degree first, trailing zeros trimmed."""
-
-    p: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        cs = [c % self.p for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree(), -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = "X" if i == 1 else f"X^{i}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts)
-
-
 class NotSquarefree(Exception):
     """The reduction has a repeated factor; degree data is not a cycle type."""
 
@@ -563,8 +529,9 @@ class NotPIntegral(Exception):
     """A coefficient has p in its denominator; no reduction mod p exists."""
 
 
-def reduce_mod_p(coeffs, p: int) -> FpPoly:
-    """Reduce rational coefficients mod p; denominators must be prime to p."""
+def reduce_mod_p(coeffs, p: int) -> list:
+    """Rational coefficients reduced mod p, lowest degree first and trimmed;
+    denominators must be prime to p."""
     out = []
     for c in coeffs:
         if isinstance(c, int):
@@ -574,44 +541,36 @@ def reduce_mod_p(coeffs, p: int) -> FpPoly:
         if c.denominator % p == 0:
             raise NotPIntegral(f"{c} is not p-integral at {p}")
         out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return FpPoly(p, tuple(out))
+    return poly_trim(out)
 
 
-@dataclass(frozen=True)
-class FactorizationModP:
-    p: int
-    unit: int
-    factors: tuple  # ((FpPoly, multiplicity), ...) canonically sorted
+def split_degrees(coeffs, p: int) -> list[int]:
+    """Ascending degrees of the irreducible factors of f mod p.
 
-
-def factor_mod_p(f: FpPoly, seed: int = 0) -> FactorizationModP:
-    """Monic-irreducible factorization with multiplicities; deterministic."""
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    K = FpField(f.p)
-    unit, factors = factor_poly(K, list(f.coeffs), seed=seed)
-    wrapped = tuple((FpPoly(f.p, tuple(g)), m) for g, m in factors)
-    return FactorizationModP(f.p, unit, wrapped)
-
-
-def degree_sequence(f: FpPoly) -> list[int]:
-    """Sorted degrees of the irreducible factors of a squarefree f mod p.
-
-    Distinct-degree splitting by the Frobenius matrix (see
-    distinct_degree) alone determines the multiset, so no randomized stage
-    is involved.  Raises NotSquarefree when f has a repeated factor (the
-    caller treats that prime as ramified or bad).
+    The caller knows f to be monic and squarefree mod p (p ∤ disc(f) is the
+    usual warrant), so nothing is checked beyond p-integrality.  Distinct-
+    degree splitting (see distinct_degree) alone determines the degrees, so
+    no randomized stage is involved.
     """
+    split = distinct_degree(FpField(p), reduce_mod_p(coeffs, p))
+    return [d for prod, d in split for _ in range((len(prod) - 1) // d)]
+
+
+def degree_sequence(coeffs, p: int) -> list[int]:
+    """Ascending degrees of the irreducible factors of f mod p, for any f.
+
+    Unlike split_degrees this makes f monic and checks it: raises
+    NotSquarefree when f has a repeated factor mod p (the caller treats
+    that prime as ramified or bad), and ValueError when f vanishes mod p.
+    """
+    f = reduce_mod_p(coeffs, p)
     if not f:
         raise ValueError("zero polynomial")
-    if f.degree() == 0:
+    if len(f) == 1:
         return []
-    K = FpField(f.p)
-    cs = poly_monic(K, list(f.coeffs))
-    der = poly_deriv(K, cs)
-    if not der or len(poly_gcd(K, cs, der)) > 1:
-        raise NotSquarefree(f"repeated factor mod {f.p}")
-    out = []
-    for prod, d in distinct_degree(K, cs):
-        out.extend([d] * ((len(prod) - 1) // d))
-    return sorted(out)
+    K = FpField(p)
+    f = poly_monic(K, f)
+    der = poly_deriv(K, f)
+    if not der or len(poly_gcd(K, f, der)) > 1:
+        raise NotSquarefree(f"repeated factor mod {p}")
+    return split_degrees(f, p)

@@ -29,9 +29,7 @@ from .beckmann import (
     bad_primes, bad_s_residues, global_exceptional, is_bad_prime, predict_any, specialization,
 )
 from .family import FamilyManifest, infinity_chart, nondegenerate_check
-from .ffact import (
-    FpField, NotPIntegral, NotSquarefree, degree_sequence, distinct_degree, reduce_mod_p,
-)
+from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p, split_degrees
 from .padic import WildPrime, _shape, padic_shape
 from .permgrp import (
     CycleType, ef_multiset, fingerprint, generate, invariably_generates, power_cycle_type,
@@ -221,14 +219,10 @@ def frobenius_in_residue_field(rho: UniPoly, s0, p: int) -> tuple:
     """
     coeffs = x_poly_coeffs(specialize(rho, {"s": Fraction(s0)}))
     try:
-        fp = reduce_mod_p(coeffs, p)
-    except NotPIntegral as exc:
-        raise SkipResidue(str(exc)) from None
-    if fp.degree() != len(coeffs) - 1:
-        raise SkipResidue(f"residue polynomial degenerates mod {p}")
-    try:
-        return tuple(degree_sequence(fp))
-    except NotSquarefree as exc:
+        if len(reduce_mod_p(coeffs, p)) != len(coeffs):
+            raise SkipResidue(f"residue polynomial degenerates mod {p}")
+        return tuple(degree_sequence(coeffs, p))
+    except (NotPIntegral, NotSquarefree) as exc:
         raise SkipResidue(str(exc)) from None
 
 
@@ -380,12 +374,8 @@ def _split_congruence(manifest, s0, cond, chart) -> Congruence:
         # f is monic in X, and the u-chart's leading coefficient r^D is a unit
         coeffs = x_poly_coeffs(specialize(source, {"s": s0, "t": Fraction(r)}))
         try:
-            fp = reduce_mod_p(coeffs, q)
-        except NotPIntegral:
-            continue
-        try:
-            seq = degree_sequence(fp)
-        except NotSquarefree:
+            seq = degree_sequence(coeffs, q)
+        except (NotPIntegral, NotSquarefree):
             continue
         if tuple(sorted(seq, reverse=True)) == cond.target.parts:
             return Congruence(r, q)
@@ -508,7 +498,7 @@ def _candidate_shapes(bp, d: int, x: int) -> set:
 def _check_condition(manifest, s0, t0, cond) -> ConditionRecord:
     if isinstance(cond, Unramified):
         try:
-            seq = _degree_sequence_at(manifest, s0, t0, cond.p)
+            seq = degree_sequence(local_model(manifest, s0, t0, cond.p).coeffs, cond.p)
         except (NotSquarefree, NotPIntegral) as exc:
             return ConditionRecord(cond, "unramified", cond.target.parts, str(exc), False)
         observed = tuple(sorted(seq, reverse=True))
@@ -543,11 +533,6 @@ def _check_condition(manifest, s0, t0, cond) -> ConditionRecord:
     return ConditionRecord(cond, mode, tuple(sorted(candidates)), shape.pairs, passed)
 
 
-def _degree_sequence_at(manifest, s0, t0, q: int) -> tuple:
-    fp = reduce_mod_p(local_model(manifest, s0, t0, q).coeffs, q)
-    return tuple(degree_sequence(fp))
-
-
 def _tally_fibres(draws, n: int, stop=None) -> Counter:
     """Cycle types of the first n readable fibres among draws of
     (X-coefficients, X-discriminant, p), fewer when the draws run out or
@@ -562,14 +547,12 @@ def _tally_fibres(draws, n: int, stop=None) -> Counter:
     for coeffs, disc, p in draws:
         if tally.total() == n:
             break
-        try:
-            fp = reduce_mod_p(coeffs, p)
-        except NotPIntegral:
-            continue  # p in a denominator: take the next
         if disc.numerator % p == 0:
             continue  # a repeated factor mod p: an index prime or a ramified one
-        split = distinct_degree(FpField(p), list(fp.coeffs))
-        tally[CycleType(tuple(d for prod, d in split for _ in range((len(prod) - 1) // d)))] += 1
+        try:
+            tally[CycleType(tuple(split_degrees(coeffs, p)))] += 1
+        except NotPIntegral:
+            continue  # p in a denominator: take the next
         if stop is not None and stop(tally):
             break
     return tally
@@ -740,12 +723,12 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     unramified = CycleType((1,) * m.f.degree())
     rows = []
     for t0 in range(t_lo, t_hi + 1):
-        disc = spec.disc.evaluate(Fraction(t0))
+        disc = spec.disc.evaluate(t0)
         if disc == 0:
             continue  # exactly on a branch point: no number field to read
         # an integer t0 is p-integral at every p, so local_model never switches chart;
         # f is monic in X, so the model is the fibre itself and disc is its discriminant
-        model = _monic_model(x_poly_coeffs(specialize(spec.f, {"t": t0})))
+        model = UniPoly(x_poly_coeffs(specialize(spec.f, {"t": t0})), "X")
         for p in ps:
             if p in bad:
                 reasons = ";".join(bad[p])  # comma is the CSV delimiter

@@ -25,14 +25,7 @@ from fractions import Fraction
 
 from .arith import INFINITY, _check_prime, valuation
 from .ffact import (
-    ExtField,
-    FpField,
-    NotPIntegral,
-    NotSquarefree,
-    distinct_degree,
-    factor_poly,
-    poly_trim,
-    reduce_mod_p,
+    ExtField, FpField, NotPIntegral, NotSquarefree, factor_poly, poly_trim, split_degrees,
 )
 from .poly import UniPoly, discriminant_in, lower_hull, newton_polygon
 
@@ -52,7 +45,6 @@ class PadicShape:
 
     p: int
     pairs: tuple  # ((e, f), ...) sorted descending
-    tame: bool
 
     def degree(self) -> int:
         return sum(e * f for e, f in self.pairs)
@@ -108,10 +100,14 @@ class _Stage:
         return acc
 
     def new_values(self, g: UniPoly, phi2: UniPoly, mu2: Fraction) -> list:
-        """Values nu > mu2 available for augmenting with key phi2.
+        """(nu, length) for each value nu > mu2 available for augmenting
+        with key phi2.
 
         Faces of the polygon of g's phi2-expansion strictly above the
-        current value of phi2; INFINITY when phi2 divides g exactly.
+        current value of phi2, with the face's length: the expansion width
+        of g's minimal-value support under the augmented valuation, so 1
+        means the chain is terminal.  (INFINITY, 1) when phi2 divides g
+        exactly.
         """
         cs = _expansion(g, phi2)
         ordv = 0
@@ -120,15 +116,15 @@ class _Stage:
         vals = []
         if ordv:
             assert ordv == 1, "repeated exact key divisor in squarefree input"
-            vals.append(INFINITY)
+            vals.append((INFINITY, 1))
         pts = []
         for i in range(ordv, len(cs)):
             if cs[i]:
                 pts.append((i, Fraction(self.value(cs[i]))))
-        for slope, _ell in lower_hull(pts):
+        for slope, length in lower_hull(pts):
             nu = -slope
             if nu > mu2:
-                vals.append(nu)
+                vals.append((nu, length))
         assert vals, "residual factor with no continuation"
         return vals
 
@@ -225,14 +221,7 @@ class _Augmented(_Stage):
         self.var = prev.var
 
     def value(self, g: UniPoly):
-        best = INFINITY
-        for i, c in enumerate(_expansion(g, self.phi)):
-            if not c:
-                continue
-            v = self.prev.value(c) + i * self.mu
-            if best is INFINITY or v < best:
-                best = v
-        return best
+        return self._spread(g)[2]
 
     def _spread(self, g: UniPoly):
         cs = _expansion(g, self.phi)
@@ -248,11 +237,6 @@ class _Augmented(_Stage):
                 best = v
         S = [i for i, v in enumerate(vals) if v is not INFINITY and v == best]
         return cs, S, best
-
-    def projection(self, g: UniPoly) -> int:
-        """Expansion width of g's minimal-value support; 1 means terminal."""
-        _cs, S, _v = self._spread(g)
-        return S[-1] - S[0]
 
     def reduction(self, g: UniPoly):
         """Residual polynomial over this stage's residue field.
@@ -328,7 +312,7 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction) -> list:
             assert u[0] != zero, "unexpected unit-power factor in residual"
             phi2 = V.lift_key(u)
             mu2 = V.value(phi2)
-            for nu in V.new_values(f, phi2, mu2):
+            for nu, length in V.new_values(f, phi2, mu2):
                 if nu is INFINITY:
                     # phi2 divides f: it is a full p-adic factor already
                     e = V.D
@@ -337,7 +321,7 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction) -> list:
                     out.append((e, res))
                     continue
                 A = _Augmented(V, phi2, nu, u)
-                if A.projection(f) == 1:
+                if length == 1:
                     e = A.D
                     res = phi2.degree() // e
                     assert res == A.F and e * res == phi2.degree()
@@ -391,8 +375,7 @@ def _shape(f: UniPoly, p: int, disc) -> PadicShape:
         raise NotSquarefree("repeated factor over Q; shapes need squarefree input")
     dv = valuation(disc, p)
     if dv == 0:  # f is squarefree mod p, so every factor is unramified
-        split = distinct_degree(FpField(p), list(reduce_mod_p(f.coeffs, p).coeffs))
-        pairs = [(1, d) for prod, d in split for _ in range((len(prod) - 1) // d)]
+        pairs = [(1, d) for d in split_degrees(f.coeffs, p)]
     else:
         pairs = _shape_exact(f, p)
     assert sum(e * res for e, res in pairs) == f.degree()
@@ -405,7 +388,7 @@ def _shape(f: UniPoly, p: int, disc) -> PadicShape:
         # the p-valuation of the index of Z[x]/(f) in the maximal order
         gap = dv - sum((e - 1) * res for e, res in pairs)
         assert gap >= 0 and gap % 2 == 0
-    return PadicShape(p, tuple(sorted(pairs, reverse=True)), True)
+    return PadicShape(p, tuple(sorted(pairs, reverse=True)))
 
 
 def disc_valuation_check(shape: PadicShape, f: UniPoly, p: int) -> bool:
@@ -415,7 +398,5 @@ def disc_valuation_check(shape: PadicShape, f: UniPoly, p: int) -> bool:
     meaningful answer, not an error: it flags either a wrong shape or an
     order that is not p-maximal.
     """
-    if not shape.tame:
-        raise ValueError("the discriminant identity applies to tame shapes only")
     dv = valuation(discriminant_in(f, f.var), p)
     return dv == sum((e - 1) * res for e, res in shape.pairs)

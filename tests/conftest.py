@@ -11,5 +11,5 @@ def sympy():
 
     X = sympy.Symbol("X")
     sympy.resultant(X**2 + sympy.Rational(1, 2), 3 * X - 1, X)
-    sympy.factor_list(sympy.Poly(X**3 + 2 * X + 1, X, modulus=7))
+    sympy.Poly(X**3 + 2 * X + 1, X, modulus=7).factor_list()
     return sympy

@@ -8,14 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from galspec.ffact import (
     ExtField,
-    FactorizationModP,
     FpField,
-    FpPoly,
     NotPIntegral,
     NotSquarefree,
     degree_sequence,
     equal_degree,
-    factor_mod_p,
     factor_poly,
     poly_divmod,
     poly_gcd,
@@ -34,15 +31,20 @@ F_PSL = (
 )
 
 
-def frobenius_gcd_degrees(f: FpPoly) -> list[int]:
+def factor_mod_p(coeffs, p: int, seed: int = 0):
+    """(unit, factors) of the integer polynomial coeffs reduced mod p."""
+    return factor_poly(FpField(p), reduce_mod_p(coeffs, p), seed=seed)
+
+
+def frobenius_gcd_degrees(f: list, p: int) -> list[int]:
     """Independent degree-multiset oracle: gcd with X^(p^d) - X for d <= deg."""
-    K = FpField(f.p)
-    rem = list(f.coeffs)
+    K = FpField(p)
+    rem = reduce_mod_p(f, p)
     seq = []
-    for d in range(1, f.degree() + 1):
+    for d in range(1, len(rem)):
         if len(rem) - 1 < d:
             break
-        h = poly_pow_mod(K, [0, 1], f.p**d, rem)
+        h = poly_pow_mod(K, [0, 1], p**d, rem)
         g = poly_gcd(K, poly_sub(K, h, [0, 1]), rem)
         if len(g) > 1:
             seq.extend([d] * ((len(g) - 1) // d))
@@ -50,58 +52,59 @@ def frobenius_gcd_degrees(f: FpPoly) -> list[int]:
     return sorted(seq)
 
 
-def product(fac: FactorizationModP) -> FpPoly:
+def product(fac, p: int) -> list:
     """unit times the product of factor^multiplicity; equals the input."""
-    K = FpField(fac.p)
-    acc = [fac.unit % fac.p]
-    for g, mult in fac.factors:
+    K = FpField(p)
+    unit, factors = fac
+    acc = [unit % p]
+    for g, mult in factors:
         for _ in range(mult):
-            acc = poly_mul(K, acc, list(g.coeffs))
-    return FpPoly(fac.p, tuple(acc))
+            acc = poly_mul(K, acc, g)
+    return acc
 
 
 class TestFactorModP:
     def test_split_quadratic(self):
-        fac = factor_mod_p(FpPoly(5, (1, 0, 1)))
-        assert [(tuple(g.coeffs), m) for g, m in fac.factors] == [
+        _unit, factors = factor_mod_p([1, 0, 1], 5)
+        assert [(tuple(g), m) for g, m in factors] == [
             ((2, 1), 1), ((3, 1), 1),
         ]
 
     def test_inert_quadratic(self):
-        fac = factor_mod_p(FpPoly(3, (1, 0, 1)))
-        assert len(fac.factors) == 1
-        assert fac.factors[0][0].degree() == 2
+        _unit, factors = factor_mod_p([1, 0, 1], 3)
+        assert len(factors) == 1
+        assert len(factors[0][0]) - 1 == 2
 
     def test_cubic_trap_resolved_by_oracle(self):
         # 3^3 = 27 = 2 mod 5, so X^3 - 2 has the root 3 and splits {1, 2}
-        f = FpPoly(5, (-2, 0, 0, 1))
-        assert frobenius_gcd_degrees(f) == [1, 2]
-        assert degree_sequence(f) == [1, 2]
-        fac = factor_mod_p(f)
-        assert [(tuple(g.coeffs), m) for g, m in fac.factors] == [
+        f = [-2, 0, 0, 1]
+        assert frobenius_gcd_degrees(f, 5) == [1, 2]
+        assert degree_sequence(f, 5) == [1, 2]
+        _unit, factors = factor_mod_p(f, 5)
+        assert [(tuple(g), m) for g, m in factors] == [
             ((2, 1), 1), ((4, 3, 1), 1),
         ]
 
     def test_flagship_at_s1_t0_p11(self):
         f = specialize(parse_poly(F_PSL), {"s": 1, "t": 0})
         fp = reduce_mod_p(x_poly_coeffs(f), 11)
-        assert tuple(fp.coeffs) == (3, 3, 0, 2, 3, 0, 9, 1)
+        assert tuple(fp) == (3, 3, 0, 2, 3, 0, 9, 1)
         # brute-force root count: no roots mod 11
-        assert [a for a in range(11) if sum(c * a**i for i, c in enumerate(fp.coeffs)) % 11 == 0] == []
-        assert frobenius_gcd_degrees(fp) == [7]
-        assert degree_sequence(fp) == [7]
+        assert [a for a in range(11) if sum(c * a**i for i, c in enumerate(fp)) % 11 == 0] == []
+        assert frobenius_gcd_degrees(fp, 11) == [7]
+        assert degree_sequence(fp, 11) == [7]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            factor_mod_p(FpPoly(7, ()))
+            factor_mod_p([], 7)
 
     def test_unit_and_multiplicity(self):
         # 3 (X-1)^2 (X^2+1) mod 7
         K = FpField(7)
         f = poly_mul(K, poly_mul(K, [3], poly_mul(K, [-1, 1], [-1, 1])), [1, 0, 1])
-        fac = factor_mod_p(FpPoly(7, tuple(f)))
-        assert fac.unit == 3
-        assert [(tuple(g.coeffs), m) for g, m in fac.factors] == [
+        unit, factors = factor_mod_p(f, 7)
+        assert unit == 3
+        assert [(tuple(g), m) for g, m in factors] == [
             ((6, 1), 2), ((1, 0, 1), 1),
         ]
 
@@ -111,10 +114,10 @@ class TestFactorModP:
     )
     @settings(max_examples=100)
     def test_product_reconstructs(self, p, coeffs):
-        f = FpPoly(p, tuple(coeffs))
+        f = reduce_mod_p(coeffs, p)
         if not f:
             return
-        assert product(factor_mod_p(f)) == f
+        assert product(factor_mod_p(f, p), p) == f
 
     @given(
         st.sampled_from([2, 3, 7, 1999]),
@@ -122,17 +125,17 @@ class TestFactorModP:
     )
     @settings(max_examples=60)
     def test_matches_sympy(self, sympy, p, coeffs):
-        f = FpPoly(p, tuple(coeffs))
-        if f.degree() < 1:
+        f = reduce_mod_p(coeffs, p)
+        if len(f) < 2:
             return
         X = sympy.Symbol("X")
-        sf = sum(int(c) * X**i for i, c in enumerate(f.coeffs))
-        sunit, sfactors = sympy.factor_list(sympy.Poly(sf, X, modulus=p))
+        sf = sum(int(c) * X**i for i, c in enumerate(f))
+        sunit, sfactors = sympy.Poly(sf, X, modulus=p).factor_list()
         expected = sorted(
             (tuple(int(c) % p for c in reversed(g.all_coeffs())), m)
             for g, m in sfactors
         )
-        ours = sorted((tuple(g.coeffs), m) for g, m in factor_mod_p(f).factors)
+        ours = sorted((tuple(g), m) for g, m in factor_mod_p(f, p)[1])
         assert ours == expected
 
     def test_seed_independent_result(self):
@@ -141,33 +144,32 @@ class TestFactorModP:
         f = [1, 0, 1]
         for a in (2, 5, 7, 11):
             f = poly_mul(K, f, [a, 1])
-        fp = FpPoly(13, tuple(f))
-        runs = [factor_mod_p(fp, seed=s) for s in (0, 1, 99)]
+        runs = [factor_mod_p(f, 13, seed=s) for s in (0, 1, 99)]
         assert runs[0] == runs[1] == runs[2]
 
 
 class TestDegreeSequence:
     def test_split_root(self):
-        assert degree_sequence(FpPoly(7, (-2, 0, 1))) == [1, 1]
+        assert degree_sequence([-2, 0, 1], 7) == [1, 1]
 
     def test_constructed(self):
         K = FpField(3)
         f = poly_mul(K, poly_mul(K, [-1, 1], [-2, 1]), [1, 0, 1])
-        assert degree_sequence(FpPoly(3, tuple(f))) == [1, 1, 2]
+        assert degree_sequence(f, 3) == [1, 1, 2]
 
     def test_not_squarefree(self):
         K = FpField(5)
         f = poly_mul(K, [-1, 1], [-1, 1])
         with pytest.raises(NotSquarefree):
-            degree_sequence(FpPoly(5, tuple(f)))
+            degree_sequence(f, 5)
 
     def test_pth_power_flagged(self):
         # X^3 - 1 = (X - 1)^3 mod 3
         with pytest.raises(NotSquarefree):
-            degree_sequence(FpPoly(3, (-1, 0, 0, 1)))
+            degree_sequence([-1, 0, 0, 1], 3)
 
     def test_constant_is_empty(self):
-        assert degree_sequence(FpPoly(5, (2,))) == []
+        assert degree_sequence([2], 5) == []
 
     @given(
         st.sampled_from([3, 5, 11]),
@@ -175,22 +177,22 @@ class TestDegreeSequence:
     )
     @settings(max_examples=80)
     def test_agrees_with_full_factorization(self, p, coeffs):
-        f = FpPoly(p, tuple(coeffs))
-        if f.degree() < 1:
+        f = reduce_mod_p(coeffs, p)
+        if len(f) < 2:
             return
-        fac = factor_mod_p(f)
-        squarefree = all(m == 1 for _, m in fac.factors)
+        _unit, factors = factor_mod_p(f, p)
+        squarefree = all(m == 1 for _, m in factors)
         if squarefree:
-            assert degree_sequence(f) == sorted(g.degree() for g, _ in fac.factors)
+            assert degree_sequence(f, p) == sorted(len(g) - 1 for g, _ in factors)
         else:
             with pytest.raises(NotSquarefree):
-                degree_sequence(f)
+                degree_sequence(f, p)
 
 
 class TestReduceModP:
     def test_fraction_coefficients(self):
         fp = reduce_mod_p([Fraction(3, 4), Fraction(1), Fraction(2)], 5)
-        assert tuple(fp.coeffs) == (2, 1, 2)
+        assert tuple(fp) == (2, 1, 2)
 
     def test_non_integral(self):
         with pytest.raises(NotPIntegral):

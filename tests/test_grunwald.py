@@ -11,7 +11,7 @@ from galspec.beckmann import (
     InertiaPrediction, bad_primes, is_bad_prime, predict_inertia, specialization,
 )
 from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
-from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p
+from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence
 from galspec.grunwald import (
     NoResidueFound,
     Ramified,
@@ -639,7 +639,7 @@ class TestReadability:
                 for p in ps:
                     tally = _tally_fibres([(coeffs, disc, p)], 1)
                     try:
-                        seq = degree_sequence(reduce_mod_p(coeffs, p))
+                        seq = degree_sequence(coeffs, p)
                     except (NotPIntegral, NotSquarefree):
                         assert not tally, (m.name, s0, t0, p)
                         continue

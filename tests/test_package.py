@@ -1,7 +1,8 @@
 """Package-wide rules: the runtime imports only the standard library and
 no concurrency machinery, binding s = s0 stays behind family and
-beckmann, census validates its fibre once per t0, not per cell, and the
-identification sampler decides readability by one discriminant residue."""
+beckmann, census validates its fibre once per t0, not per cell, the
+identification sampler decides readability by one discriminant residue,
+and split degrees mod p are read through ffact's entry points alone."""
 
 import ast
 import sys
@@ -28,6 +29,15 @@ def _function(file: str, name: str):
         if isinstance(node, ast.FunctionDef) and node.name == name
     ]
     return func
+
+
+def _callers(name: str) -> set:
+    """Files of galspec that call a function or method called name."""
+    return {
+        src.name
+        for src in resources.files("galspec").iterdir()
+        if src.name.endswith(".py") and name in _called(ast.parse(src.read_text(), src.name))
+    }
 
 
 def _absolute_imports():
@@ -101,14 +111,12 @@ def test_sampler_reads_fibres_without_a_squarefree_gcd():
     assert "degree_sequence" not in _called(_function("grunwald.py", "_tally_fibres"))
 
 
+def test_distinct_degree_stays_in_ffact():
+    # split_degrees and degree_sequence are the one reading of a split mod p
+    assert _callers("distinct_degree") <= {"ffact.py"}
+
+
 def test_subgroup_lattice_scan_stays_in_permgrp():
     # the full lattice scan takes seconds at order 168; identification
     # certifies by invariable generation instead
-    callers = [
-        src.name
-        for src in resources.files("galspec").iterdir()
-        if src.name.endswith(".py")
-        and src.name != "permgrp.py"
-        and "_subgroup_classes" in _called(ast.parse(src.read_text(), src.name))
-    ]
-    assert callers == []
+    assert _callers("_subgroup_classes") <= {"permgrp.py"}
