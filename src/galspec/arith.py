@@ -153,18 +153,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p: 1, -1, or 0."""
-    _check_prime(p)
-    if p == 2:
-        raise ValueError("Legendre symbol needs an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def _pollard_rho(n: int) -> int:
     # Brent's cycle-finding variant; n odd, composite, not a prime power issue
     # for callers since they recurse on the returned factor.

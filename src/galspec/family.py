@@ -37,7 +37,6 @@ from .poly import (
     content_in_coeffs,
     discriminant_in,
     format_poly,
-    gcd_field,
     integer_normalize,
     lower_hull_vertices,
     parse_poly,
@@ -184,24 +183,24 @@ def _symbolic_locus(f: UniPoly, disc: UniPoly, declared: list) -> tuple:
     t-discriminant disc = disc_X(f).
 
     The rational points are the declared finite locations (polynomials in s)
-    followed by the parameter-independent roots t = c that a scan of sample
-    s values finds and no declaration names.  The locus reports the scanned
-    constants as its points; its residual is the squarefree part with every
-    rational point divided out, so it is exactly the non-rational locus.
+    followed by the parameter-independent roots t = c that no declaration
+    names.  Those are exact: t - c divides the squarefree part for every s
+    iff it divides each s^k-coefficient, so they are the rational roots of
+    the gcd of those coefficients.  The locus reports the constants as its
+    points; its residual is the squarefree part with every rational point
+    divided out, so it is exactly the non-rational locus.
     """
     srf = squarefree_part(disc)
     constants = []
     if srf.degree() >= 1:
-        candidates = None
-        for sigma in (1, 2, 3, 5, 7):
-            bound = _bind_s(srf, Fraction(sigma))
-            if not bound or bound.degree() < 1:
-                continue
-            roots = {r for r, _ in rational_roots(bound)}
-            candidates = roots if candidates is None else candidates & roots
-            if not candidates:
-                break
-        constants = [c for c in sorted(candidates or ()) if not srf.evaluate(Fraction(c))]
+        # srf transposed into Q[t][s]: its content is the gcd over k
+        s_degree = max(c.degree() for c in srf.coeffs)
+        by_s = [
+            UniPoly([c.coeff(k) for c in srf.coeffs], "t") for k in range(s_degree + 1)
+        ]
+        common = content_in_coeffs(UniPoly(by_s, "s"))
+        if common.degree() >= 1:
+            constants = [c for c, _ in rational_roots(common)]
 
     rational = list(declared)
     for c in constants:
@@ -504,7 +503,7 @@ def inertia_order_probe(manifest: FamilyManifest, i: int, s0) -> ProbeResult:
             c = tcoeffs[x0 + r * den]
             rescoeffs.append(c.coeff(y0 + r * num) if c else Fraction(0))
         residual = UniPoly(rescoeffs, "X")
-        if residual.degree() >= 2 and gcd_field(residual, residual.derivative()).degree() > 0:
+        if residual.degree() >= 2 and not discriminant_in(residual, "X"):
             raise ProbeAmbiguous(
                 f"repeated residual roots on the face of slope {-slope} at "
                 f"t = {'infinity' if bp.is_infinite else format_poly(m)}, s0 = {s0}"

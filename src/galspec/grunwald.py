@@ -29,7 +29,7 @@ from .beckmann import (
     bad_primes, bad_s_residues, global_exceptional, is_bad_prime, predict_any, specialization,
 )
 from .family import FamilyManifest, infinity_chart, nondegenerate_check
-from .ffact import NotPIntegral, NotSquarefree, degree_sequence, reduce_mod_p, split_degrees
+from .ffact import NotPIntegral, NotSquarefree, degree_sequence, split_degrees
 from .padic import WildPrime, _shape, padic_shape
 from .permgrp import (
     CycleType, ef_multiset, fingerprint, generate, invariably_generates, power_cycle_type,
@@ -40,6 +40,8 @@ AUX_PRIME_BOUND = 5000
 IDENTIFY_PRIME_BOUND = 2000
 IDENTIFY_T_GRID = 10_000
 IDENTIFY_REL_TOL = 0.5
+# progression members tried before a search for s0 or t0 gives up
+SEARCH_LIMIT = 10_000
 
 
 class SkipResidue(Exception):
@@ -214,13 +216,12 @@ def frobenius_in_residue_field(rho: UniPoly, s0, p: int) -> tuple:
     """Factor degrees of rho(s0, X) mod p, sorted ascending.
 
     All degrees equal d exactly when the residue Frobenius has order d.
-    Raises SkipResidue when the reduction is unreadable: p in a
-    denominator, a degree drop, or a repeated factor mod p.
+    rho is monic in X, so its degree never drops mod p.  Raises SkipResidue
+    when the reduction is unreadable: p in a denominator or a repeated
+    factor mod p.
     """
     coeffs = x_poly_coeffs(specialize(rho, {"s": Fraction(s0)}))
     try:
-        if len(reduce_mod_p(coeffs, p)) != len(coeffs):
-            raise SkipResidue(f"residue polynomial degenerates mod {p}")
         return tuple(degree_sequence(coeffs, p))
     except (NotPIntegral, NotSquarefree) as exc:
         raise SkipResidue(str(exc)) from None
@@ -229,7 +230,7 @@ def frobenius_in_residue_field(rho: UniPoly, s0, p: int) -> tuple:
 # -- the s-line search ---------------------------------------------------------
 
 
-def search_s0(manifest: FamilyManifest, conditions, *, limit: int = 10_000):
+def search_s0(manifest: FamilyManifest, conditions):
     """Congruence on s realizing every prescribed residue Frobenius, plus
     the least nondegenerate witness.
 
@@ -251,7 +252,7 @@ def search_s0(manifest: FamilyManifest, conditions, *, limit: int = 10_000):
     if manifest.group is not None:
         exceptional = global_exceptional(manifest)
         avoid = sorted({c.p for c in conditions} - exceptional)
-    for k in range(limit):
+    for k in range(SEARCH_LIMIT):
         s0 = progression.residue + k * progression.modulus
         if not nondegenerate_check(manifest, s0):
             continue
@@ -306,7 +307,7 @@ class TProgression:
         return Fraction(w)
 
 
-def search_t0(manifest: FamilyManifest, s0, conditions, *, limit: int = 10_000):
+def search_t0(manifest: FamilyManifest, s0, conditions):
     """Progression of t-values realizing every condition at s = s0, plus
     the least witness with a squarefree fiber."""
     validate_conditions(manifest, conditions)
@@ -326,7 +327,7 @@ def search_t0(manifest: FamilyManifest, s0, conditions, *, limit: int = 10_000):
             congruences.append(_split_congruence(manifest, s0, cond, chart))
     merged = crt(congruences) if congruences else Congruence(0, 1)
     prescription = TProgression(chart, merged, tuple(valuations))
-    return prescription, _t0_witness(spec, prescription, limit)
+    return prescription, _t0_witness(spec, prescription)
 
 
 def _approach_congruence(spec, cond, chart) -> Congruence:
@@ -382,13 +383,12 @@ def _split_congruence(manifest, s0, cond, chart) -> Congruence:
     raise TargetNotFound(f"no residue class mod {q} splits with type {cond.target}")
 
 
-def _t0_witness(spec, prescription, limit) -> Fraction:
-    cong = prescription.congruence
-    for k in range(limit):
-        w = cong.residue + k * cong.modulus
-        if prescription.chart == "u" and w == 0:
-            continue
-        t0 = Fraction(1, w) if prescription.chart == "u" else Fraction(w)
+def _t0_witness(spec, prescription) -> Fraction:
+    for k in range(SEARCH_LIMIT):
+        try:
+            t0 = prescription.member(k)
+        except ValueError:
+            continue  # u = 0 is the branch point at infinity itself
         if spec.disc.evaluate(t0) == 0:
             continue  # exactly on a branch point
         return t0
@@ -752,7 +752,6 @@ def run_search(
     *,
     n_id: int = 300,
     seed: int = 0,
-    limit: int = 10_000,
 ) -> SpecializationReport:
     """Find (s0, t0) realizing the conditions, then verify the find.
 
@@ -761,7 +760,7 @@ def run_search(
     record per condition, and the identification summary.
     """
     conditions = tuple(conditions)
-    s_progression, s0 = search_s0(manifest, conditions, limit=limit)
-    t_prescription, t0 = search_t0(manifest, s0, conditions, limit=limit)
+    s_progression, s0 = search_s0(manifest, conditions)
+    t_prescription, t0 = search_t0(manifest, s0, conditions)
     base = verify(manifest, s0, t0, conditions, n_id=n_id, seed=seed)
     return replace(base, s0_progression=s_progression, t0_progression=t_prescription)

@@ -82,6 +82,14 @@ def _expansion(g: UniPoly, phi: UniPoly) -> list:
 class _Stage:
     """Shared augmentation machinery; subclasses fix value/reduction."""
 
+    def _solve_slope(self, rel: Fraction) -> None:
+        """n/d = rel in lowest terms, and a*n + b*d = 1 with 0 <= a < d."""
+        self.n = rel.numerator
+        self.d = rel.denominator
+        self.a = 0 if self.d == 1 else pow(self.n % self.d, -1, self.d)
+        self.b = (1 - self.a * self.n) // self.d
+        assert self.a * self.n + self.b * self.d == 1
+
     def lift_key(self, u: list) -> UniPoly:
         """Monic polynomial whose residual class at this stage is u."""
         F = len(u) - 1
@@ -137,11 +145,7 @@ class _StageZero(_Stage):
     def __init__(self, p: int, lam: Fraction, var: str):
         self.p = p
         self.lam = Fraction(lam)
-        self.n = self.lam.numerator
-        self.d = self.lam.denominator
-        self.a = 0 if self.d == 1 else pow(self.n % self.d, -1, self.d)
-        self.b = (1 - self.a * self.n) // self.d
-        assert self.a * self.n + self.b * self.d == 1
+        self._solve_slope(self.lam)
         self.D = self.d
         self.F = 1
         self.field = FpField(p)
@@ -199,12 +203,7 @@ class _Augmented(_Stage):
         self.p = prev.p
         self.phi = phi
         self.mu = Fraction(mu)
-        rel = self.mu * prev.D
-        self.n = rel.numerator
-        self.d = rel.denominator
-        self.a = 0 if self.d == 1 else pow(self.n % self.d, -1, self.d)
-        self.b = (1 - self.a * self.n) // self.d
-        assert self.a * self.n + self.b * self.d == 1
+        self._solve_slope(self.mu * prev.D)
         self.D = self.d * prev.D
         self.F = prev.F * (len(u) - 1)
         # a linear residual factor fixes the class of Y in the same field;

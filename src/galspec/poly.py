@@ -10,10 +10,11 @@ represented with X outermost, then t, then s, and that fixed nesting order
 is what the parser produces (``TriPoly`` is an alias documenting the
 convention).
 
-On top of the ring arithmetic this module provides subresultant-PRS
-resultants and discriminants, rational root extraction, coefficient-valuation
-Newton polygons, and the text parser for the manifest polynomial syntax
-(`+ - * ^`, implicit multiplication, variables s, t, X).
+On top of the ring arithmetic this module provides the subresultant PRS,
+which serves resultants, discriminants and the one gcd in the outer
+variable (over Q and over Q[s] alike), rational root extraction,
+coefficient-valuation Newton polygons, and the text parser for the manifest
+polynomial syntax (`+ - * ^`, implicit multiplication, variables s, t, X).
 """
 
 from __future__ import annotations
@@ -702,23 +703,13 @@ def _divisors(n: int) -> list[int]:
 # -- gcd machinery -----------------------------------------------------------
 
 
-def gcd_field(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over rational coefficients."""
-    a, b = f, g
-    while b:
-        a, b = b, a % b
-    if not a:
-        return a
-    return a.monic()
-
-
 def content_in_coeffs(f: UniPoly) -> UniPoly:
     """gcd of the (polynomial) coefficients of f; monic."""
     acc = None
     for c in f.coeffs:
         if not c:
             continue
-        acc = c if acc is None else gcd_field(acc, c)
+        acc = c if acc is None else gcd_over_poly_coeffs(acc, c)
         if acc.degree() == 0:
             break
     if acc is None:
@@ -727,6 +718,10 @@ def content_in_coeffs(f: UniPoly) -> UniPoly:
 
 
 def primitive_part(f: UniPoly) -> UniPoly:
+    """f over its monic content; over Q, where every nonzero constant is a
+    unit, f itself."""
+    if not isinstance(f.lc(), UniPoly):
+        return f
     cont = content_in_coeffs(f)
     if cont == 1:
         return f
@@ -734,38 +729,29 @@ def primitive_part(f: UniPoly) -> UniPoly:
 
 
 def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Primitive gcd in the outer variable over Q[s] coefficients, by the
-    subresultant PRS."""
-    if not f:
-        return primitive_part(g) if g else g
-    if not g:
-        return primitive_part(f)
-    a, b = f, g
-    if a.degree() < b.degree():
-        a, b = b, a
+    """gcd in the outer variable by the subresultant PRS, the one gcd over Q
+    and Q[s]: monic over rational leaves; over Q[s] coefficients primitive,
+    and monic whenever its leading coefficient is constant in s."""
+    a, b = (f, g) if f.degree() >= g.degree() else (g, f)
+    if not a:
+        return a
     for a, b, _ in _prs(a, b):
         pass
     if b:
         return UniPoly([_one_like(a._zero_scalar())], a.var)
     out = primitive_part(a)
     lead = out.lc()
-    if isinstance(lead, UniPoly) and lead.degree() == 0:
-        out = UniPoly([_exact_div(c, lead) for c in out.coeffs], out.var)
-    return out
+    return out if isinstance(lead, UniPoly) and lead.degree() > 0 else out.monic()
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
-    """f divided by gcd(f, f'); works over Q or Q[s] coefficients,
-    and over Q[s] the result is always primitive."""
-    over_s = any(isinstance(c, UniPoly) for c in f.coeffs)
-    base = primitive_part(f) if over_s else f
+    """f divided by gcd(f, f'), over Q or Q[s] coefficients; over Q[s] the
+    result is always primitive."""
+    base = primitive_part(f)
     if f.degree() < 2:
         return base
-    if over_s:
-        g = gcd_over_poly_coeffs(f, f.derivative())
-        return base if g.degree() == 0 else primitive_part(base.exact_div(g))
-    g = gcd_field(f, f.derivative())
-    return f if g.degree() == 0 else f.exact_div(g)
+    g = gcd_over_poly_coeffs(f, f.derivative())
+    return base if g.degree() == 0 else primitive_part(base.exact_div(g))
 
 
 # -- Newton polygons ---------------------------------------------------------

@@ -373,6 +373,20 @@ class TestPredictAny:
         with pytest.raises(ValueError, match="declares no branch points"):
             predict_any(m, 1, 1, 7)
 
+    def test_t0_on_the_residual_locus_refused(self):
+        # X^2 - t(t^2 - s) at s0 = 4: t0 = 2 is a root of the residual t^2 - 4
+        m = load_manifest({
+            "name": "cubic",
+            "poly": "X^2 - t*(t^2 - s)",
+            "group_generators": ["(1 2)"],
+            "branch_points": [{
+                "location": "0", "e": 2, "inertia_generator": "(1 2)",
+                "decomposition_generators": ["(1 2)"],
+            }],
+        })
+        with pytest.raises(ValueError, match="t0 = 2 is an undeclared branch point"):
+            predict_any(m, 4, 2, 5)
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError, match="no branch point with index 2"):
             predict_inertia(builtin_manifest("x2mt"), 2, 0, 12, 3)

@@ -6,7 +6,7 @@ import pytest
 
 import dataclasses
 
-from galspec.arith import Congruence, legendre, primes_up_to
+from galspec.arith import Congruence, primes_up_to
 from galspec.beckmann import (
     InertiaPrediction, bad_primes, is_bad_prime, predict_inertia, specialization,
 )
@@ -34,6 +34,7 @@ from galspec.grunwald import (
 from galspec.padic import _shape, padic_shape
 from galspec.permgrp import CycleType, ef_multiset, generate, parse_perm, power_cycle_type
 from galspec.poly import discriminant_in, parse_poly, specialize, x_poly_coeffs
+from test_arith import legendre
 from test_beckmann import twobranch_manifest
 
 
@@ -190,9 +191,9 @@ class TestFrobeniusInResidueField:
         assert frobenius_in_residue_field(self.rho(), 1, 7) == (1, 1)
 
     def test_branch_of_rho_skipped(self):
-        with pytest.raises(SkipResidue):
+        with pytest.raises(SkipResidue, match="repeated factor"):
             frobenius_in_residue_field(self.rho(), 0, 7)
-        with pytest.raises(SkipResidue):
+        with pytest.raises(SkipResidue, match="repeated factor"):
             frobenius_in_residue_field(self.rho(), 4, 7)
 
     def test_other_prime(self):
@@ -200,7 +201,7 @@ class TestFrobeniusInResidueField:
         assert frobenius_in_residue_field(self.rho(), 3, 11) == (2,)
 
     def test_nonintegral_s0_skipped(self):
-        with pytest.raises(SkipResidue):
+        with pytest.raises(SkipResidue, match="not p-integral"):
             frobenius_in_residue_field(self.rho(), Fraction(1, 7), 7)
 
 
@@ -292,6 +293,22 @@ class TestSearchT0:
             prescription, _ = search_t0(m, 1, [Ramified(p, branch, 1)])
             assert prescription.chart == chart
 
+    def test_finite_point_meeting_infinity_on_the_u_chart(self):
+        # X^2 - (7t - 1): the branch point t = 1/7 is u = 7, which meets the
+        # target u = 0 mod 7
+        point = {"e": 2, "inertia_generator": "(1 2)", "decomposition_generators": ["(1 2)"]}
+        m = load_manifest({
+            "name": "seventh",
+            "poly": "X^2 - 7*t + 1",
+            "group_generators": ["(1 2)"],
+            "branch_points": [{"location": "1/7", **point}, {"location": "inf", **point}],
+        })
+        with pytest.raises(TargetNotFound, match="branch point 0 meets the target"):
+            search_t0(m, 0, [Ramified(7, 1, 1)])
+        prescription, witness = search_t0(m, 0, [Ramified(5, 1, 1)])
+        assert prescription.chart == "u"
+        assert witness == Fraction(1, 5)
+
     def test_member_enumeration(self):
         m = builtin_manifest("psl32")
         prescription, witness = search_t0(m, 2, [Ramified(7, 0, 1, 2)])
@@ -338,6 +355,24 @@ class TestVerify:
         assert not record.passed
         assert record.observed == (2,)
         assert not report.passed
+
+    def test_unreadable_fibres_are_failing_records(self):
+        x2mt = builtin_manifest("x2mt")
+        # X^2 - 7 is X^2 mod 7: no splitting type to read
+        (record,) = verify(x2mt, 0, 7, [Unramified(7, CycleType((1, 1)))], n_id=0).records
+        assert (record.mode, record.observed, record.passed) == (
+            "unramified", "repeated factor mod 7", False,
+        )
+        # at t0 = 0 the fibre X^2 is not squarefree, so there is no p-adic shape
+        (record,) = verify(x2mt, 0, 0, [Ramified(7, 0, 1)], n_id=0).records
+        assert (record.mode, record.predicted, record.passed) == ("full", (), False)
+        assert record.observed.startswith("repeated factor over Q")
+        # the shape is read, but s0 = 11 = 4 mod 7 is a branch point of rho
+        psl32 = builtin_manifest("psl32")
+        (record,) = verify(psl32, 11, Fraction(1, 7), [Ramified(7, 0, 1, 2)], n_id=0).records
+        assert (record.mode, record.predicted, record.observed, record.passed) == (
+            "full", (), "repeated factor mod 7", False,
+        )
 
     def test_frobenius_drift_detected(self):
         # s0 = 1 realizes the trivial residue Frobenius at 7, so an x = 2

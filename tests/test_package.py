@@ -96,14 +96,14 @@ def test_census_calls_no_public_padic_shape():
 
 
 def test_padic_imports_no_gcd_field():
-    # squarefreeness over Q is disc(f) != 0; a gcd would be a second route
+    # squarefreeness over Q is disc(f) != 0; poly's gcd would be a second route
     imported = {
         alias.name
         for node in ast.walk(_tree("padic.py"))
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert "gcd_field" not in imported
+    assert "gcd_over_poly_coeffs" not in imported
 
 
 def test_sampler_reads_fibres_without_a_squarefree_gcd():

@@ -14,7 +14,6 @@ from galspec.poly import (
     discriminant_in,
     format_poly,
     fraction_poly,
-    gcd_field,
     gcd_over_poly_coeffs,
     integer_normalize,
     newton_polygon,
@@ -415,7 +414,26 @@ class TestGcdTower:
         f = qpoly(0, 0, 1) * qpoly(-1, 1)  # X^2 (X-1)
         assert squarefree_part(f) == qpoly(0, 1) * qpoly(-1, 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        qpolys(2, nonzero=True), qpolys(3, nonzero=True), qpolys(3, nonzero=True),
+        st.integers(1, 3),
+    )
+    def test_gcd_over_q_matches_sympy(self, sympy, c, a, b, k):
+        # c is a planted common factor of f and g, and c^k a repeated one of f
+        f, g = a * c**k, b * c
+        X = sympy.Symbol("X")
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(x) for x in reversed(p.coeffs)], X, domain="QQ")
+
+        def back(p):
+            return fraction_poly([Fraction(str(x)) for x in reversed(p.all_coeffs())])
+
+        assert gcd_over_poly_coeffs(f, g) == back(sympy.gcd(to_sympy(f), to_sympy(g)))
+        assert squarefree_part(f).monic() == back(sympy.sqf_part(to_sympy(f)))
+
     def test_gcd_field_monic(self):
         f = qpoly(-1, 0, 1) * qpoly(5, 1)
         g = qpoly(-1, 0, 1) * qpoly(7, 1)
-        assert gcd_field(f, g) == qpoly(-1, 0, 1)
+        assert gcd_over_poly_coeffs(f, g) == qpoly(-1, 0, 1)
