@@ -5,18 +5,24 @@ that work over any such field, on one representation: plain coefficient
 lists, lowest degree first, trailing zeros trimmed.  Extension fields nest,
 so towers F_p ⊂ k_1 ⊂ k_2 ⊂ … built one augmentation at a time are
 supported directly; factor_poly factors completely over any of them.  The
-rest of the package enters mod p through three functions: reduce_mod_p
+rest of the package enters mod p through four functions: reduce_mod_p
 reduces rational coefficients, split_degrees reads the factor degrees of an
-f known to be squarefree mod p, and degree_sequence checks squarefreeness
-first.
+f known to be squarefree mod p, degree_sequence checks squarefreeness
+first, and roots_mod_p returns the roots of any f nonzero mod p.
 
 Distinct-degree splitting applies the q-power map as one linear map, the
 Frobenius matrix of von zur Gathen and Shoup, rather than exponentiating
-afresh at every degree.  Equal-degree splitting is randomized
-(Cantor-Zassenhaus, with the trace construction in characteristic 2) but
-seeded, and factor lists are sorted canonically, so every public result is
-deterministic.  Over F_p the multiply, divide, gcd and power helpers work on
-plain ints and reduce each coefficient mod p once per operation.
+afresh at every degree.  It takes x^q itself at degree 1 and builds the
+remaining rows only if a degree-2 step is needed, and it stops as soon as
+the cofactor is too small to hold two factors.  Equal-degree splitting is
+randomized (Cantor-Zassenhaus, with the trace construction in
+characteristic 2) but seeded, and factor lists are sorted canonically, so
+every public result is deterministic.
+
+Over F_p the multiply, divide, gcd and power helpers work on plain ints and
+reduce each coefficient mod p once per operation.  Powers square with each
+cross product taken once and doubled, and the gcd runs Euclid on the int
+lists directly, with one modular inverse and one division per step.
 """
 
 from __future__ import annotations
@@ -259,7 +265,7 @@ def poly_divmod(K, a: list, b: list) -> tuple[list, list]:
     inv_lc = K.inv(b[-1])
     if isinstance(K, FpField):
         quot, rem = _fp_divmod(K.p, list(a), b, inv_lc)
-        return poly_trim(quot), poly_trim(rem)
+        return poly_trim(quot), rem
     rem = list(a)
     quot = [K.zero()] * (len(a) - len(b) + 1)
     for k in range(len(quot) - 1, -1, -1):
@@ -285,6 +291,10 @@ def poly_monic(K, a: list) -> list:
 
 
 def poly_gcd(K, a: list, b: list) -> list:
+    if isinstance(K, FpField):
+        p = K.p
+        while b:
+            a, b = b, _fp_divmod(p, list(a), b, pow(b[-1], -1, p))[1]
     while b:
         a, b = b, poly_mod(K, a, b)
     return poly_monic(K, a)
@@ -323,7 +333,8 @@ def poly_pow_mod(K, base: list, n: int, mod: list) -> list:
         p, inv_lc = K.p, K.inv(mod[-1])
 
         def mul(a, b):
-            return poly_trim(_fp_divmod(p, _fp_mul(a, b), mod, inv_lc)[1])
+            prod = _fp_sqr(a) if a is b else _fp_mul(a, b)
+            return _fp_divmod(p, prod, mod, inv_lc)[1]
 
     else:
 
@@ -350,22 +361,38 @@ def _fp_mul(a: list, b: list) -> list:
     return out
 
 
+def _fp_sqr(a: list) -> list:
+    # a*a over Z, unreduced: each cross product once, doubled
+    out = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x2 = 2 * x
+            for j, y in enumerate(a[i + 1 :], 2 * i + 1):
+                out[j] += x2 * y
+    return out
+
+
 def _fp_divmod(p: int, a: list, b: list, inv_lc: int) -> tuple[list, list]:
-    """Quotient and remainder of a by b over F_p, both untrimmed.
+    """Quotient (untrimmed) and remainder (reduced, trimmed) of a by b over F_p.
 
     a is an int list, consumed as the work space, and need not be reduced:
     an entry is reduced only when read as a leading term, so each product
     is added over Z and the % p is taken once per coefficient.
     """
     n = len(b) - 1
+    low = b[:n]
     quot = [0] * (len(a) - n)
     for k in range(len(quot) - 1, -1, -1):
         q = a[k + n] * inv_lc % p
         if q:
             quot[k] = q
-            for j, c in enumerate(b, k):
+            for j, c in enumerate(low, k):
                 a[j] -= q * c
-    return quot, [c % p for c in a[:n]]
+    rem = [c % p for c in a[:n]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
 
 
 def poly_key(a: list):
@@ -433,19 +460,26 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
     Frobenius matrix of rows x^(q*i) mod f (von zur Gathen and Shoup,
     1992); each further x^(q^d) mod f is one matrix application instead of
     a fresh exponentiation.  Gcds are taken against the cofactor left after
-    removing the factors found so far, which divides f.
+    removing the factors found so far, which divides f; the matrix is built
+    mod the cofactor left after degree 1, and only when degree 2 is reached.
     """
     out = []
-    n = len(f) - 1
     x = [K.zero(), K.one()]
-    rows = [[K.one()], poly_pow_mod(K, x, K.size, f)]
-    for _ in range(2, n):
-        rows.append(poly_mod(K, poly_mul(K, rows[-1], rows[1]), f))
-    h = x
     d = 0
-    while len(f) - 1 > 2 * d:
+    # every factor of the cofactor has degree > d, so one of degree < 2(d+1)
+    # is irreducible
+    while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _frobenius(K, h, rows)
+        if d == 1:
+            h = poly_pow_mod(K, x, K.size, f)
+        else:
+            if d == 2:
+                # the matrix is built mod the cofactor, only once it is needed
+                h = poly_mod(K, h, f)
+                rows = [[K.one()], h]
+                for _ in range(2, len(f) - 1):
+                    rows.append(poly_mod(K, poly_mul(K, rows[-1], h), f))
+            h = _frobenius(K, h, rows)
         g = poly_gcd(K, poly_sub(K, h, x), f)
         if len(g) > 1:
             out.append((g, d))
@@ -554,6 +588,24 @@ def split_degrees(coeffs, p: int) -> list[int]:
     """
     split = distinct_degree(FpField(p), reduce_mod_p(coeffs, p))
     return [d for prod, d in split for _ in range((len(prod) - 1) // d)]
+
+
+def roots_mod_p(coeffs, p: int) -> list[int]:
+    """Ascending roots in [0, p) of f mod p, for any f nonzero mod p.
+
+    gcd(x^p - x, f) is the product of the distinct linear factors of f, and
+    equal-degree splitting at degree 1 separates them.  Raises ValueError
+    when f vanishes mod p.
+    """
+    f = reduce_mod_p(coeffs, p)
+    if not f:
+        raise ValueError("zero polynomial")
+    K = FpField(p)
+    x = [0, 1]
+    linear = poly_gcd(K, poly_sub(K, poly_pow_mod(K, x, p, f), x), f)
+    if len(linear) < 2:
+        return []
+    return sorted(-g[0] % p for g in equal_degree(K, linear, 1, random.Random(0)))
 
 
 def degree_sequence(coeffs, p: int) -> list[int]:

@@ -12,18 +12,20 @@ convention).
 
 On top of the ring arithmetic this module provides the subresultant PRS,
 which serves resultants, discriminants and the one gcd in the outer
-variable (over Q and over Q[s] alike), rational root extraction,
+variable (over Q and over Q[s] alike), rational roots by p-adic lifting,
 coefficient-valuation Newton polygons, and the text parser for the manifest
 polynomial syntax (`+ - * ^`, implicit multiplication, variables s, t, X).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, factorint, rational
+from .arith import INFINITY, is_prime, rational
+from .ffact import FpField, poly_deriv, poly_gcd, reduce_mod_p, roots_mod_p
 
 
 def _coerce(c):
@@ -657,8 +659,15 @@ def integer_normalize(f: UniPoly) -> tuple[Fraction, list[int]]:
 def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, sorted; rational coefficients.
 
-    Uses the rational root theorem on the primitive integer form, with the
-    divisor sets of the outer coefficients obtained by exact factorization.
+    By p-adic expansion (Loos, 1983), so no integer is factored.  Let g be
+    the squarefree part of the primitive integer form, with the root 0
+    removed.  A root a/b of g in lowest terms has |a| <= |g(0)| and
+    0 < b <= lc(g).  At the least prime p ∤ lc(g) with g squarefree mod p,
+    every root mod p is simple, so Newton's iteration lifts it to a root mod
+    p^k > 2 |g(0)| lc(g).  Rational reconstruction (Wang, Guy and Davenport,
+    1982) then yields the only a/b within those bounds congruent to that
+    root, if there is one.  Each candidate is confirmed exactly and divided
+    out of f for its multiplicity.
     """
     if not f:
         raise ValueError("zero polynomial has every root")
@@ -670,17 +679,10 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
     if ord0:
         roots.append((Fraction(0), ord0))
         prim = prim[ord0:]
-    if len(prim) > 1:
-        candidates = set()
-        for d in _divisors(abs(prim[0])):
-            for q in _divisors(abs(prim[-1])):
-                if math.gcd(d, q) == 1:
-                    candidates.add(Fraction(d, q))
-                    candidates.add(Fraction(-d, q))
-        work = UniPoly(prim, f.var)
-        for r in sorted(candidates):
-            if work.degree() < 1:
-                break
+    work = UniPoly(prim, f.var)
+    if work.degree() >= 1:
+        g = UniPoly(integer_normalize(squarefree_part(work))[1], f.var)
+        for r in _lifted_candidates(g):
             mult = 0
             lin = UniPoly([-r, 1], f.var)
             while work.evaluate(r) == 0:
@@ -691,13 +693,32 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
     return sorted(roots)
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        raise ValueError("zero has no divisor list")
-    divs = [1]
-    for p, e in factorint(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _lifted_candidates(g: UniPoly) -> list[Fraction]:
+    """The a/b that the roots of g mod p lift to (see rational_roots); g is
+    integral, squarefree, of degree >= 1, with g(0) != 0 and lc > 0."""
+    num, den = abs(g.coeffs[0]), g.lc()
+    p = next(q for q in itertools.count(2) if is_prime(q) and den % q and _squarefree_mod(g, q))
+    dg = g.derivative()
+    out = []
+    for r in roots_mod_p(g.coeffs, p):
+        m = p
+        while m <= 2 * num * den:
+            m *= m
+            r = (r - g.evaluate(r) * pow(dg.evaluate(r), -1, m)) % m
+        # extended Euclid on (m, r), stopped at the first remainder <= num
+        r0, r1, s0, s1 = m, r, 0, 1
+        while r1 > num:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) <= den:
+            out.append(Fraction(r1, s1))
+    return out
+
+
+def _squarefree_mod(g: UniPoly, p: int) -> bool:
+    K = FpField(p)
+    gp = reduce_mod_p(g.coeffs, p)
+    return len(poly_gcd(K, gp, poly_deriv(K, gp))) == 1
 
 
 # -- gcd machinery -----------------------------------------------------------

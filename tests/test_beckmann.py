@@ -22,6 +22,7 @@ from galspec.beckmann import (
     specialization,
 )
 from galspec.family import builtin_manifest, load_manifest
+from galspec.ffact import FpField, factor_poly, reduce_mod_p
 from galspec.padic import padic_shape
 from galspec.poly import UniPoly, constant_value, parse_poly, specialize
 
@@ -267,6 +268,21 @@ class TestBadSResidues:
         for p in (2, 3, 7):
             with pytest.raises(ValueError, match="exceptional"):
                 bad_s_residues(m, p)
+
+    @pytest.mark.parametrize("name", ["psl32", "x2mt", "x3mt"])
+    def test_matches_full_factorization(self, name):
+        # the residues are the roots of the linear factors of each guard mod p
+        m = builtin_manifest(name)
+        for p in primes_up_to(200):
+            if p in global_exceptional(m):
+                continue
+            K = FpField(p)
+            expected = set()
+            for _, g in m.s_guards:
+                coeffs = [g.coeff(i) for i in range(g.degree() + 1)]
+                _unit, factors = factor_poly(K, reduce_mod_p(coeffs, p))
+                expected.update(-h[0] % p for h, _ in factors if len(h) == 2)
+            assert bad_s_residues(m, p) == frozenset(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.integers(min_value=3, max_value=300).filter(is_prime))

@@ -1,8 +1,13 @@
 """Command-line behavior: exit codes, JSON/CSV payloads, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import galspec
 from galspec.cli import main
 
 
@@ -86,6 +91,18 @@ class TestBranch:
         assert payload["declared"][0]["location"] == "inf"
         assert payload["declared"][0]["inertia_class"] == "2^2.1^3"
         assert payload["declared"][0]["decomposition_order"] == 4
+
+    def test_large_s0_finishes(self):
+        # the residual's constant term has 79 digits here; rational roots
+        # come by p-adic lifting, so none of it is factored
+        env = dict(os.environ, PYTHONPATH=str(Path(galspec.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "galspec", "branch", "--manifest", "psl32", "--s0", "1000003"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 0
+        payload = json.loads(done.stdout)
+        assert payload["points"] == [] and payload["residual_degree"] == 5
 
     def test_symbolic_locus(self, capsys):
         code, payload = run(capsys, "branch", "--manifest", "x3mt")

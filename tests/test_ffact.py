@@ -6,6 +6,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from galspec import ffact
 from galspec.ffact import (
     ExtField,
     FpField,
@@ -20,6 +21,8 @@ from galspec.ffact import (
     poly_pow_mod,
     poly_sub,
     reduce_mod_p,
+    roots_mod_p,
+    split_degrees,
     squarefree_decomposition,
 )
 from galspec.poly import parse_poly, specialize, x_poly_coeffs
@@ -187,6 +190,60 @@ class TestDegreeSequence:
         else:
             with pytest.raises(NotSquarefree):
                 degree_sequence(f, p)
+
+
+class TestSplitDegrees:
+    @given(
+        st.sampled_from([2, 3, 5, 97, 1999]),
+        st.lists(st.integers(0, 1998), min_size=1, max_size=10),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_sympy(self, sympy, p, low):
+        # monic of degree 1-10; squaring's doubled cross terms must stay exact
+        f = reduce_mod_p(low + [1], p)
+        X = sympy.Symbol("X")
+        sf = sympy.Poly(sum(int(c) * X**i for i, c in enumerate(f)), X, modulus=p)
+        if sympy.degree(sympy.gcd(sf, sf.diff(X))) > 0:
+            return
+        _unit, factors = sf.factor_list()
+        assert split_degrees(f, p) == sorted(g.degree() for g, _ in factors)
+
+    def test_irreducible_cubic_needs_no_frobenius_step(self, monkeypatch):
+        # a cofactor of degree < 2(d + 1) is irreducible once degree d is done,
+        # so x^p mod f alone settles a cubic
+        calls = []
+        original = ffact._frobenius
+        monkeypatch.setattr(
+            ffact, "_frobenius", lambda *args: calls.append(args) or original(*args)
+        )
+        assert split_degrees([-2, 0, 0, 1], 7) == [3]  # 2 is no cube mod 7
+        assert calls == []
+        assert split_degrees([1, 0, 0, 0, 1], 7) == [2, 2]  # degree 2 needs the matrix
+        assert len(calls) == 1
+
+
+class TestRootsModP:
+    @given(
+        st.sampled_from([2, 3, 5, 13, 101]),
+        st.lists(st.integers(-300, 300), min_size=1, max_size=9),
+    )
+    @settings(max_examples=120)
+    def test_matches_brute_force(self, p, coeffs):
+        if not reduce_mod_p(coeffs, p):
+            return
+        zeros = [r for r in range(p) if sum(c * r**i for i, c in enumerate(coeffs)) % p == 0]
+        assert roots_mod_p(coeffs, p) == zeros
+
+    def test_repeated_and_fractional(self):
+        # (X - 1)^2 (2X - 3)(X^2 + 1) mod 7; 3/2 = 5 mod 7, X^2 + 1 has no root
+        K = FpField(7)
+        f = poly_mul(K, poly_mul(K, [6, 1], [6, 1]), poly_mul(K, [4, 2], [1, 0, 1]))
+        assert roots_mod_p(f, 7) == [1, 5]
+        assert roots_mod_p([Fraction(-3, 2), 1], 7) == [5]
+
+    def test_zero_polynomial(self):
+        with pytest.raises(ValueError):
+            roots_mod_p([7, 14], 7)
 
 
 class TestReduceModP:

@@ -2,9 +2,11 @@
 no concurrency machinery, binding s = s0 stays behind family and
 beckmann, census validates its fibre once per t0, not per cell, the
 identification sampler decides readability by one discriminant residue,
-and split degrees mod p are read through ffact's entry points alone."""
+split degrees mod p are read through ffact's entry points alone, and
+rational roots factor no integer."""
 
 import ast
+import importlib
 import sys
 from importlib import resources
 
@@ -114,6 +116,18 @@ def test_sampler_reads_fibres_without_a_squarefree_gcd():
 def test_distinct_degree_stays_in_ffact():
     # split_degrees and degree_sequence are the one reading of a split mod p
     assert _callers("distinct_degree") <= {"ffact.py"}
+
+
+def test_rational_roots_factor_no_integers():
+    # roots come by p-adic lifting; a divisor list would factor a0 and an
+    imported = {
+        alias.name
+        for node in ast.walk(_tree("poly.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "factorint" not in imported
+    assert not hasattr(importlib.import_module("galspec.poly"), "_divisors")
 
 
 def test_subgroup_lattice_scan_stays_in_permgrp():

@@ -382,6 +382,33 @@ class TestRationalRoots:
         expected = sorted((r, roots.count(r)) for r in set(roots))
         assert found == expected
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(-40, 40), st.integers(1, 9), st.integers(1, 3)), max_size=3
+        ),
+        st.integers(0, 2),
+        st.integers(-12, 12).filter(bool),
+        st.integers(10**70, 10**72),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy(self, sympy, planted, zero_order, lead, big, big_root):
+        # X^2 + big has no rational root and a constant term of 70+ digits
+        f = qpoly(*([0] * zero_order + [lead])) * qpoly(big, 0, 1)
+        for a, b, mult in planted:
+            for _ in range(mult):
+                f = f * qpoly(-a, b)
+        if big_root:
+            f = f * qpoly(-big - 1, 3)
+        X = sympy.Symbol("X")
+        _content, factors = sympy.Poly([int(c) for c in reversed(f.coeffs)], X).factor_list()
+        expected = sorted(
+            (Fraction(-int(g.coeff_monomial(1)), int(g.LC())), m)
+            for g, m in factors
+            if g.degree() == 1
+        )
+        assert rational_roots(f) == expected
+
     def test_integer_normalize(self):
         content, prim = integer_normalize(qpoly(Fraction(2, 3), Fraction(4, 3)))
         assert content == Fraction(2, 3)
