@@ -6,9 +6,10 @@ split degrees mod p are read through ffact's entry points alone, and
 rational roots factor no integer."""
 
 import ast
-import importlib
 import sys
 from importlib import resources
+
+from galspec import poly
 
 
 def _tree(name: str):
@@ -127,7 +128,7 @@ def test_rational_roots_factor_no_integers():
         for alias in node.names
     }
     assert "factorint" not in imported
-    assert not hasattr(importlib.import_module("galspec.poly"), "_divisors")
+    assert not hasattr(poly, "_divisors")
 
 
 def test_subgroup_lattice_scan_stays_in_permgrp():
