@@ -58,15 +58,6 @@ def valuation(x, p: int):
     return v
 
 
-def unit_part(x, p: int) -> Fraction:
-    """x / p^valuation(x, p); undefined (raises) for x = 0."""
-    x = rational(x)
-    if x == 0:
-        raise ZeroDivisionError("zero has no unit part")
-    v = valuation(x, p)
-    return x / Fraction(p) ** v
-
-
 @dataclass(frozen=True)
 class Congruence:
     """The class of integers congruent to `residue` mod `modulus`."""

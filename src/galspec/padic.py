@@ -10,9 +10,11 @@ factor is unramified and the shape is read off the mod-p degree sequence.
 Otherwise the engine runs chains of inductive valuations: starting from a
 Newton polygon face it grows a key polynomial stage by stage, factoring a
 residual polynomial over the current residue field at each step, until the
-invariants of each p-adic factor freeze.  Every number involved is a
-Fraction or a finite-field element, so there is no working precision and
-no stability question: the shape is a theorem about f, not an estimate.
+invariants of each p-adic factor freeze.  Every value is an integer,
+scaled by the ramification denominator D of the stage that computes it,
+and every residue is a finite-field element, so there is no working
+precision and no stability question: the shape is a theorem about f, not
+an estimate.
 
 Wild ramification (p dividing some e) is detected exactly and refused,
 since the surrounding toolkit only reasons about tame primes.
@@ -67,16 +69,33 @@ class PadicShape:
 # and Y is the degree-zero unit whose residue class generates the next
 # residue field.  All exponent bookkeeping below is the unique solution of
 # those two relations; the assertions re-check it on every reduction.
+#
+# A stage with ramification denominator D = d * D_prev reports D times the
+# value, which is an integer: v(sum c_i phi^i) * D is the least of
+# d * (v_prev(c_i) * D_prev) + i * n.  Only the face slopes handed to a
+# new stage are Fractions.
 
 
 def _expansion(g: UniPoly, phi: UniPoly) -> list:
     """Coefficients of g in powers of phi (monic), lowest first."""
+    if not g:
+        return [g]
+    k = phi.degree()
+    tail = [(j, c) for j, c in enumerate(phi.coeffs[:k]) if c]
+    rem = list(g.coeffs)
     out = []
-    rem = g
-    while rem:
-        rem, c = divmod(rem, phi)
-        out.append(c)
-    return out or [g]
+    while len(rem) > k:
+        # division by the monic phi in place: the top slots end up holding
+        # the quotient, the bottom k the remainder
+        for top in range(len(rem) - 1, k - 1, -1):
+            q = rem[top]
+            if q:
+                for j, c in tail:
+                    rem[top - k + j] -= q * c
+        out.append(UniPoly(rem[:k], g.var))
+        rem = rem[k:]
+    out.append(UniPoly(rem, g.var))
+    return out
 
 
 class _Stage:
@@ -107,15 +126,14 @@ class _Stage:
         assert i0 == 0 and h == poly_trim(list(u))
         return acc
 
-    def new_values(self, g: UniPoly, phi2: UniPoly, mu2: Fraction) -> list:
-        """(nu, length) for each value nu > mu2 available for augmenting
-        with key phi2.
+    def new_values(self, g: UniPoly, phi2: UniPoly, mu2: int) -> list:
+        """(nu, length) for each value nu of phi2 available for augmenting.
 
-        Faces of the polygon of g's phi2-expansion strictly above the
-        current value of phi2, with the face's length: the expansion width
-        of g's minimal-value support under the augmented valuation, so 1
-        means the chain is terminal.  (INFINITY, 1) when phi2 divides g
-        exactly.
+        mu2 is this stage's value of phi2, times D.  Faces of the polygon
+        of g's phi2-expansion whose value nu lies strictly above mu2 / D,
+        with the face's length: the expansion width of g's minimal-value
+        support under the augmented valuation, so 1 means the chain is
+        terminal.  (INFINITY, 1) when phi2 divides g exactly.
         """
         cs = _expansion(g, phi2)
         ordv = 0
@@ -125,27 +143,22 @@ class _Stage:
         if ordv:
             assert ordv == 1, "repeated exact key divisor in squarefree input"
             vals.append((INFINITY, 1))
-        pts = []
-        for i in range(ordv, len(cs)):
-            if cs[i]:
-                pts.append((i, Fraction(self.value(cs[i]))))
+        pts = [(i, self.value(cs[i])) for i in range(ordv, len(cs)) if cs[i]]
         for slope, length in lower_hull(pts):
-            nu = -slope
-            if nu > mu2:
-                vals.append((nu, length))
+            if -slope > mu2:
+                vals.append((-slope / self.D, length))
         assert vals, "residual factor with no continuation"
         return vals
 
 
 class _StageZero(_Stage):
-    """Base valuation: v_p on coefficients, v(x) = lam for one polygon face."""
+    """Base valuation: v_p on coefficients, v(x) = n/d for one polygon face."""
 
-    __slots__ = ("p", "lam", "n", "d", "a", "b", "D", "F", "field", "phi", "var")
+    __slots__ = ("p", "n", "d", "a", "b", "D", "F", "field", "phi", "var")
 
     def __init__(self, p: int, lam: Fraction, var: str):
         self.p = p
-        self.lam = Fraction(lam)
-        self._solve_slope(self.lam)
+        self._solve_slope(Fraction(lam))
         self.D = self.d
         self.F = 1
         self.field = FpField(p)
@@ -153,57 +166,63 @@ class _StageZero(_Stage):
         self.phi = UniPoly.gen(var)
 
     def value(self, g: UniPoly):
+        """d * v(g), an int; INFINITY for g = 0."""
+        p, n, d = self.p, self.n, self.d
         best = INFINITY
         for i, c in enumerate(g.coeffs):
-            if not c:
-                continue
-            v = valuation(c, self.p) + i * self.lam
-            if best is INFINITY or v < best:
-                best = v
+            if c:
+                v = d * valuation(c, p) + i * n
+                if v < best:
+                    best = v
         return best
 
     def reduction(self, g: UniPoly):
         """Residual polynomial of g plus the location of its graded class.
 
-        Returns (h, i0, j0, value) with h over F_p and the class of g equal
-        to h(Y) * x^i0 * p^j0.
+        Returns (h, i0, j0, value) with h over F_p, the class of g equal
+        to h(Y) * x^i0 * p^j0, and value = self.value(g).
         """
+        p, n, d = self.p, self.n, self.d
         vg = self.value(g)
         assert vg is not INFINITY
-        S = [
-            i
-            for i, c in enumerate(g.coeffs)
-            if c and valuation(c, self.p) + i * self.lam == vg
-        ]
-        i0 = S[0]
-        j0 = valuation(g.coeffs[i0], self.p)
-        h = [0] * ((S[-1] - i0) // self.d + 1)
-        for i in S:
-            r, rem = divmod(i - i0, self.d)
+        S = []
+        for i, c in enumerate(g.coeffs):
+            if c:
+                j = valuation(c, p)
+                if d * j + i * n == vg:
+                    S.append((i, j))
+        i0, j0 = S[0]
+        h = [0] * ((S[-1][0] - i0) // d + 1)
+        for i, j in S:
+            r, rem = divmod(i - i0, d)
             assert rem == 0
             c = g.coeffs[i]
-            j = valuation(c, self.p)
-            unit = c / Fraction(self.p) ** j
-            h[r] = unit.numerator * pow(unit.denominator, -1, self.p) % self.p
+            num, den = c.numerator, c.denominator
+            if j >= 0:
+                num //= p**j
+            else:
+                den //= p**-j
+            h[r] = num * pow(den, -1, p) % p
         return h, i0, j0, vg
 
     def lift_elt(self, c: int, m: int) -> UniPoly:
         """Constant with class c * p^m."""
-        return UniPoly.const(Fraction(int(c)) * Fraction(self.p) ** m, self.var)
+        c = int(c)
+        lifted = c * self.p**m if m >= 0 else Fraction(c, self.p**-m)
+        return UniPoly.const(lifted, self.var)
 
 
 class _Augmented(_Stage):
     """Chain extended by one key: the previous stage plus v(phi) = mu."""
 
-    __slots__ = ("prev", "p", "phi", "mu", "n", "d", "a", "b", "D", "F",
+    __slots__ = ("prev", "p", "phi", "n", "d", "a", "b", "D", "F",
                  "field", "ybar", "extended", "var")
 
     def __init__(self, prev, phi: UniPoly, mu: Fraction, u: list):
         self.prev = prev
         self.p = prev.p
         self.phi = phi
-        self.mu = Fraction(mu)
-        self._solve_slope(self.mu * prev.D)
+        self._solve_slope(mu * prev.D)
         self.D = self.d * prev.D
         self.F = prev.F * (len(u) - 1)
         # a linear residual factor fixes the class of Y in the same field;
@@ -220,20 +239,14 @@ class _Augmented(_Stage):
         self.var = prev.var
 
     def value(self, g: UniPoly):
+        """D * v(g), an int; INFINITY for g = 0."""
         return self._spread(g)[2]
 
     def _spread(self, g: UniPoly):
         cs = _expansion(g, self.phi)
-        vals = []
-        best = INFINITY
-        for i, c in enumerate(cs):
-            if not c:
-                vals.append(INFINITY)
-                continue
-            v = self.prev.value(c) + i * self.mu
-            vals.append(v)
-            if best is INFINITY or v < best:
-                best = v
+        pv, n, d = self.prev, self.n, self.d
+        vals = [d * pv.value(c) + i * n if c else INFINITY for i, c in enumerate(cs)]
+        best = min(vals)
         S = [i for i, v in enumerate(vals) if v is not INFINITY and v == best]
         return cs, S, best
 
@@ -260,7 +273,7 @@ class _Augmented(_Stage):
             c1, i1, j1, vc = pv.reduction(cs[i])
             e = pv.b * i1 - pv.a * j1
             m = pv.n * i1 + pv.d * j1
-            assert m == vc * pv.D
+            assert m == vc
             if j0 is None:
                 j0 = m
             assert m == j0 - r * self.n
@@ -388,14 +401,3 @@ def _shape(f: UniPoly, p: int, disc) -> PadicShape:
         gap = dv - sum((e - 1) * res for e, res in pairs)
         assert gap >= 0 and gap % 2 == 0
     return PadicShape(p, tuple(sorted(pairs, reverse=True)))
-
-
-def disc_valuation_check(shape: PadicShape, f: UniPoly, p: int) -> bool:
-    """True when v_p(disc f) equals the tame conductor sum of the shape.
-
-    Exact equality holds iff Z[x]/(f) is maximal at p, so False is a
-    meaningful answer, not an error: it flags either a wrong shape or an
-    order that is not p-maximal.
-    """
-    dv = valuation(discriminant_in(f, f.var), p)
-    return dv == sum((e - 1) * res for e, res in shape.pairs)

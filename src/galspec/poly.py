@@ -791,7 +791,7 @@ class NewtonPolygon:
     faces: tuple
 
 
-def lower_hull_vertices(points: list[tuple[int, Fraction]]) -> list:
+def lower_hull_vertices(points: list[tuple[int, int | Fraction]]) -> list:
     """Vertices of the lower convex hull, left to right; collinear interior
     points are dropped, so consecutive vertices span maximal faces."""
     pts = sorted(points)
@@ -808,7 +808,7 @@ def lower_hull_vertices(points: list[tuple[int, Fraction]]) -> list:
     return hull
 
 
-def lower_hull(points: list[tuple[int, Fraction]]) -> list[tuple[Fraction, int]]:
+def lower_hull(points: list[tuple[int, int | Fraction]]) -> list[tuple[Fraction, int]]:
     """Lower convex hull of (i, v) points: [(slope, length)] increasing."""
     hull = lower_hull_vertices(points)
     faces = []

@@ -16,9 +16,18 @@ from galspec.arith import (
     is_prime,
     parse_rat,
     primes_up_to,
-    unit_part,
+    rational,
     valuation,
 )
+
+
+def unit_part(x, p: int) -> Fraction:
+    """x / p^valuation(x, p); undefined (raises) for x = 0."""
+    x = rational(x)
+    if x == 0:
+        raise ZeroDivisionError("zero has no unit part")
+    v = valuation(x, p)
+    return x / Fraction(p) ** v
 
 
 def prime_divisors(x) -> list[int]:

@@ -8,6 +8,7 @@ theorem (coprime-mod-p pieces contribute independently).
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -16,12 +17,14 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galspec.arith import NonPrimeError, primes_up_to
-from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence
+from galspec.arith import NonPrimeError, primes_up_to, valuation
+from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence, factor_poly
 from galspec.padic import (
+    PadicShape,
     WildPrime,
+    _Augmented,
     _shape_exact,
-    disc_valuation_check,
+    _StageZero,
     padic_shape,
 )
 from galspec.poly import UniPoly, discriminant_in, fraction_poly, parse_poly, specialize
@@ -34,6 +37,17 @@ def xp(*coeffs):
 
 def shape_of(f, p):
     return Counter(padic_shape(f, p).pairs)
+
+
+def disc_valuation_check(shape: PadicShape, f: UniPoly, p: int) -> bool:
+    """True when v_p(disc f) equals the tame conductor sum of the shape.
+
+    Exact equality holds iff Z[x]/(f) is maximal at p, so False is a
+    meaningful answer, not an error: it flags either a wrong shape or an
+    order that is not p-maximal.
+    """
+    dv = valuation(discriminant_in(f, f.var), p)
+    return dv == sum((e - 1) * res for e, res in shape.pairs)
 
 
 def eisenstein_piece(p, shift, e, unit):
@@ -265,10 +279,59 @@ def hensel_products(draw):
     return f, p, expected
 
 
+@st.composite
+def multistage_products(draw):
+    """Product of mod-p coprime pieces whose shapes take augmented stages.
+
+    - tower ((q)^e1 - p*u)^e2 - p^k*w, q = X - c or an irreducible quadratic,
+      gcd(e1, e2) = gcd(k, e2) = 1 and k > e2: two augmentations, one
+      factor (e1*e2, deg q);
+    - Schoenemann q^e - p*u, q irreducible quadratic mod p: (e, 2), read
+      over an extension of the residue field;
+    - (X - c)^(2m) - p^(2j)*u with gcd(m, j) = 1: the residual y^2 - u
+      splits into two (m, 1) or stays one (m, 2) by the residue symbol of u.
+    """
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    kinds = draw(
+        st.lists(st.sampled_from(["tower", "schoenemann", "split"]), min_size=1, max_size=3)
+    )
+    centers = iter(draw(st.permutations(range(p))))
+    quads = iter(irreducibles_mod(p, 2, 3))
+    unit = st.integers(1, p - 1)
+    f = xp(1)
+    expected = []
+    for kind in kinds:
+        if kind == "tower":
+            q = xp(-next(centers), 1) if draw(st.booleans()) else next(quads)
+            e1, e2 = draw(st.sampled_from([(2, 3), (3, 2)]))
+            k = draw(st.sampled_from([k for k in range(e2 + 1, e2 + 4) if math.gcd(k, e2) == 1]))
+            f = f * ((q**e1 - p * draw(unit)) ** e2 - p**k * draw(unit))
+            expected.append((e1 * e2, q.degree()))
+        elif kind == "schoenemann":
+            e = draw(st.sampled_from([2, 3]))
+            f = f * (next(quads) ** e - p * draw(unit))
+            expected.append((e, 2))
+        else:
+            m, j = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 1), (3, 2)]))
+            u = draw(unit)
+            f = f * (xp(-next(centers), 1) ** (2 * m) - p ** (2 * j) * u)
+            if pow(u, (p - 1) // 2, p) == 1:
+                expected += [(m, 1), (m, 1)]
+            else:
+                expected.append((m, 2))
+    return f, p, expected
+
+
 class TestConstructedProducts:
     @settings(max_examples=60, deadline=None)
     @given(hensel_products())
     def test_shape_is_union_of_piece_shapes(self, case):
+        f, p, expected = case
+        assert shape_of(f, p) == Counter(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(multistage_products())
+    def test_multistage_shape_is_union_of_piece_shapes(self, case):
         f, p, expected = case
         assert shape_of(f, p) == Counter(expected)
 
@@ -291,6 +354,30 @@ class TestConstructedProducts:
         g = f.evaluate(xp(c, 1))
         assert isinstance(g, UniPoly)
         assert Counter(padic_shape(g, p).pairs) == Counter(expected)
+
+
+class TestStageValues:
+    # (X^2 - 5)^3 - 5^4: v(X) = 1/2 at the base stage, then the key
+    # X^2 - 5 takes the value 4/3, so the second stage has D = 2 * 3
+    F = (xp(-5, 0, 1)) ** 3 - 625
+
+    def test_base_stage_value_is_scaled_int(self):
+        V = _StageZero(5, Fraction(1, 2), "X")
+        assert V.D == 2
+        v = V.value(self.F)
+        assert type(v) is int and v == 3 * V.D
+
+    def test_second_stage_value_is_scaled_int(self):
+        V = _StageZero(5, Fraction(1, 2), "X")
+        h, _i0, _j0, _v = V.reduction(self.F)
+        _unit, [(u, _mult)] = factor_poly(V.field, h, seed=0)
+        phi = V.lift_key(u)
+        [(nu, _length)] = V.new_values(self.F, phi, V.value(phi))
+        assert nu == Fraction(4, 3)
+        W = _Augmented(V, phi, nu, u)
+        assert W.D == 6
+        v = W.value(self.F)
+        assert type(v) is int and v == 4 * W.D
 
 
 class TestRandomizedInvariants:
