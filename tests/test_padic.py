@@ -359,7 +359,7 @@ class TestConstructedProducts:
 class TestStageValues:
     # (X^2 - 5)^3 - 5^4: v(X) = 1/2 at the base stage, then the key
     # X^2 - 5 takes the value 4/3, so the second stage has D = 2 * 3
-    F = (xp(-5, 0, 1)) ** 3 - 625
+    F = xp(-5, 0, 1) ** 3 - 625
 
     def test_base_stage_value_is_scaled_int(self):
         V = _StageZero(5, Fraction(1, 2), "X")
