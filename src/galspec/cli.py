@@ -3,12 +3,12 @@
 The library does the work; census and identification live in ``grunwald``.
 Every subcommand reads a family manifest (a JSON file path or a built-in
 name), writes structured JSON or CSV to --out or stdout, and prints a
-one-line human summary to stderr, plus one line when verify's or search's
-identification ends REJECT or INCONCLUSIVE.  Exit codes: 0 success, 1 a
-mathematical check failed (a verification mismatch, an unrealizable
-condition, a census mismatch, a rejected or inconclusive identification),
-2 malformed input.  All randomness flows from --seed, so equal invocations
-produce byte-identical output.
+one-line human summary to stderr, plus one line when an identification
+ends INCONCLUSIVE or verify's or search's ends REJECT.  Exit codes: 0
+success, 1 a mathematical check failed (a verification mismatch, an
+unrealizable condition, a census mismatch, a rejected or inconclusive
+identification), 2 malformed input.  All randomness flows from --seed, so
+equal invocations produce byte-identical output.
 """
 
 import argparse
@@ -291,7 +291,10 @@ def cmd_identify(args) -> int:
     result = identify(m, parse_rat(args.s0), args.samples, args.seed)
     _emit(result, args.out)
     _note(f"{m.name}: {len(result['observed'])} type(s) in {args.samples} samples; verdict {result['verdict']}")
-    return 1 if result["verdict"] == "REJECT" else 0
+    if result["verdict"] == "INCONCLUSIVE":
+        _note(f"identification INCONCLUSIVE: no two types in {args.samples} sampled fibre(s) invariably "
+              f"generate the declared group, and chi-square does not reject it at alpha = {result['alpha']}")
+    return 0 if result["verdict"] in ("ACCEPT", "SUPPORT-ONLY") else 1
 
 
 # -- census ----------------------------------------------------------------------

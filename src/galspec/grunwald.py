@@ -11,17 +11,18 @@ with its least witness.
 Verification is independent of the search: the fiber's p-adic factorization
 shapes are measured from scratch and compared against every lift of the
 prescribed Frobenius into the decomposition model.  Group identification
-reads cycle types of fibres mod p through one sampler, in two modes: verify
-reads its fibre at auxiliary primes until the types it saw prove the group,
-identify reads random (t0, p) fibres.  census sets predicted inertia
-against measured shapes on a grid.
+reads cycle types of fibres mod p through one sampler and one judge, in
+two modes: verify reads its fibre at auxiliary primes until the types it
+saw prove or refute the group, identify reads random (t0, p) fibres and
+tests their frequencies when they do neither.  census sets predicted
+inertia against measured shapes on a grid.
 """
 
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import erfc, exp, gcd, pi, sqrt
 from random import Random
 
 from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, valuation
@@ -39,7 +40,8 @@ from .poly import UniPoly, specialize, x_poly_coeffs
 AUX_PRIME_BOUND = 5000
 IDENTIFY_PRIME_BOUND = 2000
 IDENTIFY_T_GRID = 10_000
-IDENTIFY_REL_TOL = 0.5
+# false-reject rate of identify's chi-square test
+IDENTIFY_ALPHA = 1e-3
 # progression members tried before a search for s0 or t0 gives up
 SEARCH_LIMIT = 10_000
 
@@ -419,8 +421,8 @@ class IdentificationSummary:
     """Splitting types at auxiliary primes vs the group's cycle types.
 
     verdict is "ACCEPT" (certificate holds two observed types that
-    invariably generate the group), "REJECT" (alien holds a type outside
-    it) or "INCONCLUSIVE" (neither within the cap on readable primes).
+    invariably generate the group), "REJECT" (alien holds the types outside
+    it) or "INCONCLUSIVE" (neither).
     missing lists the group's types the fibre is not known to realize:
     those never read, and none after ACCEPT, which proves it realizes all.
     """
@@ -558,29 +560,51 @@ def _tally_fibres(draws, n: int, stop=None) -> Counter:
     return tally
 
 
-def _compare(fp: dict, tally: Counter, n: int) -> tuple:
-    """(alien, missing, expected): tallied types outside the fingerprint fp
-    and fp types never tallied, by parts; each fp type's count in n fibres."""
-    alien = tuple(ct for ct in sorted(tally, key=lambda c: c.parts) if ct not in fp)
-    missing = tuple(ct for ct in sorted(fp, key=lambda c: c.parts) if ct not in tally)
-    expected = {ct: float(frac) * n for ct, frac in fp.items()}
-    return alien, missing, expected
-
-
 @lru_cache(maxsize=256)
 def _generates(manifest, lam: CycleType, mu: CycleType) -> bool:
     return invariably_generates(manifest.group, lam, mu)
 
 
-def _certificate(manifest, types) -> tuple:
-    """The first pair of types, by parts, that invariably generates the
-    declared group, or () when no pair does."""
-    types = sorted(types, key=lambda c: c.parts)
-    for i, lam in enumerate(types):
-        for mu in types[i + 1 :]:
-            if _generates(manifest, lam, mu):
-                return lam, mu
-    return ()
+def _judge(manifest, fp: dict, tally: Counter) -> tuple:
+    """(alien, missing, certificate, verdict) of a tally of cycle types
+    against the declared group, fp its fingerprint, as IdentificationSummary
+    reads them; certificate is the first pair of types, by parts, that
+    invariably generates the group."""
+    types = sorted(tally, key=lambda c: c.parts)
+    alien = tuple(ct for ct in types if ct not in fp)
+    pairs = ((lam, mu) for i, lam in enumerate(types) for mu in types[i + 1 :])
+    certificate = () if alien else next((pr for pr in pairs if _generates(manifest, *pr)), ())
+    missing = () if certificate else tuple(sorted(fp.keys() - tally.keys(), key=lambda c: c.parts))
+    verdict = "REJECT" if alien else "ACCEPT" if certificate else "INCONCLUSIVE"
+    return alien, missing, certificate, verdict
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with an integer df >= 0 degrees of freedom,
+    in closed form; df = 0 is the point mass at 0, so it never rejects."""
+    if df == 0:
+        return 1.0
+    h = x / 2
+    head, term, k = (erfc(sqrt(h)), 2 * sqrt(h / pi), 1.5) if df % 2 else (0.0, 1.0, 1.0)
+    tail = 0.0
+    for _ in range(df // 2):
+        tail, term, k = tail + term, term * h / k, k + 1
+    return head + exp(-h) * tail
+
+
+def _chi2_test(fp: dict, tally: Counter, n: int) -> tuple:
+    """(statistic, df, heavy) of Pearson's test of n tallied fibres against
+    the frequencies fp, the cells expected fewer than 5 times pooled into
+    one; heavy lists the types of each cell whose term is at least 1."""
+    order = sorted(fp, key=lambda c: c.parts)
+    pooled = [ct for ct in order if fp[ct] * n < 5]
+    cells = [[ct] for ct in order if fp[ct] * n >= 5] + ([pooled] if pooled else [])
+    terms = []
+    for cell in cells:
+        want = sum(fp[ct] for ct in cell) * n
+        terms.append((sum(tally[ct] for ct in cell) - want) ** 2 / want)
+    heavy = [ct for cell, term in zip(cells, terms) if term >= 1 for ct in cell]
+    return float(sum(terms)), len(cells) - 1, heavy
 
 
 def _identify(manifest, spec, t0, conditions, n_id, seed) -> IdentificationSummary:
@@ -609,38 +633,30 @@ def _identify(manifest, spec, t0, conditions, n_id, seed) -> IdentificationSumma
     coeffs = x_poly_coeffs(specialize(spec.f, {"t": t0}))
     disc = spec.disc.evaluate(t0)
     fp = fingerprint(manifest.group)
-
-    def settled(tally) -> bool:
-        return not tally.keys() <= fp.keys() or bool(_certificate(manifest, tally))
-
+    settled = lambda tally: _judge(manifest, fp, tally)[3] != "INCONCLUSIVE"
     counts = _tally_fibres(((coeffs, disc, q) for q in pool), n_id, settled)
     sampled = counts.total()
-    alien, missing, _ = _compare(fp, counts, sampled)
-    certificate = () if alien else _certificate(manifest, counts)
-    verdict = "REJECT" if alien else "ACCEPT" if certificate else "INCONCLUSIVE"
+    alien, missing, certificate, verdict = _judge(manifest, fp, counts)
     if verdict == "INCONCLUSIVE" and sampled < n_id:
         raise ValueError(
-            f"only {sampled} of {n_id} auxiliary primes below "
-            f"{AUX_PRIME_BOUND} were readable"
+            f"only {sampled} of {n_id} auxiliary primes below {AUX_PRIME_BOUND} were readable"
         )
-    return IdentificationSummary(
-        sampled,
-        tuple(sorted(counts.items(), key=lambda kv: kv[0].parts)),
-        () if certificate else missing,
-        alien,
-        verdict,
-        certificate,
-    )
+    counts = tuple(sorted(counts.items(), key=lambda kv: kv[0].parts))
+    return IdentificationSummary(sampled, counts, missing, alien, verdict, certificate)
 
 
 def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
-    """Sample (t0, p) fibers, tally splitting types, and compare against the
-    declared group's cycle-type distribution.
+    """Identify the Galois group A of f(s0, t, X) over Q(t) from the cycle
+    types of `samples` random (t0, p) fibres, each that of an element of A.
 
-    Without group generators only the tally is reported (support-only mode).
-    The verdict is REJECT when a type outside the fingerprint shows up or a
-    count strays more than IDENTIFY_REL_TOL from its expected value.
+    The whole tally is judged as verify judges its fibre (see _identify).
+    A tally that neither proves nor rules out the declared group meets
+    Pearson's chi-square test against its Chebotarev frequencies, which
+    REJECTs at IDENTIFY_ALPHA, its false-reject rate; it is INCONCLUSIVE
+    otherwise.  Without group generators only the tally is reported.
     """
+    if samples < 1:
+        raise ValueError(f"identify needs at least one sample, not {samples}")
     spec = specialization(m, s0)
     s0 = spec.s0
     pool = [
@@ -665,19 +681,22 @@ def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
         result["verdict"] = "SUPPORT-ONLY"
         return result
     fp = fingerprint(m.group)
-    alien, _, expected = _compare(fp, tally, samples)
-    off = [
-        str(ct)
-        for ct, want in expected.items()
-        if abs(tally[ct] - want) > IDENTIFY_REL_TOL * want
-    ]
+    alien, _, certificate, verdict = _judge(m, fp, tally)
+    statistic = df = None
+    violations = []
+    if verdict == "INCONCLUSIVE":
+        statistic, df, heavy = _chi2_test(fp, tally, samples)
+        if _chi2_sf(statistic, df) < IDENTIFY_ALPHA:
+            verdict, violations = "REJECT", heavy
     result["expected"] = {
         str(ct): f"{fp[ct].numerator}/{fp[ct].denominator}"
         for ct in sorted(fp, key=lambda c: c.parts)
     }
-    result["alien"] = [str(ct) for ct in alien]
-    result["frequency_violations"] = sorted(off)
-    result["verdict"] = "REJECT" if (alien or off) else "ACCEPT"
+    result.update(
+        alien=[str(ct) for ct in alien], certificate=[str(ct) for ct in certificate],
+        statistic=statistic, df=df, alpha=IDENTIFY_ALPHA,
+        frequency_violations=sorted(map(str, violations)), verdict=verdict,
+    )
     return result
 
 

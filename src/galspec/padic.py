@@ -31,9 +31,9 @@ from .ffact import (
 )
 from .poly import UniPoly, discriminant_in, lower_hull, newton_polygon
 
-# Augmentation steps per polygon face before giving up.  Legitimate chains
-# are bounded by the p-valuation of the discriminant; hitting the cap means
-# a bug, and the contract is to fail loudly rather than return a guess.
+# Stages a valuation chain may build: a bound on their count, not on time.
+# On a squarefree input (_shape checks disc(f) != 0) chains are bounded by
+# v_p(disc); hitting the cap means a bug, so fail loudly rather than guess.
 _MAX_STEPS = 500
 
 

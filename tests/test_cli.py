@@ -344,16 +344,36 @@ class TestIdentify:
         assert payload["alien"] == []
         assert payload["frequency_violations"] == []
 
-    def test_unlucky_seed_rejects(self, capsys):
-        # seed 3 never draws the identity class in 300 samples; the
-        # frequency test is honest about that rather than smoothing it over
+    def test_seed_without_identity_accepts(self, capsys):
+        # seed 3 never draws the identity class in 300 samples; the types it
+        # did draw still prove the group, so no frequency is weighed
         code, payload = run(
             capsys, "identify", "--manifest", "psl32", "--s0", "1",
             "--samples", "300", "--seed", "3",
         )
+        assert code == 0
+        assert "1^7" not in payload["observed"]
+        assert payload["verdict"] == "ACCEPT"
+        assert payload["certificate"] == ["2^2.1^3", "7"]
+        assert payload["frequency_violations"] == []
+
+    def test_no_sample_is_usage_error(self, capsys):
+        for samples in ("0", "-3"):
+            code, _ = run(
+                capsys, "identify", "--manifest", "x2mt", "--samples", samples, "--seed", "4"
+            )
+            assert code == 2
+
+    def test_one_sample_is_inconclusive(self, capsys):
+        # both cells of x2mt expect 1/2 and pool into one: no degree of
+        # freedom is left, so the chi-square test cannot reject
+        code = main(["identify", "--manifest", "x2mt", "--samples", "1", "--seed", "0"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
         assert code == 1
-        assert payload["verdict"] == "REJECT"
-        assert payload["frequency_violations"] == ["1^7"]
+        assert payload["verdict"] == "INCONCLUSIVE"
+        assert (payload["statistic"], payload["df"]) == (0.0, 0)
+        assert captured.err.splitlines()[-1].startswith("identification INCONCLUSIVE: ")
 
     def test_wrong_group_rejected(self, capsys, tmp_path):
         # the fibers realize PSL3(2); a manifest claiming S7 must be caught

@@ -19,6 +19,8 @@ from galspec.grunwald import (
     TargetNotFound,
     Unramified,
     UnsupportedConditionCombination,
+    IDENTIFY_ALPHA,
+    _chi2_sf,
     _tally_fibres,
     census,
     frobenius_in_residue_field,
@@ -591,6 +593,7 @@ class TestIdentificationSamples:
             "observed": {"1^3": 13, "2.1": 40, "3": 27},
             "expected": {"1^3": "1/6", "2.1": "1/2", "3": "1/3"},
             "alien": [], "frequency_violations": [], "verdict": "ACCEPT",
+            "certificate": ["2.1", "3"], "statistic": None, "df": None, "alpha": 0.001,
         }
         assert identify(builtin_manifest("psl32"), 1, 300, 0) == {
             "family": "psl32", "s0": "1", "samples": 300,
@@ -599,6 +602,7 @@ class TestIdentificationSamples:
                 "1^7": "1/168", "2^2.1^3": "1/8", "3^2.1": "1/3", "4.2.1": "1/4", "7": "2/7",
             },
             "alien": [], "frequency_violations": [], "verdict": "ACCEPT",
+            "certificate": ["2^2.1^3", "7"], "statistic": None, "df": None, "alpha": 0.001,
         }
 
     def test_one_fibre_at_auxiliary_primes(self):
@@ -652,6 +656,38 @@ class TestIdentificationCertificate:
         assert ident.alien == (CycleType((2, 1)),)
         assert dict(ident.counts)[CycleType((2, 1))] == 1  # the read stops there
         assert not ident.passed
+
+
+class TestIdentifyVerdict:
+    """identify judges its whole tally as verify does, and only a tally that
+    proves nothing meets Pearson's chi-square test at IDENTIFY_ALPHA."""
+
+    def test_chi2_tail_at_tabulated_critical_values(self):
+        # upper 0.1 % points of the chi-square distribution
+        for df, critical in [(1, 10.828), (2, 13.816), (3, 16.266), (4, 18.467), (12, 32.909)]:
+            assert _chi2_sf(critical, df) == pytest.approx(IDENTIFY_ALPHA, rel=1e-3), df
+        assert _chi2_sf(0.0, 0) == 1.0  # df 0 is the point mass at 0: never a rejection
+
+    def test_true_group_is_certified_on_every_seed(self):
+        m = builtin_manifest("psl32")
+        for seed in range(60):
+            result = identify(m, 1, 300, seed)
+            assert result["verdict"] == "ACCEPT", seed
+            assert len(result["certificate"]) == 2 and result["alien"] == []
+            assert result["statistic"] is None and result["frequency_violations"] == []
+
+    def test_overgroup_claim_fails_the_chi2_test(self):
+        m = builtin_manifest("psl32")
+        s7 = generate([parse_perm("(1 2 3 4 5 6 7)", 7), parse_perm("(1 2)", 7)])
+        claim = dataclasses.replace(m, group=s7)
+        for seed in range(10):
+            result = identify(claim, 1, 300, seed)
+            assert result["verdict"] == "REJECT", seed
+            assert result["certificate"] == [] and result["alien"] == []
+            # 15 types; 1^7, 2.1^5 and 3.1^4 pool into one cell
+            assert result["df"] == 12
+            assert result["statistic"] > 32.909
+            assert result["frequency_violations"]
 
 
 class TestReadability:

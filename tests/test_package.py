@@ -2,14 +2,15 @@
 no concurrency machinery, binding s = s0 stays behind family and
 beckmann, census validates its fibre once per t0, not per cell, the
 identification sampler decides readability by one discriminant residue,
-split degrees mod p are read through ffact's entry points alone, and
-rational roots factor no integer."""
+split degrees mod p are read through ffact's entry points alone,
+rational roots factor no integer, and both identification modes decide
+by one judge."""
 
 import ast
 import sys
 from importlib import resources
 
-from galspec import poly
+from galspec import grunwald, poly
 
 
 def _tree(name: str):
@@ -135,3 +136,12 @@ def test_subgroup_lattice_scan_stays_in_permgrp():
     # the full lattice scan takes seconds at order 168; identification
     # certifies by invariable generation instead
     assert _callers("_subgroup_classes") <= {"permgrp.py"}
+
+
+def test_both_identification_modes_share_one_judge():
+    # verify's and identify's verdicts come from one rule; a tolerance band
+    # per cycle type would be a second one
+    for name in ("identify", "_identify"):
+        assert "_judge" in _called(_function("grunwald.py", name)), name
+    assert not hasattr(grunwald, "IDENTIFY_REL_TOL")
+    assert not hasattr(grunwald, "_compare")
