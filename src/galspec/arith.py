@@ -4,8 +4,7 @@ Rational numbers are exact throughout the package: an ``int`` or a
 ``fractions.Fraction``, never a float (polynomial leaves are ints whenever
 they are integral), and every function here accepts either.  This module
 adds the number-theoretic layer on top (p-adic valuations, congruence classes
-with a Chinese-remainder merge, deterministic primality, Legendre symbols,
-and small-integer factorization used for certificate bookkeeping).
+with a Chinese-remainder merge, and deterministic primality).
 
 The base field is Q.  Extending to a general number field would replace
 `valuation` and `Congruence` with prime-ideal analogues; nothing else in this
@@ -142,57 +141,6 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, b in enumerate(sieve) if b]
-
-
-def _pollard_rho(n: int) -> int:
-    # Brent's cycle-finding variant; n odd, composite, not a prime power issue
-    # for callers since they recurse on the returned factor.
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise RuntimeError(f"rho failed to split {n}")
-
-
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    out: dict[int, int] = {}
-    for q in (2, 3, 5):
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    q = 7
-    # trial division by a 2,4-wheel up to 2^20, then rho on what is left
-    step = 4
-    while q * q <= n and q < 1 << 20:
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-        q += step
-        step = 6 - step
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
 
 
 def parse_rat(text: str) -> Fraction:

@@ -10,6 +10,8 @@ meets; predict_inertia holds that prediction to a given branch point.
 
 The bad set is carried as a list of integer certificates, one per reason, so
 membership can be decided exactly for any prime without factoring anything.
+Exceptional primes are decided the same way: is_exceptional tests p against
+the group order, the s-guards' leading numerators and f's leaf denominator.
 
 specialization(manifest, s0) binds s = s0 once per parameter value: it
 refuses a degenerate s0, then caches the bound family, discriminant, branch
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import NonPrimeError, factorint, is_prime, primes_up_to, rational, valuation
+from .arith import NonPrimeError, is_prime, primes_up_to, rational, valuation
 from .family import FamilyManifest, require_nondegenerate
 from .ffact import roots_mod_p
 from .permgrp import CycleType, power_cycle_type
@@ -185,16 +187,18 @@ def residue_class_bound(manifest: FamilyManifest) -> int:
     return sum(g.degree() for _, g in manifest.s_guards)
 
 
-def global_exceptional(manifest: FamilyManifest) -> frozenset:
-    """Primes at which the residue-class analysis itself breaks down."""
+def is_exceptional(manifest: FamilyManifest, p: int) -> bool:
+    """Whether the residue-class analysis itself breaks down at p: p divides
+    the group order, an s-guard's leading numerator or f's leaf denominator."""
+    if not is_prime(p):
+        raise NonPrimeError(f"{p} is not prime")
     if manifest.group is None:
         raise ValueError("manifest declares no group; its order is needed")
-    out = set(factorint(manifest.group.order))
-    for _, g in manifest.s_guards:
-        lc = g.coeff(g.degree())
-        out.update(factorint(abs(lc.numerator)))
-    out.update(factorint(_leaf_denominator(manifest.f)))
-    return frozenset(out)
+    return (
+        manifest.group.order % p == 0
+        or any(g.coeff(g.degree()).numerator % p == 0 for _, g in manifest.s_guards)
+        or _leaf_denominator(manifest.f) % p == 0
+    )
 
 
 def bad_s_residues(manifest: FamilyManifest, p: int) -> frozenset:
@@ -204,9 +208,7 @@ def bad_s_residues(manifest: FamilyManifest, p: int) -> frozenset:
     their number is at most residue_class_bound(manifest) for every
     admissible p.
     """
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
-    if p in global_exceptional(manifest):
+    if is_exceptional(manifest, p):
         raise ValueError(f"p = {p} is in the global exceptional set")
     out = set()
     for _, g in manifest.s_guards:

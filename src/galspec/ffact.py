@@ -79,12 +79,6 @@ class FpField:
     def random(self, rng: random.Random):
         return rng.randrange(self.p)
 
-    def __eq__(self, other):
-        return isinstance(other, FpField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("FpField", self.p))
-
     def __repr__(self):
         return f"FpField({self.p})"
 
@@ -179,16 +173,6 @@ class ExtField:
 
     def random(self, rng: random.Random):
         return tuple(self.base.random(rng) for _ in range(self.degree))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and other.base == self.base
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ExtField", self.base, self.modulus))
 
     def __repr__(self):
         return f"ExtField(size={self.size})"

@@ -27,7 +27,7 @@ from random import Random
 
 from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, valuation
 from .beckmann import (
-    bad_primes, bad_s_residues, global_exceptional, is_bad_prime, predict_any, specialization,
+    bad_primes, bad_s_residues, is_bad_prime, is_exceptional, predict_any, specialization,
 )
 from .family import FamilyManifest, infinity_chart, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, split_degrees
@@ -44,10 +44,6 @@ IDENTIFY_T_GRID = 10_000
 IDENTIFY_ALPHA = 1e-3
 # progression members tried before a search for s0 or t0 gives up
 SEARCH_LIMIT = 10_000
-
-
-class SkipResidue(Exception):
-    """The residue data is unreadable at this s0 mod p; try another."""
 
 
 class SearchFailed(Exception):
@@ -218,15 +214,12 @@ def frobenius_in_residue_field(rho: UniPoly, s0, p: int) -> tuple:
     """Factor degrees of rho(s0, X) mod p, sorted ascending.
 
     All degrees equal d exactly when the residue Frobenius has order d.
-    rho is monic in X, so its degree never drops mod p.  Raises SkipResidue
-    when the reduction is unreadable: p in a denominator or a repeated
-    factor mod p.
+    rho is monic in X, so its degree never drops mod p.  Raises
+    NotPIntegral when p is in a denominator and NotSquarefree when the
+    reduction has a repeated factor mod p.
     """
     coeffs = x_poly_coeffs(specialize(rho, {"s": Fraction(s0)}))
-    try:
-        return tuple(degree_sequence(coeffs, p))
-    except (NotPIntegral, NotSquarefree) as exc:
-        raise SkipResidue(str(exc)) from None
+    return tuple(degree_sequence(coeffs, p))
 
 
 # -- the s-line search ---------------------------------------------------------
@@ -252,8 +245,7 @@ def search_s0(manifest: FamilyManifest, conditions):
 
     avoid = []
     if manifest.group is not None:
-        exceptional = global_exceptional(manifest)
-        avoid = sorted({c.p for c in conditions} - exceptional)
+        avoid = sorted(c.p for c in conditions if not is_exceptional(manifest, c.p))
     for k in range(SEARCH_LIMIT):
         s0 = progression.residue + k * progression.modulus
         if not nondegenerate_check(manifest, s0):
@@ -267,14 +259,14 @@ def search_s0(manifest: FamilyManifest, conditions):
 def _frobenius_congruence(manifest, bp, cond) -> Congruence:
     p, x = cond.p, cond.frobenius_target
     excluded = frozenset()
-    if manifest.group is not None and p not in global_exceptional(manifest):
+    if manifest.group is not None and not is_exceptional(manifest, p):
         excluded = bad_s_residues(manifest, p)
     for r in range(p):
         if r in excluded:
             continue
         try:
             seq = frobenius_in_residue_field(bp.rho, r, p)
-        except SkipResidue:
+        except (NotPIntegral, NotSquarefree):
             continue
         if all(deg == x for deg in seq):
             return Congruence(r, p)
@@ -527,7 +519,7 @@ def _check_condition(manifest, s0, t0, cond) -> ConditionRecord:
     else:
         try:
             seq = frobenius_in_residue_field(bp.rho, s0, cond.p)
-        except SkipResidue as exc:
+        except (NotPIntegral, NotSquarefree) as exc:
             return ConditionRecord(cond, mode, (), str(exc), False)
         order = seq[0] if all(deg == seq[0] for deg in seq) else 0
     candidates = _candidate_shapes(bp, cond.d, cond.frobenius_target)

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: valuations, CRT, primality, factorization."""
+"""Exact rational arithmetic: valuations, CRT, primality."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from galspec.arith import (
     InconsistentCongruences,
     NonPrimeError,
     crt,
-    factorint,
     format_rat,
     is_prime,
     parse_rat,
@@ -28,17 +27,6 @@ def unit_part(x, p: int) -> Fraction:
         raise ZeroDivisionError("zero has no unit part")
     v = valuation(x, p)
     return x / Fraction(p) ** v
-
-
-def prime_divisors(x) -> list[int]:
-    """Primes dividing numerator or denominator of a nonzero rational
-    (test-only helper over factorint)."""
-    x = Fraction(x)
-    if not x:
-        raise ValueError("zero has every prime divisor")
-    out = set(factorint(abs(x.numerator)))
-    out.update(factorint(x.denominator))
-    return sorted(out)
 
 
 def legendre(a: int, p: int) -> int:
@@ -149,25 +137,6 @@ class TestPrimes:
 
         for n in list(range(2, 500)) + [2**31 - 1, 10**12 + 39, 10**12 + 40]:
             assert is_prime(n) == sympy.isprime(n), n
-
-    @given(st.integers(min_value=2, max_value=10**9))
-    def test_factorint_reconstructs(self, n):
-        fac = factorint(n)
-        prod = 1
-        for p, e in fac.items():
-            assert is_prime(p)
-            assert e >= 1
-            prod *= p**e
-        assert prod == n
-
-    def test_factorint_against_sympy(self):
-        import sympy
-
-        for n in [2, 97, 2**20, 3 * 5**4 * 7919, 600851475143, 10**14 + 37]:
-            assert factorint(n) == sympy.factorint(n)
-
-    def test_prime_divisors_of_fraction(self):
-        assert prime_divisors(Fraction(45, 28)) == [2, 3, 5, 7]
 
 
 class TestLegendre:

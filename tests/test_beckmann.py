@@ -1,7 +1,9 @@
 """Bad primes, bad residue classes, and tame inertia predictions."""
 
+import json
 from fractions import Fraction
-from math import gcd
+from importlib import resources
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,8 @@ from galspec.beckmann import (
     UnramifiedPrediction,
     bad_primes,
     bad_s_residues,
-    global_exceptional,
     is_bad_prime,
+    is_exceptional,
     predict_any,
     predict_inertia,
     residue_class_bound,
@@ -66,6 +68,40 @@ def shifted_manifest() -> dict:
             }
         ],
     }
+
+
+def big_guard_manifest() -> dict:
+    """x2mt with t scaled by N*s + 1, N = 1000000000000000003 *
+    3000000000000000037: both 19-digit primes divide an s-guard's leading
+    coefficient."""
+    raw = json.loads(resources.files("galspec").joinpath("data/x2mt.json").read_text())
+    raw["name"] = "bigguard"
+    raw["poly"] = "X^2 - (3000000000000000046000000000000000111*s + 1)*t"
+    return raw
+
+
+def fifteenth_manifest() -> dict:
+    """A leaf denominator of 15 in f, and no s-guard."""
+    return {
+        "name": "fifteenth",
+        "poly": "X^2 - 1/15*t + s",
+        "group_generators": ["(1 2)"],
+        "branch_points": [
+            {
+                "location": "15*s",
+                "e": 2,
+                "inertia_generator": "(1 2)",
+                "decomposition_generators": ["(1 2)"],
+            }
+        ],
+    }
+
+
+def denominator_lcm(g) -> int:
+    """lcm of the denominators of every rational leaf of a nested UniPoly."""
+    if isinstance(g, UniPoly):
+        return lcm(1, *(denominator_lcm(c) for c in g.coeffs))
+    return g.denominator
 
 
 def intersection_multiplicity(t0, branch, p: int) -> int:
@@ -264,7 +300,7 @@ class TestBadSResidues:
 
     def test_exceptional_prime_refused(self):
         m = builtin_manifest("psl32")
-        assert global_exceptional(m) == frozenset({2, 3, 7})
+        assert [p for p in primes_up_to(1000) if is_exceptional(m, p)] == [2, 3, 7]
         for p in (2, 3, 7):
             with pytest.raises(ValueError, match="exceptional"):
                 bad_s_residues(m, p)
@@ -274,7 +310,7 @@ class TestBadSResidues:
         # the residues are the roots of the linear factors of each guard mod p
         m = builtin_manifest(name)
         for p in primes_up_to(200):
-            if p in global_exceptional(m):
+            if is_exceptional(m, p):
                 continue
             K = FpField(p)
             expected = set()
@@ -283,6 +319,33 @@ class TestBadSResidues:
                 _unit, factors = factor_poly(K, reduce_mod_p(coeffs, p))
                 expected.update(-h[0] % p for h, _ in factors if len(h) == 2)
             assert bad_s_residues(m, p) == frozenset(expected)
+
+    @pytest.mark.parametrize("raw", [
+        "psl32", "x2mt", "x3mt", twobranch_manifest(), shifted_manifest(),
+        big_guard_manifest(), fifteenth_manifest(),
+    ], ids=lambda raw: raw if isinstance(raw, str) else raw["name"])
+    def test_exceptional_matches_factorization(self, raw):
+        # oracle: the primes of the group order, of each s-guard's leading
+        # numerator and of f's leaf denominator, by sympy's factorization
+        import sympy
+
+        m = builtin_manifest(raw) if isinstance(raw, str) else load_manifest(raw)
+        integers = [m.group.order, denominator_lcm(m.f)]
+        integers += [abs(g.coeff(g.degree()).numerator) for _, g in m.s_guards]
+        oracle = set().union(*(sympy.factorint(n) for n in integers))
+        # the primes after each 19-digit factor of the big guard divide nothing
+        neighbours = {1000000000000000009, 3000000000000000059}
+        candidates = set(primes_up_to(10**4)) | oracle | neighbours
+        for p in sorted(candidates):
+            assert is_exceptional(m, p) == (p in oracle), p
+
+    def test_exceptional_needs_a_prime_and_a_group(self):
+        with pytest.raises(NonPrimeError):
+            is_exceptional(builtin_manifest("x2mt"), 9)
+        raw = shifted_manifest()
+        del raw["group_generators"]
+        with pytest.raises(ValueError, match="no group"):
+            is_exceptional(load_manifest(raw), 5)
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.integers(min_value=3, max_value=300).filter(is_prime))

@@ -234,6 +234,24 @@ class TestSearch:
         assert code == 1
         assert "no residue" in capsys.readouterr().err
 
+    def test_big_guard_finishes(self, tmp_path):
+        # an s-guard's leading coefficient is the 37-digit product of two
+        # 19-digit primes; exceptional primes come by division, so none of
+        # it is factored
+        raw = json.loads(resources.files("galspec").joinpath("data/x2mt.json").read_text())
+        raw["poly"] = "X^2 - (3000000000000000046000000000000000111*s + 1)*t"
+        path = tmp_path / "bigguard.json"
+        path.write_text(json.dumps(raw))
+        env = dict(os.environ, PYTHONPATH=str(Path(galspec.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "galspec", "search", "--manifest", str(path),
+             "--cond", "p=5,branch=0,d=1"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 0
+        payload = json.loads(done.stdout)
+        assert (payload["s0"], payload["t0"]) == ("0", "5")
+
     def test_no_conditions_is_usage_error(self, capsys):
         code, _ = run(capsys, "search", "--manifest", "x2mt")
         assert code == 2

@@ -15,7 +15,6 @@ from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence
 from galspec.grunwald import (
     NoResidueFound,
     Ramified,
-    SkipResidue,
     TargetNotFound,
     Unramified,
     UnsupportedConditionCombination,
@@ -193,9 +192,9 @@ class TestFrobeniusInResidueField:
         assert frobenius_in_residue_field(self.rho(), 1, 7) == (1, 1)
 
     def test_branch_of_rho_skipped(self):
-        with pytest.raises(SkipResidue, match="repeated factor"):
+        with pytest.raises(NotSquarefree, match="repeated factor"):
             frobenius_in_residue_field(self.rho(), 0, 7)
-        with pytest.raises(SkipResidue, match="repeated factor"):
+        with pytest.raises(NotSquarefree, match="repeated factor"):
             frobenius_in_residue_field(self.rho(), 4, 7)
 
     def test_other_prime(self):
@@ -203,7 +202,7 @@ class TestFrobeniusInResidueField:
         assert frobenius_in_residue_field(self.rho(), 3, 11) == (2,)
 
     def test_nonintegral_s0_skipped(self):
-        with pytest.raises(SkipResidue, match="not p-integral"):
+        with pytest.raises(NotPIntegral, match="not p-integral"):
             frobenius_in_residue_field(self.rho(), Fraction(1, 7), 7)
 
 

@@ -3,14 +3,16 @@ no concurrency machinery, binding s = s0 stays behind family and
 beckmann, census validates its fibre once per t0, not per cell, the
 identification sampler decides readability by one discriminant residue,
 split degrees mod p are read through ffact's entry points alone,
-rational roots factor no integer, and both identification modes decide
-by one judge."""
+rational roots factor no integer, both identification modes decide
+by one judge, and no module factors an integer: exceptional primes are
+decided by divisibility, like bad primes, and residue reads that fail
+raise ffact's own exceptions."""
 
 import ast
 import sys
 from importlib import resources
 
-from galspec import grunwald, poly
+from galspec import beckmann, grunwald, poly
 
 
 def _tree(name: str):
@@ -145,3 +147,24 @@ def test_both_identification_modes_share_one_judge():
         assert "_judge" in _called(_function("grunwald.py", name)), name
     assert not hasattr(grunwald, "IDENTIFY_REL_TOL")
     assert not hasattr(grunwald, "_compare")
+
+
+def test_no_module_factors_an_integer():
+    # exceptional primes are tested by division, as bad primes are; a
+    # factorization of a manifest's integers can take minutes
+    for src in resources.files("galspec").iterdir():
+        if not src.name.endswith(".py"):
+            continue
+        tree = ast.parse(src.read_text(), src.name)
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "factorint" not in defined | imported, src.name
+    assert not hasattr(beckmann, "global_exceptional")
+    assert not hasattr(grunwald, "SkipResidue")
