@@ -6,7 +6,11 @@ t0 and the branch points: a prime p ramifies only if t0 meets some branch
 point p-adically, and the inertia group is then generated by tau^I, where
 tau generates inertia over that branch point and I is the contact order.
 predict_any reads each contact once and predicts at the one branch point t0
-meets; predict_inertia holds that prediction to a given branch point.
+meets; predict_inertia holds that prediction to a given branch point.  The
+contacts are read on integers: for t0 = a/b in lowest terms and a location
+u/w, v_p(t0 - u/w) = v_p(a*w - u*b) - v_p(b*w); at infinity the contact is
+v_p(b) - v_p(a); and for the integer residual g of degree D,
+v_p(g(t0)) = v_p(b^D * g(a/b)) - D*v_p(b), with b^D * g(a/b) summed on ints.
 
 The bad set is carried as a list of integer certificates, one per reason, so
 membership can be decided exactly for any prime without factoring anything.
@@ -16,7 +20,9 @@ the group order, the s-guards' leading numerators and f's leaf denominator.
 specialization(manifest, s0) binds s = s0 once per parameter value: it
 refuses a degenerate s0, then caches the bound family, discriminant, branch
 locations, integer residual locus and certificates that every per-s0 entry
-point here and in grunwald reads.
+point here and in grunwald reads.  Its fibre(t0) is the one builder of a
+fibre's X-coefficients and discriminant for census, both identification
+modes and local_model.
 """
 
 from dataclasses import dataclass
@@ -24,18 +30,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import NonPrimeError, is_prime, primes_up_to, rational, valuation
+from .arith import NonPrimeError, is_prime, primes_up_to, rational
 from .family import FamilyManifest, require_nondegenerate
 from .ffact import roots_mod_p
 from .permgrp import CycleType, power_cycle_type
 from .poly import (
     UniPoly,
     _bind_s,
+    _coerce,
     _leaf_denominator,
     discriminant_in,
     integer_normalize,
     specialize,
     squarefree_part,
+    x_poly_coeffs,
 )
 
 REASONS = (
@@ -105,6 +113,13 @@ class Specialization:
     locations: tuple
     residual: UniPoly | None
     certificates: tuple
+
+    def fibre(self, t0) -> tuple:
+        """(X-coefficients lowest first, disc) of f(s0, t0, X); both are ints
+        when t0 and the bound leaves are integral.  f is monic in X, so disc
+        is the discriminant of the fibre itself."""
+        t0 = _coerce(rational(t0))
+        return x_poly_coeffs(specialize(self.f, {"t": t0})), self.disc.evaluate(t0)
 
 
 @lru_cache(maxsize=64)
@@ -216,6 +231,17 @@ def bad_s_residues(manifest: FamilyManifest, p: int) -> frozenset:
     return frozenset(out)
 
 
+def _vp(n: int, p: int) -> int:
+    """v_p of a nonzero int.  predict_any's contacts take several per census
+    cell; arith.valuation's prime check and rational handling made a census
+    about a quarter slower."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def predict_any(manifest: FamilyManifest, s0, t0, p: int):
     """Predict the inertia class over p in the (s0, t0) specialization.
 
@@ -236,27 +262,34 @@ def predict_any(manifest: FamilyManifest, s0, t0, p: int):
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     spec = specialization(manifest, s0)
-    t0 = Fraction(t0)
+    if type(t0) is not int:
+        t0 = Fraction(t0)
     if manifest.group is not None and manifest.group.order % p == 0:
         raise ValueError(
             f"p = {p} divides the group order; the tame criterion does not apply"
         )
 
+    # contacts on ints (module docstring): t0 = a/b in lowest terms, b > 0
+    a, b = t0.numerator, t0.denominator
+    vb = _vp(b, p)
     met = []  # (branch index, contact); index None for the residual locus
-    for j, a in enumerate(spec.locations):
-        if a is None:
-            contact = -valuation(t0, p) if t0 else 0
+    for j, loc in enumerate(spec.locations):
+        if loc is None:
+            contact = vb - _vp(a, p) if a else 0
         else:
-            if t0 == a:
+            diff = a * loc.denominator - loc.numerator * b
+            if not diff:
                 raise ValueError(f"t0 = {t0} is the branch point at index {j}")
-            contact = valuation(t0 - a, p)
+            contact = _vp(diff, p) - vb - _vp(loc.denominator, p)
         if contact > 0:
             met.append((j, contact))
     if spec.residual is not None:
-        value = spec.residual.evaluate(t0)
+        value, bk = 0, 1  # b^D * g(a/b), Horner from the top coefficient
+        for c in reversed(spec.residual.coeffs):
+            value, bk = value * a + c * bk, bk * b
         if value == 0:
             raise ValueError(f"t0 = {t0} is an undeclared branch point")
-        if valuation(value, p) > 0:
+        if _vp(value, p) > (len(spec.residual.coeffs) - 1) * vb:
             met.append((None, 0))
 
     if not met:

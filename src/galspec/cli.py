@@ -14,6 +14,7 @@ equal invocations produce byte-identical output.
 import argparse
 import json
 import sys
+from itertools import count
 from pathlib import Path
 
 from .arith import format_rat, parse_rat
@@ -74,6 +75,19 @@ def _shape_list(pairs) -> list:
     return [list(pair) for pair in pairs]
 
 
+def _s0(args, m: FamilyManifest):
+    """--s0, else 0; a degenerate default is refused with a nondegenerate hint."""
+    check = nondegenerate_check(m, 0) if args.s0 is None else True
+    if not check:
+        # the s-guards are nonzero polynomials, so some small integer passes
+        k = next(k for n in count(1) for k in (n, -n) if nondegenerate_check(m, k))
+        raise ValueError(
+            f"s0 = 0, the default without --s0, is degenerate: {'; '.join(check.reasons)}; "
+            f"the least nondegenerate integer s0 (by absolute value) is {k}, so pass --s0 {k}"
+        )
+    return parse_rat("0" if args.s0 is None else args.s0)
+
+
 # -- branch ---------------------------------------------------------------------
 
 
@@ -117,7 +131,7 @@ def cmd_branch(args) -> int:
 
 def cmd_badprimes(args) -> int:
     m = _load(args.manifest)
-    s0 = parse_rat(args.s0)
+    s0 = _s0(args, m)
     reports = bad_primes(m, s0, bound=args.bound)
     payload = {
         "family": m.name,
@@ -135,7 +149,7 @@ def cmd_badprimes(args) -> int:
 
 def cmd_predict(args) -> int:
     m = _load(args.manifest)
-    s0, t0 = parse_rat(args.s0), parse_rat(args.t0)
+    s0, t0 = _s0(args, m), parse_rat(args.t0)
     try:
         result = predict_any(m, s0, t0, args.p)
     except PredictionContradiction as exc:
@@ -151,7 +165,7 @@ def cmd_predict(args) -> int:
         return 1
     if result is None:
         _emit({"p": args.p, "ramified": False}, args.out)
-        _note(f"p={args.p} is unramified at (s0={args.s0}, t0={args.t0})")
+        _note(f"p={args.p} is unramified at (s0={args.s0 or 0}, t0={args.t0})")
         return 0
     _emit(
         {
@@ -273,7 +287,7 @@ def cmd_verify(args) -> int:
     m = _load(args.manifest)
     conditions = _parse_conditions(m, args.cond)
     report = verify(
-        m, parse_rat(args.s0), parse_rat(args.t0), conditions,
+        m, _s0(args, m), parse_rat(args.t0), conditions,
         n_id=args.n_id, seed=args.seed,
     )
     _emit(_report_json(report), args.out)
@@ -288,7 +302,7 @@ def cmd_verify(args) -> int:
 
 def cmd_identify(args) -> int:
     m = _load(args.manifest)
-    result = identify(m, parse_rat(args.s0), args.samples, args.seed)
+    result = identify(m, _s0(args, m), args.samples, args.seed)
     _emit(result, args.out)
     _note(f"{m.name}: {len(result['observed'])} type(s) in {args.samples} samples; verdict {result['verdict']}")
     if result["verdict"] == "INCONCLUSIVE":
@@ -302,7 +316,7 @@ def cmd_identify(args) -> int:
 
 def cmd_census(args) -> int:
     m = _load(args.manifest)
-    s0 = parse_rat(args.s0)
+    s0 = _s0(args, m)
     try:
         t_lo, t_hi = (int(x) for x in args.t_range.split("..", 1))
     except ValueError:
@@ -329,22 +343,22 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="galspec")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, s0_default=None):
+    def common(p, s0=False):
         p.add_argument("--manifest", required=True, help="JSON file or built-in name")
         p.add_argument("--out", help="write the JSON/CSV here instead of stdout")
-        if s0_default is not None:
-            p.add_argument("--s0", default=s0_default)
+        if s0:
+            p.add_argument("--s0", help="bind s (default 0)")
         return p
 
     p = common(sub.add_parser("branch", help="branch locus and declared branch data"))
     p.add_argument("--s0", help="bind s to evaluate the locus")
     p.set_defaults(run=cmd_branch)
 
-    p = common(sub.add_parser("badprimes", help="bad primes with reasons"), s0_default="0")
+    p = common(sub.add_parser("badprimes", help="bad primes with reasons"), s0=True)
     p.add_argument("--bound", type=int, default=1000)
     p.set_defaults(run=cmd_badprimes)
 
-    p = common(sub.add_parser("predict", help="tame inertia at one prime"), s0_default="0")
+    p = common(sub.add_parser("predict", help="tame inertia at one prime"), s0=True)
     p.add_argument("--t0", required=True)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(run=cmd_predict)
@@ -355,19 +369,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-id", type=int, default=300, help="cap on readable auxiliary primes")
     p.set_defaults(run=cmd_search)
 
-    p = common(sub.add_parser("verify", help="check conditions at a given (s0, t0)"), s0_default="0")
+    p = common(sub.add_parser("verify", help="check conditions at a given (s0, t0)"), s0=True)
     p.add_argument("--t0", required=True)
     p.add_argument("--cond", action="append", default=[])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-id", type=int, default=300, help="cap on readable auxiliary primes")
     p.set_defaults(run=cmd_verify)
 
-    p = common(sub.add_parser("identify", help="group identification by sampling"), s0_default="0")
+    p = common(sub.add_parser("identify", help="group identification by sampling"), s0=True)
     p.add_argument("--samples", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=cmd_identify)
 
-    p = common(sub.add_parser("census", help="prediction vs shape over a grid"), s0_default="0")
+    p = common(sub.add_parser("census", help="prediction vs shape over a grid"), s0=True)
     p.add_argument("--t-range", required=True, help="like -500..500")
     p.add_argument("--p-max", type=int, default=97)
     p.set_defaults(run=cmd_census)

@@ -14,8 +14,19 @@ prescribed Frobenius into the decomposition model.  Group identification
 reads cycle types of fibres mod p through one sampler and one judge, in
 two modes: verify reads its fibre at auxiliary primes until the types it
 saw prove or refute the group, identify reads random (t0, p) fibres and
-tests their frequencies when they do neither.  census sets predicted
-inertia against measured shapes on a grid.
+tests their frequencies when they do neither.  Every fibre's X-coefficients
+and discriminant come from one builder, Specialization.fibre.
+
+census sets predicted inertia, from beckmann's contacts read on integers,
+against measured shapes on a grid, and a row reports inertia only.  When p
+divides neither disc(t0) nor the leaf denominator of f(s0, t, X), the fibre
+is p-integral and squarefree mod p, so (Dedekind) its shape is the split
+type of f mod p, a function of t0 mod p alone: census measures it with
+padic._shape once per (p, t0 mod p) and reads the rest of the class from a
+table.  A p in the leaf denominator never uses the table: c(t) = (t - 3)/5
+is 0 at t0 = 3, 1 at t0 = 8 and 1/5 at t0 = 4, so f mod 5 is no function of
+t0 mod 5 and a fibre need not be 5-integral.  Nor does any p | disc(t0).
+The table, like everything census builds, lives for one call.
 """
 
 from collections import Counter
@@ -35,7 +46,7 @@ from .padic import WildPrime, _shape, padic_shape
 from .permgrp import (
     CycleType, ef_multiset, fingerprint, generate, invariably_generates, power_cycle_type,
 )
-from .poly import UniPoly, specialize, x_poly_coeffs
+from .poly import UniPoly, _leaf_denominator, specialize, x_poly_coeffs
 
 AUX_PRIME_BOUND = 5000
 IDENTIFY_PRIME_BOUND = 2000
@@ -452,12 +463,13 @@ def local_model(manifest: FamilyManifest, s0, t0, p: int) -> UniPoly:
     """Monic model of the fiber at (s0, t0) with p-integral coefficients
     whenever one exists, switching to the 1/t chart for p in t0's
     denominator."""
-    s0, t0 = Fraction(s0), Fraction(t0)
+    spec, t0 = specialization(manifest, s0), Fraction(t0)
+    coeffs, _ = spec.fibre(t0)
     if t0 and valuation(t0, p) < 0:
-        source, at = infinity_chart(manifest.f), 1 / t0
-    else:
-        source, at = manifest.f, t0
-    return _monic_model(x_poly_coeffs(specialize(source, {"s": s0, "t": at})))
+        # the u = 1/t chart at u = 1/t0: u^D f(s0, 1/u, X) with D = deg_t f
+        scale = t0 ** -spec.f.degree_in("t")
+        coeffs = [c * scale for c in coeffs]
+    return _monic_model(coeffs)
 
 
 def _monic_model(coeffs: list) -> UniPoly:
@@ -622,8 +634,7 @@ def _identify(manifest, spec, t0, conditions, n_id, seed) -> IdentificationSumma
         and not is_bad_prime(manifest, spec.s0, q)
     ]
     Random(seed).shuffle(pool)
-    coeffs = x_poly_coeffs(specialize(spec.f, {"t": t0}))
-    disc = spec.disc.evaluate(t0)
+    coeffs, disc = spec.fibre(t0)
     fp = fingerprint(manifest.group)
     settled = lambda tally: _judge(manifest, fp, tally)[3] != "INCONCLUSIVE"
     counts = _tally_fibres(((coeffs, disc, q) for q in pool), n_id, settled)
@@ -661,7 +672,7 @@ def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
         for _ in range(200 * samples):
             t0 = rng.randrange(1, IDENTIFY_T_GRID)
             p = pool[rng.randrange(len(pool))]
-            yield x_poly_coeffs(specialize(spec.f, {"t": Fraction(t0)})), spec.disc.evaluate(t0), p
+            yield *spec.fibre(t0), p
 
     tally = _tally_fibres(draws(), samples)
     if tally.total() < samples:
@@ -726,20 +737,25 @@ class CensusRow:
 def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     """One row per (t0, prime): predicted inertia class against the measured
     p-adic shape.  Returns (rows, bad reason map); rows over good primes
-    must all match."""
+    must all match.  An unramified cell is measured once per residue class
+    of t0 mod p (module docstring); distinct types and their labels are
+    built once per call."""
     spec = specialization(m, s0)
     s0 = spec.s0
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
+    leaf = _leaf_denominator(spec.f)
     unramified = CycleType((1,) * m.f.degree())
+    shapes = {}  # _shape pairs -> CycleType
+    classes = {}  # (p, t0 mod p) -> observed type, for p prime to disc(t0) * leaf
+    labels = {unramified: str(unramified)}  # CycleType -> str
+
     rows = []
     for t0 in range(t_lo, t_hi + 1):
-        disc = spec.disc.evaluate(t0)
+        coeffs, disc = spec.fibre(t0)
         if disc == 0:
             continue  # exactly on a branch point: no number field to read
-        # an integer t0 is p-integral at every p, so local_model never switches chart;
-        # f is monic in X, so the model is the fibre itself and disc is its discriminant
-        model = UniPoly(x_poly_coeffs(specialize(spec.f, {"t": t0})), "X")
+        model = None
         for p in ps:
             if p in bad:
                 reasons = ";".join(bad[p])  # comma is the CSV delimiter
@@ -747,10 +763,26 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                 continue
             prediction = predict_any(m, s0, t0, p)
             predicted = unramified if prediction is None else prediction.generator_class
-            observed = CycleType(_expand(_shape(model, p, disc).pairs))
+            # p prime to the leaf denominator makes the fibre, so disc(t0), p-integral
+            key = (p, t0 % p) if leaf % p and disc.numerator % p else None
+            observed = classes.get(key)
+            if observed is None:
+                # an integer t0 is p-integral at every p, so local_model never
+                # switches chart; the model is the monic fibre itself
+                if model is None:
+                    model = UniPoly(coeffs, "X")
+                pairs = _shape(model, p, disc).pairs
+                if pairs not in shapes:
+                    shapes[pairs] = CycleType(_expand(pairs))
+                observed = shapes[pairs]
+                if key is not None:
+                    classes[key] = observed
+            for ct in (predicted, observed):
+                if ct not in labels:
+                    labels[ct] = str(ct)
             rows.append(
                 CensusRow(
-                    s0, t0, p, str(predicted), str(observed),
+                    s0, t0, p, labels[predicted], labels[observed],
                     "true" if observed == predicted else "false",
                 )
             )

@@ -635,11 +635,6 @@ def discriminant_in(f: UniPoly, var: str):
 # -- content, rational roots -------------------------------------------------
 
 
-def fraction_poly(coeffs) -> UniPoly:
-    """Build a Q-coefficient polynomial in X from a coefficient list."""
-    return UniPoly([rational(c) for c in coeffs], "X")
-
-
 def integer_normalize(f: UniPoly) -> tuple[Fraction, list[int]]:
     """Write f = content * primitive with primitive integral, lc > 0.
 

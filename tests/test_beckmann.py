@@ -23,9 +23,10 @@ from galspec.beckmann import (
     residue_class_bound,
     specialization,
 )
-from galspec.family import builtin_manifest, load_manifest
+from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
 from galspec.ffact import FpField, factor_poly, reduce_mod_p
 from galspec.padic import padic_shape
+from galspec.permgrp import power_cycle_type
 from galspec.poly import UniPoly, constant_value, parse_poly, specialize
 
 
@@ -126,6 +127,78 @@ def intersection_multiplicity(t0, branch, p: int) -> int:
     if t0 == a:
         raise ValueError(f"t0 = {t0} is the branch point itself")
     return valuation(t0 - a, p)
+
+
+def fraction_rule(manifest, s0, t0, p: int):
+    """predict_any with its contacts read in Fraction arithmetic through
+    arith.valuation, guards and messages included (reference oracle for the
+    integer contacts)."""
+    if not manifest.branch_points:
+        raise ValueError("the manifest declares no branch points")
+    if not is_prime(p):
+        raise NonPrimeError(f"{p} is not prime")
+    spec = specialization(manifest, s0)
+    t0 = Fraction(t0)
+    if manifest.group is not None and manifest.group.order % p == 0:
+        raise ValueError(
+            f"p = {p} divides the group order; the tame criterion does not apply"
+        )
+    met = []
+    for j, a in enumerate(spec.locations):
+        if a is None:
+            contact = -valuation(t0, p) if t0 else 0
+        else:
+            if t0 == a:
+                raise ValueError(f"t0 = {t0} is the branch point at index {j}")
+            contact = valuation(t0 - a, p)
+        if contact > 0:
+            met.append((j, contact))
+    if spec.residual is not None:
+        value = spec.residual.evaluate(t0)
+        if value == 0:
+            raise ValueError(f"t0 = {t0} is an undeclared branch point")
+        if valuation(value, p) > 0:
+            met.append((None, 0))
+    if not met:
+        return None
+    if len(met) >= 2:
+        raise PredictionContradiction(BadPrimeReport(p, ("BranchCollision",)))
+    j, contact = met[0]
+    if j is None:
+        raise ValueError(
+            f"t0 = {t0} meets a non-rational branch point at p = {p}; "
+            "no inertia generator is declared for it"
+        )
+    bp = manifest.branch_points[j]
+    return InertiaPrediction(
+        p, j, contact, power_cycle_type(bp.inertia_generator, contact),
+        bp.e // gcd(bp.e, contact),
+    )
+
+
+def residual_manifest() -> dict:
+    """X^2 - t(9t^2 - s): the residual 9t^2 - s has rational roots at
+    s0 = 36, and 3 divides its leading coefficient."""
+    return {
+        "name": "residual9",
+        "poly": "X^2 - t*(9*t^2 - s)",
+        "group_generators": ["(1 2)"],
+        "branch_points": [{
+            "location": "0", "e": 2, "inertia_generator": "(1 2)",
+            "decomposition_generators": ["(1 2)"],
+        }],
+    }
+
+
+TWOBRANCH, RESIDUAL = load_manifest(twobranch_manifest()), load_manifest(residual_manifest())
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any refusal: compared by type and message
+        return type(exc), str(exc)
 
 
 def reasons_by_prime(reports) -> dict:
@@ -469,6 +542,51 @@ class TestPredictAny:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError, match="no branch point with index 2"):
             predict_inertia(builtin_manifest("x2mt"), 2, 0, 12, 3)
+
+    def test_integer_contacts_on_a_grid(self):
+        # t0 = a / p^k against locations and a residual whose leading
+        # coefficient 9 carries p = 3
+        cases = [(builtin_manifest("x2mt"), 0), (builtin_manifest("x3mt"), 0),
+                 (builtin_manifest("psl32"), 1), (builtin_manifest("psl32"), Fraction(3, 7)),
+                 (TWOBRANCH, Fraction(2, 5)), (TWOBRANCH, Fraction(7, 9)),
+                 (RESIDUAL, 3), (RESIDUAL, 36)]
+        for m, s0 in cases:
+            for p in (3, 5, 11):
+                for k in range(-1, 3):
+                    for a in range(-15, 16):
+                        t0 = Fraction(a) / Fraction(p) ** k
+                        assert outcome(predict_any, m, s0, t0, p) == outcome(
+                            fraction_rule, m, s0, t0, p), (m.name, s0, t0, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_integer_contacts_match_the_fraction_rule(self, data):
+        # rational t0 with p in its denominator, locations with p in theirs
+        # (twobranch at s0 = k/p^j), t0 close to a location or exactly on it
+        name = data.draw(st.sampled_from(["x2mt", "x3mt", "psl32", "twobranch", "residual9"]))
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 97, 4]))
+        q = p if p != 4 else 2
+        if name in ("x2mt", "x3mt"):
+            m, s0 = builtin_manifest(name), 0
+        elif name == "psl32":
+            m, s0 = builtin_manifest(name), data.draw(st.sampled_from([1, Fraction(3, 7)]))
+        elif name == "twobranch":
+            m = TWOBRANCH
+            s0 = Fraction(
+                data.draw(st.integers(-30, 30).filter(bool)),
+                data.draw(st.sampled_from([1, 2, 3, q, q * q, 7 * q])),
+            )
+        else:
+            m, s0 = RESIDUAL, data.draw(st.sampled_from([36, 4, 3]))
+        locations = specialization(m, s0).locations if nondegenerate_check(m, s0) else ()
+        centres = [a for a in locations if a is not None] + [Fraction(0), Fraction(2)]
+        centre = data.draw(st.sampled_from(centres))
+        k = data.draw(st.integers(-3, 3))
+        u = Fraction(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 12)))
+        t0 = centre + u * Fraction(q) ** k
+        if t0.denominator == 1 and data.draw(st.booleans()):
+            t0 = int(t0)
+        assert outcome(predict_any, m, s0, t0, p) == outcome(fraction_rule, m, s0, t0, p)
 
 
 class TestSpecialization:

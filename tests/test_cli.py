@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON/CSV payloads, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,27 @@ class TestPredict:
         code = main(["predict", "--manifest", "psl32", "--s0", "0", "--t0", "1/11", "--p", "11"])
         assert code == 2
         assert "discriminant t-degree drops" in capsys.readouterr().err
+
+    def test_degenerate_default_s0_names_a_nondegenerate_one(self, capsys):
+        # without --s0 every s0-taking subcommand binds 0, degenerate for psl32
+        hint = (
+            "error: s0 = 0, the default without --s0, is degenerate: discriminant "
+            "t-degree drops; the least nondegenerate integer s0 (by absolute "
+            "value) is 1, so pass --s0 1\n"
+        )
+        for argv in (
+            ["predict", "--t0", "1/11", "--p", "11"],
+            ["badprimes"],
+            ["verify", "--t0", "1/11", "--cond", "p=11,branch=inf,d=1"],
+            ["identify", "--samples", "5"],
+            ["census", "--t-range", "1..2"],
+        ):
+            code = main(argv[:1] + ["--manifest", "psl32"] + argv[1:])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", hint), argv[0]
+        code, payload = run(capsys, "predict", "--manifest", "psl32", "--s0", "1",
+                            "--t0", "1/11", "--p", "11")
+        assert code == 0 and payload["branch"] == 0
 
     def test_collision_reported_as_bad_prime(self, capsys, tmp_path):
         code, payload = run(
@@ -471,6 +493,22 @@ class TestCensus:
         by_p = {int(r.split(",")[2]): r.split(",") for r in out.strip().split("\n")[1:]}
         assert by_p[5][3:] == ["3", "3", "true"]  # t0 = 5: full contact at p = 5
         assert by_p[7][3:] == ["1^3", "1^3", "true"]
+
+    def test_csv_pinned(self, capsys):
+        # hashed from the census that factored every cell and read contacts
+        # in Fraction arithmetic
+        pins = {
+            "x2mt": ("2a86cb05e201b807cd1da3a55bfc6a5e522bba861f42a3a2ac57c1516fc63d52",
+                     "x2mt: 3000 rows, 2880 over good primes, match rate 1.0000, bad primes [2]\n"),
+            "x3mt": ("bd606fcd407b1ef3bc85330b0b7077a8c4bbc7f4a5f58c1dbaeba5c61d66f71d",
+                     "x3mt: 3000 rows, 2760 over good primes, match rate 1.0000, bad primes [2, 3]\n"),
+        }
+        for name, (digest, note) in pins.items():
+            code = main(["census", "--manifest", name, "--t-range=-60..60", "--p-max", "97"])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, name
+            assert captured.err == note
 
     def test_bad_t_range_is_usage_error(self, capsys):
         code = main(["census", "--manifest", "x2mt", "--t-range", "oops"])

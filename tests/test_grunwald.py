@@ -1,18 +1,20 @@
 """Condition parsing, residue searches, CRT assembly, and verification."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import dataclasses
 
-from galspec.arith import Congruence, primes_up_to
+from galspec.arith import Congruence, format_rat, primes_up_to
 from galspec.beckmann import (
-    InertiaPrediction, bad_primes, is_bad_prime, predict_inertia, specialization,
+    InertiaPrediction, bad_primes, is_bad_prime, predict_any, predict_inertia, specialization,
 )
 from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
 from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence
 from galspec.grunwald import (
+    CensusRow,
     NoResidueFound,
     Ramified,
     TargetNotFound,
@@ -34,7 +36,7 @@ from galspec.grunwald import (
 )
 from galspec.padic import _shape, padic_shape
 from galspec.permgrp import CycleType, ef_multiset, generate, parse_perm, power_cycle_type
-from galspec.poly import discriminant_in, parse_poly, specialize, x_poly_coeffs
+from galspec.poly import UniPoly, discriminant_in, parse_poly, specialize, x_poly_coeffs
 from test_arith import legendre
 from test_beckmann import twobranch_manifest
 
@@ -523,6 +525,65 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def census_oracle(m, s0, t_lo, t_hi, p_max):
+    """census reading every cell through padic._shape, the unramified ones
+    included (reference oracle)."""
+    spec = specialization(m, s0)
+    s0 = spec.s0
+    bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
+    unramified = CycleType((1,) * m.f.degree())
+    rows = []
+    for t0 in range(t_lo, t_hi + 1):
+        disc = spec.disc.evaluate(t0)
+        if disc == 0:
+            continue
+        model = UniPoly(x_poly_coeffs(specialize(spec.f, {"t": t0})), "X")
+        for p in primes_up_to(p_max):
+            if p in bad:
+                rows.append(CensusRow(s0, t0, p, f"bad({';'.join(bad[p])})", "-", "bad"))
+                continue
+            prediction = predict_any(m, s0, t0, p)
+            predicted = unramified if prediction is None else prediction.generator_class
+            shape = _shape(model, p, disc)
+            observed = CycleType(tuple(e for e, f in shape.pairs for _ in range(f)))
+            match = "true" if observed == predicted else "false"
+            rows.append(CensusRow(s0, t0, p, str(predicted), str(observed), match))
+    return rows, bad
+
+
+def ninth_manifest() -> dict:
+    """(X - c(t))^2 - (t + 2) with c(t) = t(t - 1)(t - 2)/9.  3 is not bad, but
+    it divides f's leaf denominator: c is 0 at t0 = 0, 1, 2 and 2/3 at t0 = 3,
+    so f mod 3 is no function of t0 mod 3, and f(3, X) is not 3-integral."""
+    return {
+        "name": "ninth",
+        "poly": "(X - 1/9*t*(t - 1)*(t - 2))^2 - t - 2",
+        "group_generators": ["(1 2)"],
+        "branch_points": [
+            {"location": "-2", "e": 2, "inertia_generator": "(1 2)",
+             "decomposition_generators": ["(1 2)"]},
+            {"location": "inf", "e": 2, "inertia_generator": "(1 2)",
+             "decomposition_generators": ["(1 2)"]},
+        ],
+    }
+
+
+def census_text(m, s0, t_lo, t_hi):
+    """One census call per t0 at p <= 97, as CSV lines, or the ValueError's
+    text where a call raises."""
+    lines = []
+    for t0 in range(t_lo, t_hi + 1):
+        try:
+            rows, _ = census(m, s0, t0, t0, 97)
+        except ValueError as exc:
+            lines.append(f"{t0}: ValueError: {exc}")
+            continue
+        lines.extend(
+            f"{format_rat(r.s0)},{r.t0},{r.p},{r.predicted},{r.observed},{r.match}" for r in rows
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestCensus:
     def test_rows_match_per_cell_recomputation(self):
         # branch points t = 1 and t = 2 at s0 = 1; t0 = 2 + kp meets the second
@@ -581,6 +642,45 @@ class TestCensus:
                     public = _outcome(padic_shape, local_model(m, s0, t0, p), p)
                     assert cell == public, (s0, t0, p)
 
+
+    def test_rows_match_the_oracle(self):
+        # ramified and unramified cells, s0 with p in the bound leaves
+        cases = [
+            (builtin_manifest("x3mt"), 0, -40, 40, 97),
+            (builtin_manifest("x2mt"), 0, -40, 40, 97),
+            (load_manifest(twobranch_manifest()), 1, 3, 40, 31),
+            (load_manifest(twobranch_manifest()), Fraction(1, 3), -20, 20, 31),
+        ]
+        for m, s0, lo, hi, p_max in cases:
+            assert _outcome(census, m, s0, lo, hi, p_max) == census_oracle(m, s0, lo, hi, p_max)
+
+    def test_leaf_denominator_prime_keeps_the_shape_path(self):
+        # 3 divides neither disc(0) = 8 nor disc(3) = 20, but only f(0, X)
+        # is 3-integral: the cell (t0, p) = (3, 3) must refuse as the oracle
+        # does, not be read from the class of t0 = 0 mod 3
+        m = load_manifest(ninth_manifest())
+        assert sorted(census(m, 0, 0, 2, 97)[1]) == [2]
+        rows, _ = census(m, 0, 0, 2, 97)
+        assert rows == census_oracle(m, 0, 0, 2, 97)[0]
+        for lo, hi in ((0, 3), (-5, 8)):
+            with pytest.raises(NotPIntegral) as got:
+                census(m, 0, lo, hi, 97)
+            with pytest.raises(NotPIntegral) as want:
+                census_oracle(m, 0, lo, hi, 97)
+            assert str(got.value) == str(want.value)
+
+    def test_flagship_rows_pinned(self):
+        # one call per t0, hashed from the rows of the census that factored
+        # every cell and read contacts in Fraction arithmetic
+        m = builtin_manifest("psl32")
+        pins = {
+            1: "72c2fcb413e35334d112dca2f18a1c887ea97546537a474912ad391a40e149ed",
+            Fraction(3, 7): "30bb4223c63b441cb5fc5982509bb806c3f79dcf0cb13cbf9e7af9c77b26b2cd",
+        }
+        for s0, digest in pins.items():
+            text = census_text(m, s0, -30, 30)
+            assert text.count("meets a non-rational branch point") == 24
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, s0
 
 class TestIdentificationSamples:
     """Exact draws of both identification modes, pinned so a change to the

@@ -17,7 +17,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galspec.arith import NonPrimeError, primes_up_to, valuation
+from galspec.arith import NonPrimeError, primes_up_to, rational, valuation
 from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence, factor_poly
 from galspec.padic import (
     PadicShape,
@@ -27,7 +27,12 @@ from galspec.padic import (
     _StageZero,
     padic_shape,
 )
-from galspec.poly import UniPoly, discriminant_in, fraction_poly, parse_poly, specialize
+from galspec.poly import UniPoly, discriminant_in, parse_poly, specialize
+
+
+def fraction_poly(coeffs) -> UniPoly:
+    """Build a Q-coefficient polynomial in X from a coefficient list."""
+    return UniPoly([rational(c) for c in coeffs], "X")
 
 
 def xp(*coeffs):

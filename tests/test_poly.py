@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galspec.arith import INFINITY, valuation
+from galspec.arith import INFINITY, rational, valuation
 from galspec.poly import (
     NewtonPolygon,
     PolyParseError,
@@ -13,7 +13,6 @@ from galspec.poly import (
     constant_value,
     discriminant_in,
     format_poly,
-    fraction_poly,
     gcd_over_poly_coeffs,
     integer_normalize,
     newton_polygon,
@@ -30,6 +29,11 @@ F_PSL = (
     " + (s^3 + 4s^2 - 10s + 16)X^2 + (-s^2 + 5s - 12)X - s + 4"
     " + tX^2(X - 1)(X^2 - sX + s)"
 )
+
+
+def fraction_poly(coeffs) -> UniPoly:
+    """Build a Q-coefficient polynomial in X from a coefficient list."""
+    return UniPoly([rational(c) for c in coeffs], "X")
 
 
 def qpoly(*coeffs_low_to_high):
