@@ -26,14 +26,17 @@ padic._shape once per (p, t0 mod p) and reads the rest of the class from a
 table.  A p in the leaf denominator never uses the table: c(t) = (t - 3)/5
 is 0 at t0 = 3, 1 at t0 = 8 and 1/5 at t0 = 4, so f mod 5 is no function of
 t0 mod 5 and a fibre need not be 5-integral.  Nor does any p | disc(t0).
-The table, like everything census builds, lives for one call.
+census measures every fibre on its integral model Y = d X, d the lcm of
+the fibre's denominators: the same field, and at p prime to d the same
+discriminant valuation.  The table, like everything census builds, lives
+for one call.
 """
 
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import erfc, exp, gcd, pi, sqrt
+from math import erfc, exp, gcd, lcm, pi, sqrt
 from random import Random
 
 from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, valuation
@@ -460,9 +463,10 @@ class SpecializationReport:
 
 
 def local_model(manifest: FamilyManifest, s0, t0, p: int) -> UniPoly:
-    """Monic model of the fiber at (s0, t0) with p-integral coefficients
-    whenever one exists, switching to the 1/t chart for p in t0's
-    denominator."""
+    """Monic model of the fiber at (s0, t0): the fibre itself, or for p in
+    t0's denominator its image in the 1/t chart, made monic by Y = lc X.  It
+    is not rescaled for p in a leaf denominator of f, so its coefficients
+    need not be p-integral; callers that need them so catch NotPIntegral."""
     spec, t0 = specialization(manifest, s0), Fraction(t0)
     coeffs, _ = spec.fibre(t0)
     if t0 and valuation(t0, p) < 0:
@@ -480,6 +484,16 @@ def _monic_model(coeffs: list) -> UniPoly:
         coeffs = [c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1])]
         coeffs.append(1)
     return UniPoly(coeffs, "X")
+
+
+def _integral_model(coeffs: list, disc) -> tuple:
+    """(g, disc g) for g(Y) = d^n f(Y/d), Y = d X, where f is the monic fibre
+    with these coefficients and d the lcm of their denominators: g is monic
+    and integral, cuts out the same field, so has the same shapes, and
+    disc g = d^(n(n-1)) disc f."""
+    n = len(coeffs) - 1
+    d = lcm(*(c.denominator for c in coeffs))
+    return UniPoly([c * d ** (n - j) for j, c in enumerate(coeffs)], "X"), disc * d ** (n * (n - 1))
 
 
 def _expand(pairs) -> tuple:
@@ -768,10 +782,12 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
             observed = classes.get(key)
             if observed is None:
                 # an integer t0 is p-integral at every p, so local_model never
-                # switches chart; the model is the monic fibre itself
+                # switches chart; a leaf denominator can still put p in the
+                # fibre's, so the model is the fibre's integral rescaling
                 if model is None:
-                    model = UniPoly(coeffs, "X")
-                pairs = _shape(model, p, disc).pairs
+                    model = _integral_model(coeffs, disc)
+                g, g_disc = model
+                pairs = _shape(g, p, g_disc).pairs
                 if pairs not in shapes:
                     shapes[pairs] = CycleType(_expand(pairs))
                 observed = shapes[pairs]

@@ -31,9 +31,10 @@ from .ffact import (
 )
 from .poly import UniPoly, discriminant_in, lower_hull, newton_polygon
 
-# Stages a valuation chain may build: a bound on their count, not on time.
-# On a squarefree input (_shape checks disc(f) != 0) chains are bounded by
-# v_p(disc); hitting the cap means a bug, so fail loudly rather than guess.
+# Stages one valuation chain may build.  The cap counts stages, not time, and
+# no code bounds a chain by v_p(disc).  _shape refuses a zero discriminant
+# before any chain starts, so only a direct _shape_exact call on input that is
+# not squarefree reaches the cap; it then fails loudly rather than guess.
 _MAX_STEPS = 500
 
 

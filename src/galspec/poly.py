@@ -12,9 +12,12 @@ convention).
 
 On top of the ring arithmetic this module provides the subresultant PRS,
 which serves resultants, discriminants and the one gcd in the outer
-variable (over Q and over Q[s] alike), rational roots by p-adic lifting,
-coefficient-valuation Newton polygons, and the text parser for the manifest
-polynomial syntax (`+ - * ^`, implicit multiplication, variables s, t, X).
+variable (over Q and over Q[s] alike).  Resultant and gcd clear leaf
+denominators before the PRS, so it runs on integer leaves, and its
+pseudo-remainders eliminate in place on one coefficient list.  The module
+also provides rational roots by p-adic lifting, coefficient-valuation
+Newton polygons, and the text parser for the manifest polynomial syntax
+(`+ - * ^`, implicit multiplication, variables s, t, X).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class UniPoly:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs, var: str):
-        cc = [_coerce(c) for c in coeffs]
+        cc = [c if isinstance(c, (int, UniPoly)) else _coerce(c) for c in coeffs]
         while cc and not cc[-1]:
             cc.pop()
         self.coeffs = tuple(cc)
@@ -145,7 +148,11 @@ class UniPoly:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [-c for c in b[len(a):]]
+        for i, c in enumerate(b[: len(a)]):
+            out[i] = out[i] - c
+        return UniPoly(out, self.var)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -532,23 +539,36 @@ def x_poly_coeffs(f) -> list:
 
 
 def pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g."""
+    """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g.
+
+    Runs in place on f's coefficient list: each nonzero top coefficient r[k]
+    is eliminated by r[i] = lc(g) r[i] - r[k] g[i - k + deg g] (below the
+    shift only lc(g) r[i]), a zero top is skipped, and lc(g) to the number
+    of skipped steps multiplies the remainder at the end."""
     if not g:
         raise ZeroDivisionError
-    d = f.degree() - g.degree()
+    dg = g.degree()
+    d = f.degree() - dg
     if d < 0:
         return f
-    lc = g.lc()
-    r = f
+    lc, gc = g.lc(), g.coeffs
+    r = list(f.coeffs)
     e = d + 1
-    while r and r.degree() >= g.degree():
-        shift = r.degree() - g.degree()
-        top = r.lc()
-        r = r.scale(lc) - UniPoly([r._zero_scalar()] * shift + [top], f.var) * g
+    for k in range(len(r) - 1, dg - 1, -1):
+        top = r[k]
+        if not top:
+            continue
+        shift = k - dg
+        for i in range(shift):
+            r[i] = r[i] * lc
+        for i in range(shift, k):
+            r[i] = r[i] * lc - top * gc[i - shift]
         e -= 1
-    if e > 0:
-        r = r.scale(lc**e)
-    return r
+    del r[dg:]
+    if e:
+        c = lc**e
+        r = [a * c for a in r]
+    return UniPoly(r, f.var)
 
 
 def _leaf_denominator(g) -> int:
@@ -590,7 +610,9 @@ def _prs(A: UniPoly, B: UniPoly):
         delta = A.degree() - B.degree()
         R = pseudo_rem(A, B)
         denom = g * h**delta
-        A, B = B, UniPoly([_exact_div(c, denom) for c in R.coeffs], R.var)
+        if denom != 1:
+            R = UniPoly([_exact_div(c, denom) for c in R.coeffs], R.var)
+        A, B = B, R
         g = A.lc()
         if delta == 1:
             h = g
@@ -747,11 +769,13 @@ def primitive_part(f: UniPoly) -> UniPoly:
 def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
     """gcd in the outer variable by the subresultant PRS, the one gcd over Q
     and Q[s]: monic over rational leaves; over Q[s] coefficients primitive,
-    and monic whenever its leading coefficient is constant in s."""
+    and monic whenever its leading coefficient is constant in s.  Each input
+    is scaled by the lcm of its leaf denominators first, a unit over Q, so
+    the PRS runs on integer leaves."""
     a, b = (f, g) if f.degree() >= g.degree() else (g, f)
     if not a:
         return a
-    for a, b, _ in _prs(a, b):
+    for a, b, _ in _prs(a.scale(_leaf_denominator(a)), b.scale(_leaf_denominator(b))):
         pass
     if b:
         return UniPoly([_one_like(a._zero_scalar())], a.var)

@@ -10,6 +10,11 @@ from pathlib import Path
 
 import galspec
 from galspec.cli import main
+from galspec.family import load_manifest
+from galspec.grunwald import local_model
+from galspec.padic import padic_shape
+from galspec.permgrp import CycleType
+from test_grunwald import ninth_manifest, p_integral_model
 
 
 def run(capsys, *argv):
@@ -509,6 +514,27 @@ class TestCensus:
             assert code == 0
             assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, name
             assert captured.err == note
+
+    def test_fibre_not_p_integral_is_measured(self, tmp_path):
+        # f(3, X) = (X - 2/3)^2 - 5 has 3 in a denominator, and 3 is no bad
+        # prime: its row is the shape of an integral model of the same field
+        path = tmp_path / "ninth.json"
+        path.write_text(json.dumps(ninth_manifest()))
+        env = dict(os.environ, PYTHONPATH=str(Path(galspec.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "galspec", "census", "--manifest", str(path),
+             "--t-range", "0..3", "--p-max", "5"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 0
+        assert done.stderr == "ninth: 12 rows, 8 over good primes, match rate 1.0000, bad primes [2]\n"
+        rows = [line.split(",") for line in done.stdout.strip().split("\n")[1:]]
+        at3 = [r for r in rows if r[2] == "3"]
+        assert [r[1] for r in at3] == ["0", "1", "2", "3"]
+        m = load_manifest(ninth_manifest())
+        for r in at3:
+            shape = padic_shape(p_integral_model(local_model(m, 0, int(r[1]), 3), 3), 3)
+            assert r[4] == str(CycleType(tuple(e for e, f in shape.pairs for _ in range(f))))
 
     def test_bad_t_range_is_usage_error(self, capsys):
         code = main(["census", "--manifest", "x2mt", "--t-range", "oops"])

@@ -1,5 +1,6 @@
 """Manifests, branch loci, nondegeneracy, and Newton-polygon probes."""
 
+import hashlib
 import typing
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from galspec.family import (
     require_nondegenerate,
 )
 from galspec.permgrp import Perm
-from galspec.poly import UniPoly, parse_poly
+from galspec.poly import UniPoly, format_poly, parse_poly
+from test_beckmann import twobranch_manifest
+from test_grunwald import ninth_manifest
 
 
 def leaves(g):
@@ -473,3 +476,75 @@ class TestInertiaProbe:
         }
         with pytest.raises(ManifestInconsistent, match="contradict"):
             inertia_order_probe(load_manifest(raw), 0, 3)
+
+
+def loaded_texts(m) -> dict:
+    """Every polynomial the loader derives, as text: the discriminant, its
+    squarefree part, the locus, the s-guards and each branch point's data."""
+    texts = {
+        "disc": str(m.disc),
+        "squarefree_disc": str(m.squarefree_disc),
+        "locus": f"{[str(c) for c in m.locus.points]} {m.locus.residual} {m.locus.infinity}",
+        "s_guards": "; ".join(f"{label}: {g}" for label, g in m.s_guards),
+    }
+    for i, bp in enumerate(m.branch_points):
+        location = "inf" if bp.is_infinite else format_poly(bp.location)
+        elements = " ".join(str(g) for g in bp.decomposition.elements)
+        texts[f"branch point {i}"] = f"{location} {bp.e} {bp.inertia_generator} [{elements}] {bp.rho}"
+    return texts
+
+
+class TestLoadedManifestPins:
+    """sha256 of loaded_texts, taken at b588651: a change to the resultant,
+    gcd or squarefree machinery must leave every loaded manifest as it was."""
+
+    PINS = {
+        "psl32": {
+            "disc": "d564136dc687f67f7f0054e530b4963eaebaaa7229fe6a52391d45e14fe3661b",
+            "squarefree_disc": "4292a4ca1082fd9890ec34a16912d2d250b03d92088d663bc31d3665bf3d31ac",
+            "locus": "a091fa06bb0844bfb7ec021b2cdf2031517adf1248a5eed037ed935949684e8b",
+            "s_guards": "fdfd7838e49ca0fcc8005fd531da30d5a0152293ee7c9ec3b7035c8b7919fa55",
+            "branch point 0": "b3ebe4bfaf265b3ab0747847f00a2259ddcb1977d801faaae1d34ba85cdcae85",
+        },
+        "x2mt": {
+            "disc": "817393c289e8be8b03a1d4de3011f91909ec1657d9b34381a1633b49cf8b6dc4",
+            "squarefree_disc": "817393c289e8be8b03a1d4de3011f91909ec1657d9b34381a1633b49cf8b6dc4",
+            "locus": "90eea5891c659724705028ea9e41d3bc13f7546f5f25f3fe43bf3e86e676650d",
+            "s_guards": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "branch point 0": "c4053652a9f482b9b621115da0f1a31824ba75e8af90dadc7e8e2eab64e57fa6",
+            "branch point 1": "8847342b345a81fe08b449793b6681caaee8a458f66060ec4e41d416ee88cf11",
+        },
+        "x3mt": {
+            "disc": "ba9cbcd258d13e5c43ff6600ee9b591c542c274d5bac032dbb60888ae925f41c",
+            "squarefree_disc": "8a9372beedb82f12df31519424c0326ffac5937720649ec3a8204c5e789be020",
+            "locus": "de0854b4f127d0e8b3cf0ff759f8bcb7aaa1db0be55ca9c84fcd7c5d977edd44",
+            "s_guards": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "branch point 0": "2495b1410a35fd83d6afeb135c3fa362b01147e69513f5bda261e0645f936b4c",
+            "branch point 1": "8b9b88778dd1046970380a6cc4b1e1b3260ee9fd1bb5ba1705c0a6c2b8fb8d80",
+        },
+        "twobranch": {
+            "disc": "680009320a131efa057aae8c3501089a95d9aebaeeda64a28ce7fe109878cea6",
+            "squarefree_disc": "3d0055309220ad88928e50e575d9cd6cadff06cebb877d3129ebd3dbfe4a34c4",
+            "locus": "58f25accc1f3e4f81f28c918a0be8547eea4ab08e1083f9a3e0ef0a59d3bbb9d",
+            "s_guards": "33c673573619128be3479d8cd6fb56e1617e1f72edd45027ded2a3b153b98437",
+            "branch point 0": "b830ef02c6a4ac4d7f20238c2952340136122dd29b9a11fc01fcc4648348961f",
+            "branch point 1": "b84b932b14fc35d6f1df030e385b770950a5c9d2a3c123599ebf0add43999252",
+        },
+        "ninth": {
+            "disc": "123125234fc38ec289d8db29d952814491128c36c2b76a438e305d6123c22698",
+            "squarefree_disc": "123125234fc38ec289d8db29d952814491128c36c2b76a438e305d6123c22698",
+            "locus": "0cd9b3ef179d859716ffcd6c39b27c8d022b905a966aee41aab5d221d6a0a85e",
+            "s_guards": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "branch point 0": "7c3ce6c56851bec2a3913d53c06d8a42828a4d3610a5922ed6d0f3eecd647e97",
+            "branch point 1": "8847342b345a81fe08b449793b6681caaee8a458f66060ec4e41d416ee88cf11",
+        },
+    }
+
+    @pytest.mark.parametrize("name", ["psl32", "x2mt", "x3mt", "twobranch", "ninth"])
+    def test_pins(self, name):
+        source = {"twobranch": twobranch_manifest, "ninth": ninth_manifest}.get(name)
+        m = load_manifest(source()) if source else builtin_manifest(name)
+        digests = {
+            key: hashlib.sha256(text.encode()).hexdigest() for key, text in loaded_texts(m).items()
+        }
+        assert digests == self.PINS[name]

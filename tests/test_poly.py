@@ -17,6 +17,7 @@ from galspec.poly import (
     integer_normalize,
     newton_polygon,
     parse_poly,
+    pseudo_rem,
     rational_roots,
     resultant,
     specialize,
@@ -257,6 +258,62 @@ class TestResultant:
     def test_rejects_variable_mix(self):
         with pytest.raises(ValueError):
             resultant(fraction_poly([1, 1]), UniPoly([Fraction(1), Fraction(1)], "t"))
+
+
+def to_sympy_expr(sympy, p):
+    """A nested UniPoly, or a leaf, as a sympy expression."""
+    if not isinstance(p, UniPoly):
+        return sympy.Rational(p.numerator, p.denominator)
+    v = sympy.Symbol(p.var)
+    return sum((to_sympy_expr(sympy, c) * v**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+int_xpolys = st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(lambda c: UniPoly(c, "X"))
+zs_xpolys = st.lists(
+    st.lists(st.integers(-3, 3), max_size=3).map(lambda c: UniPoly(c, "s")), min_size=1, max_size=5
+).map(lambda cs: UniPoly(cs, "X"))
+
+
+class TestPseudoRem:
+    """pseudo_rem against sympy.prem: lc(g)^(deg f - deg g + 1) f mod g."""
+
+    def check(self, sympy, f, g):
+        X = sympy.Symbol("X")
+        want = sympy.prem(to_sympy_expr(sympy, f), to_sympy_expr(sympy, g), X)
+        got = pseudo_rem(f, g)
+        assert got.degree() < g.degree()
+        assert sympy.expand(to_sympy_expr(sympy, got) - want) == 0
+
+    @pytest.mark.parametrize("f, g", [
+        # X^3's coefficient is zero once X^4 is gone: a skipped step, so lc^e
+        # with e = 2 multiplies the remainder at the end
+        ([1, 0, 0, 0, 1], [1, 0, 2]),
+        ([5, 0, 0, 0, 0, 3], [1, -1, 3]),
+        ([1, 2], [1, 0, 0, 4]),  # deg f < deg g: f itself
+        ([7], [2]),
+        ([0, 0, 0, 3], [1, 2]),
+    ])
+    def test_cases(self, sympy, f, g):
+        self.check(sympy, UniPoly(f, "X"), UniPoly(g, "X"))
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            pseudo_rem(UniPoly([1, 1], "X"), UniPoly([], "X"))
+
+    @settings(deadline=None)
+    @given(int_xpolys, int_xpolys.filter(bool))
+    def test_over_z(self, sympy, f, g):
+        self.check(sympy, f, g)
+
+    @settings(deadline=None)
+    @given(qpolys(5), qpolys(3, nonzero=True))
+    def test_over_q(self, sympy, f, g):
+        self.check(sympy, f, g)
+
+    @settings(deadline=None)
+    @given(zs_xpolys, zs_xpolys.filter(bool))
+    def test_over_z_s(self, sympy, f, g):
+        self.check(sympy, f, g)
 
 
 class TestDiscriminant:
