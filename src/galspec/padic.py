@@ -32,9 +32,9 @@ from .ffact import (
 from .poly import UniPoly, discriminant_in, lower_hull, newton_polygon
 
 # Stages one valuation chain may build.  The cap counts stages, not time, and
-# no code bounds a chain by v_p(disc).  _shape refuses a zero discriminant
-# before any chain starts, so only a direct _shape_exact call on input that is
-# not squarefree reaches the cap; it then fails loudly rather than guess.
+# no code bounds a chain by v_p(disc).  Every chain starts inside _shape,
+# after its refusal of a zero discriminant, so a chain runs on squarefree
+# input only; should one still pass the cap, it fails loudly rather than guess.
 _MAX_STEPS = 500
 
 
@@ -344,20 +344,6 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction) -> list:
     return out
 
 
-def _shape_exact(f: UniPoly, p: int) -> list:
-    """(e, f) pairs by inductive valuations; f monic squarefree p-integral."""
-    pairs = []
-    if not f.coeff(0):
-        pairs.append((1, 1))  # the factor x itself
-        f = f.exact_div(UniPoly.gen(f.var))
-    if f.degree() == 0:
-        return pairs
-    polygon = newton_polygon(f, lambda c: valuation(c, p))
-    for lam, _ell in polygon.faces:
-        pairs.extend(_decompose_face(f, p, lam))
-    return pairs
-
-
 def padic_shape(f: UniPoly, p: int) -> PadicShape:
     """Ramification indices and residue degrees of f's p-adic factors.
 
@@ -389,8 +375,14 @@ def _shape(f: UniPoly, p: int, disc) -> PadicShape:
     dv = valuation(disc, p)
     if dv == 0:  # f is squarefree mod p, so every factor is unramified
         pairs = [(1, d) for d in split_degrees(f.coeffs, p)]
-    else:
-        pairs = _shape_exact(f, p)
+    else:  # inductive valuations, one chain per Newton polygon face
+        pairs, h = [], f
+        if not h.coeff(0):
+            pairs.append((1, 1))  # the factor x itself
+            h = h.exact_div(UniPoly.gen(h.var))
+        if h.degree() > 0:
+            for lam, _ell in newton_polygon(h, lambda c: valuation(c, p)).faces:
+                pairs.extend(_decompose_face(h, p, lam))
     assert sum(e * res for e, res in pairs) == f.degree()
 
     for e, _res in pairs:

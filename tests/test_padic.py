@@ -23,7 +23,7 @@ from galspec.padic import (
     PadicShape,
     WildPrime,
     _Augmented,
-    _shape_exact,
+    _shape,
     _StageZero,
     padic_shape,
 )
@@ -38,6 +38,13 @@ def fraction_poly(coeffs) -> UniPoly:
 def xp(*coeffs):
     """Monic-friendly shorthand: coefficients lowest first."""
     return fraction_poly(coeffs)
+
+
+def _shape_exact(f: UniPoly, p: int) -> list:
+    """_shape's inductive-valuation pairs even where p is prime to disc(f):
+    a discriminant with p^2 put in sends it down that path, and keeps the
+    tame gap even."""
+    return list(_shape(f, p, discriminant_in(f, f.var) * p**2).pairs)
 
 
 def shape_of(f, p):
