@@ -18,14 +18,18 @@ tests their frequencies when they do neither.  Every fibre's X-coefficients
 and discriminant come from one builder, Specialization.fibre.
 
 census sets predicted inertia, from beckmann's contacts read on integers,
-against measured shapes on a grid, and a row reports inertia only.  census
-reads every fibre on its integral model Y = d X, d the lcm of the fibre's
-denominators: a monic integral polynomial that cuts out the same field,
-with discriminant d^(n(n-1)) disc(t0).  When p does not divide that
-discriminant the model is squarefree mod p, so (Dedekind) p is unramified
-and the row is read without factoring.  Every other good cell is measured
-with padic._shape.  The types census builds, like their labels, live for
-one call.
+against measured shapes on a grid, and a row reports inertia only.  When p
+divides neither disc(t0) nor the leaf denominator of f(s0, t, X), the fibre
+is p-integral and squarefree mod p, so (Dedekind) its shape is the split
+type of f mod p, a function of t0 mod p alone: census measures it with
+padic._shape once per (p, t0 mod p) and reads the rest of the class from a
+table.  A p in the leaf denominator never uses the table: c(t) = (t - 3)/5
+is 0 at t0 = 3, 1 at t0 = 8 and 1/5 at t0 = 4, so f mod 5 is no function of
+t0 mod 5 and a fibre need not be 5-integral.  Nor does any p | disc(t0).
+census measures every fibre on its integral model Y = d X, d the lcm of
+the fibre's denominators: the same field, and at p prime to d the same
+discriminant valuation.  The table, like everything census builds, lives
+for one call.
 """
 
 from collections import Counter
@@ -45,7 +49,7 @@ from .padic import WildPrime, _shape, padic_shape
 from .permgrp import (
     CycleType, ef_multiset, fingerprint, generate, invariably_generates, power_cycle_type,
 )
-from .poly import UniPoly, specialize, x_poly_coeffs
+from .poly import UniPoly, _leaf_denominator, specialize, x_poly_coeffs
 
 AUX_PRIME_BOUND = 5000
 IDENTIFY_PRIME_BOUND = 2000
@@ -747,15 +751,17 @@ class CensusRow:
 def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     """One row per (t0, prime): predicted inertia class against the measured
     p-adic shape.  Returns (rows, bad reason map); rows over good primes
-    must all match.  A cell with p prime to the discriminant of the fibre's
-    integral model is unramified (module docstring); every other good cell
-    is measured.  Distinct types and their labels are built once per call."""
+    must all match.  An unramified cell is measured once per residue class
+    of t0 mod p (module docstring); distinct types and their labels are
+    built once per call."""
     spec = specialization(m, s0)
     s0 = spec.s0
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
+    leaf = _leaf_denominator(spec.f)
     unramified = CycleType((1,) * m.f.degree())
     shapes = {}  # _shape pairs -> CycleType
+    classes = {}  # (p, t0 mod p) -> observed type, for p prime to disc(t0) * leaf
     labels = {unramified: str(unramified)}  # CycleType -> str
 
     rows = []
@@ -763,7 +769,7 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
         coeffs, disc = spec.fibre(t0)
         if disc == 0:
             continue  # exactly on a branch point: no number field to read
-        g, g_disc = _integral_model(coeffs, disc)
+        model = None
         for p in ps:
             if p in bad:
                 reasons = ";".join(bad[p])  # comma is the CSV delimiter
@@ -771,13 +777,22 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                 continue
             prediction = predict_any(m, s0, t0, p)
             predicted = unramified if prediction is None else prediction.generator_class
-            if g_disc.numerator % p:  # g squarefree mod p: unramified (Dedekind)
-                observed = unramified
-            else:
+            # p prime to the leaf denominator makes the fibre, so disc(t0), p-integral
+            key = (p, t0 % p) if leaf % p and disc.numerator % p else None
+            observed = classes.get(key)
+            if observed is None:
+                # an integer t0 is p-integral at every p, so local_model never
+                # switches chart; a leaf denominator can still put p in the
+                # fibre's, so the model is the fibre's integral rescaling
+                if model is None:
+                    model = _integral_model(coeffs, disc)
+                g, g_disc = model
                 pairs = _shape(g, p, g_disc).pairs
                 if pairs not in shapes:
                     shapes[pairs] = CycleType(_expand(pairs))
                 observed = shapes[pairs]
+                if key is not None:
+                    classes[key] = observed
             for ct in (predicted, observed):
                 if ct not in labels:
                     labels[ct] = str(ct)

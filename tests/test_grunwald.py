@@ -7,7 +7,6 @@ import pytest
 
 import dataclasses
 
-from galspec import grunwald
 from galspec.arith import Congruence, format_rat, primes_up_to
 from galspec.beckmann import (
     InertiaPrediction, bad_primes, is_bad_prime, predict_any, predict_inertia, specialization,
@@ -658,30 +657,6 @@ class TestCensus:
                     public = _outcome(padic_shape, local_model(m, s0, t0, p), p)
                     assert cell == public, (s0, t0, p)
 
-
-    def test_shape_runs_only_where_p_divides_the_model_discriminant(self, monkeypatch):
-        # X^3 - t0 is its own integral model, with discriminant -27 t0^2: a
-        # good p prime to t0 is read as unramified, every other good cell
-        # is measured once
-        calls = []
-
-        def recording(g, p, disc):
-            calls.append((-g.coeff(0), p))
-            return _shape(g, p, disc)
-
-        monkeypatch.setattr(grunwald, "_shape", recording)
-        m = builtin_manifest("x3mt")
-        rows, bad = census(m, 0, 11, 20, 97)
-        assert sorted(bad) == [2, 3]
-        expected = [
-            (t0, p)
-            for t0 in range(11, 21)
-            for p in primes_up_to(97)
-            if p not in bad and discriminant_in(local_model(m, 0, t0, p), "X") % p == 0
-        ]
-        assert expected == [(11, 11), (13, 13), (14, 7), (15, 5), (17, 17), (19, 19), (20, 5)]
-        assert calls == expected
-        assert len(rows) == 10 * len(primes_up_to(97))
 
     def test_rows_match_the_oracle(self):
         # ramified and unramified cells, s0 with p in the bound leaves
