@@ -45,15 +45,17 @@ def valuation(x, p: int):
         x = rational(x)  # ints and Fractions both carry numerator/denominator
     if x == 0:
         return INFINITY
+    return _vp(x.numerator, p) - _vp(x.denominator, p)
+
+
+def _vp(n: int, p: int) -> int:
+    """v_p of a nonzero int, with no prime check: census's contacts take
+    several per cell, and valuation's checks made a census about a quarter
+    slower."""
     v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 

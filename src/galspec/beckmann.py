@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import NonPrimeError, is_prime, primes_up_to, rational
+from .arith import NonPrimeError, _vp, is_prime, primes_up_to, rational
 from .family import FamilyManifest, require_nondegenerate
 from .ffact import roots_mod_p
 from .permgrp import CycleType, power_cycle_type
@@ -229,17 +229,6 @@ def bad_s_residues(manifest: FamilyManifest, p: int) -> frozenset:
     for _, g in manifest.s_guards:
         out.update(roots_mod_p([g.coeff(i) for i in range(g.degree() + 1)], p))
     return frozenset(out)
-
-
-def _vp(n: int, p: int) -> int:
-    """v_p of a nonzero int.  predict_any's contacts take several per census
-    cell; arith.valuation's prime check and rational handling made a census
-    about a quarter slower."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def predict_any(manifest: FamilyManifest, s0, t0, p: int):

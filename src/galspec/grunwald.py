@@ -43,7 +43,7 @@ from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_
 from .beckmann import (
     bad_primes, bad_s_residues, is_bad_prime, is_exceptional, predict_any, specialization,
 )
-from .family import FamilyManifest, infinity_chart, nondegenerate_check
+from .family import FamilyManifest, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, split_degrees
 from .padic import WildPrime, _shape, padic_shape
 from .permgrp import (
@@ -320,7 +320,6 @@ def search_t0(manifest: FamilyManifest, s0, conditions):
     the least witness with a squarefree fiber."""
     validate_conditions(manifest, conditions)
     spec = specialization(manifest, s0)
-    s0 = spec.s0
     ram = [c for c in conditions if isinstance(c, Ramified)]
     chart = "t"
     if ram and all(manifest.branch_points[c.branch].is_infinite for c in ram):
@@ -332,7 +331,7 @@ def search_t0(manifest: FamilyManifest, s0, conditions):
         valuations.append((cond.p, cond.d))
     for cond in conditions:
         if isinstance(cond, Unramified):
-            congruences.append(_split_congruence(manifest, s0, cond, chart))
+            congruences.append(_split_congruence(spec, cond, chart))
     merged = crt(congruences) if congruences else Congruence(0, 1)
     prescription = TProgression(chart, merged, tuple(valuations))
     return prescription, _t0_witness(spec, prescription)
@@ -374,14 +373,14 @@ def _approach_congruence(spec, cond, chart) -> Congruence:
     return Congruence(residue + p**d, modulus)
 
 
-def _split_congruence(manifest, s0, cond, chart) -> Congruence:
+def _split_congruence(spec, cond, chart) -> Congruence:
     q = cond.p
-    source = manifest.f if chart == "t" else infinity_chart(manifest.f)
     for r in range(q):
         if chart == "u" and r == 0:
             continue  # u = 0 mod q ramifies over infinity
-        # f is monic in X, and the u-chart's leading coefficient r^D is a unit
-        coeffs = x_poly_coeffs(specialize(source, {"s": s0, "t": Fraction(r)}))
+        # the u chart at u = r is r^D f(s0, 1/r, X), D = deg_t f: the fibre
+        # at t = 1/r times a unit mod q, so it splits the same way
+        coeffs, _ = spec.fibre(r if chart == "t" else Fraction(1, r))
         try:
             seq = degree_sequence(coeffs, q)
         except (NotPIntegral, NotSquarefree):

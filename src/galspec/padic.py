@@ -10,7 +10,9 @@ factor is unramified and the shape is read off the mod-p degree sequence.
 Otherwise the engine runs chains of inductive valuations: starting from a
 Newton polygon face it grows a key polynomial stage by stage, factoring a
 residual polynomial over the current residue field at each step, until the
-invariants of each p-adic factor freeze.  Every value is an integer,
+invariants of each p-adic factor freeze.  v_p(disc f) bounds every chain:
+a stage past it raises RuntimeError, which names input that is not
+squarefree (see _decompose_face for the proof).  Every value is an integer,
 scaled by the ramification denominator D of the stage that computes it,
 and every residue is a finite-field element, so there is no working
 precision and no stability question: the shape is a theorem about f, not
@@ -30,12 +32,6 @@ from .ffact import (
     ExtField, FpField, NotPIntegral, NotSquarefree, factor_poly, poly_trim, split_degrees,
 )
 from .poly import UniPoly, discriminant_in, lower_hull, newton_polygon
-
-# Stages one valuation chain may build.  The cap counts stages, not time, and
-# no code bounds a chain by v_p(disc).  Every chain starts inside _shape,
-# after its refusal of a zero discriminant, so a chain runs on squarefree
-# input only; should one still pass the cap, it fails loudly rather than guess.
-_MAX_STEPS = 500
 
 
 class WildPrime(Exception):
@@ -184,14 +180,9 @@ class _StageZero(_Stage):
         to h(Y) * x^i0 * p^j0, and value = self.value(g).
         """
         p, n, d = self.p, self.n, self.d
-        vg = self.value(g)
-        assert vg is not INFINITY
-        S = []
-        for i, c in enumerate(g.coeffs):
-            if c:
-                j = valuation(c, p)
-                if d * j + i * n == vg:
-                    S.append((i, j))
+        vals = [(i, valuation(c, p)) for i, c in enumerate(g.coeffs) if c]
+        vg = min(d * j + i * n for i, j in vals)
+        S = [(i, j) for i, j in vals if d * j + i * n == vg]
         i0, j0 = S[0]
         h = [0] * ((S[-1][0] - i0) // d + 1)
         for i, j in S:
@@ -305,18 +296,26 @@ class _Augmented(_Stage):
 # -- decomposition driver ----------------------------------------------------
 
 
-def _decompose_face(f: UniPoly, p: int, lam: Fraction) -> list:
-    """(e, f) pairs of the p-adic factors attached to one polygon face."""
+def _decompose_face(f: UniPoly, p: int, lam: Fraction, dv: int) -> list:
+    """(e, f) pairs of the p-adic factors attached to one polygon face.
+
+    dv is v_p(disc f) or more (_shape passes the one from before it splits
+    off a factor x), and it bounds every chain.  A stage [V; phi, nu] is
+    pushed only when 2 nu <= m dv, m = deg phi, because on squarefree f:
+    - a pushed face has length >= 2, so at least 2m roots theta of f
+      satisfy v(phi(theta)) = nu;
+    - each such theta lies within nu/m of one of phi's m roots, so two of
+      them share a root and v(theta - theta') >= nu/m;
+    - f is monic and p-integral, so every term of
+      v(disc f) = sum over i != j of v(theta_i - theta_j) is >= 0.
+      Hence 2 nu/m <= dv.
+    nu/m rises strictly along a chain, on a lattice of bounded denominator,
+    so the same test ends every chain: a stage past it raises RuntimeError,
+    which names input that is not squarefree.
+    """
     out = []
     work = [_StageZero(p, lam, f.var)]
-    steps = 0
     while work:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError(
-                f"inductive valuation chain passed {_MAX_STEPS} stages at "
-                f"p={p}; refusing to return an unverified shape"
-            )
         V = work.pop()
         h, _i0, _j0, _vg = V.reduction(f)
         zero = V.field.zero()
@@ -339,6 +338,11 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction) -> list:
                     res = phi2.degree() // e
                     assert res == A.F and e * res == phi2.degree()
                     out.append((e, res))
+                elif 2 * nu > phi2.degree() * dv:
+                    raise RuntimeError(
+                        f"inductive valuation chain at p={p} passed its bound "
+                        f"v_p(disc) = {dv}; the input is not squarefree"
+                    )
                 else:
                     work.append(A)
     return out
@@ -382,7 +386,7 @@ def _shape(f: UniPoly, p: int, disc) -> PadicShape:
             h = h.exact_div(UniPoly.gen(h.var))
         if h.degree() > 0:
             for lam, _ell in newton_polygon(h, lambda c: valuation(c, p)).faces:
-                pairs.extend(_decompose_face(h, p, lam))
+                pairs.extend(_decompose_face(h, p, lam, dv))
     assert sum(e * res for e, res in pairs) == f.degree()
 
     for e, _res in pairs:

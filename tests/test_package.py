@@ -6,13 +6,14 @@ split degrees mod p are read through ffact's entry points alone,
 rational roots factor no integer, both identification modes decide
 by one judge, and no module factors an integer: exceptional primes are
 decided by divisibility, like bad primes, and residue reads that fail
-raise ffact's own exceptions."""
+raise ffact's own exceptions.  p-adic chains stop at a bound read off the
+discriminant, not at a stage cap, and integer valuations run one loop."""
 
 import ast
 import sys
 from importlib import resources
 
-from galspec import beckmann, grunwald, poly
+from galspec import arith, beckmann, grunwald, padic, poly
 
 
 def _tree(name: str):
@@ -168,3 +169,10 @@ def test_no_module_factors_an_integer():
         assert "factorint" not in defined | imported, src.name
     assert not hasattr(beckmann, "global_exceptional")
     assert not hasattr(grunwald, "SkipResidue")
+
+
+def test_padic_chains_have_no_stage_cap():
+    # _decompose_face ends every chain at 2 nu <= deg(phi) * v_p(disc); a
+    # guessed stage count counted stages, not time
+    assert not hasattr(padic, "_MAX_STEPS")
+    assert beckmann._vp is arith._vp

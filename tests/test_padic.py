@@ -9,6 +9,7 @@ theorem (coprime-mod-p pieces contribute independently).
 
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -23,11 +24,12 @@ from galspec.padic import (
     PadicShape,
     WildPrime,
     _Augmented,
+    _decompose_face,
     _shape,
     _StageZero,
     padic_shape,
 )
-from galspec.poly import UniPoly, discriminant_in, parse_poly, specialize
+from galspec.poly import UniPoly, discriminant_in, newton_polygon, parse_poly, specialize
 
 
 def fraction_poly(coeffs) -> UniPoly:
@@ -221,6 +223,17 @@ class TestRefusals:
             padic_shape(f, 5)
         with pytest.raises(NotSquarefree):
             padic_shape(xp(0, 0, 1), 7)
+
+    @pytest.mark.parametrize("dv", [1, 8])
+    def test_square_passes_the_disc_bound_at_once(self, dv):
+        # _shape refuses disc = 0 first; called directly on (X^2 - 3)^2 at 3,
+        # the chain builder once ran 155 stages in 30 s under a stage cap
+        f = xp(-3, 0, 1) ** 2
+        for lam, _ell in newton_polygon(f, lambda c: valuation(c, 3)).faces:
+            start = time.perf_counter()
+            with pytest.raises(RuntimeError, match="not squarefree"):
+                _decompose_face(f, 3, lam, dv)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestDiscValuationCheck:
