@@ -172,7 +172,7 @@ def test_no_module_factors_an_integer():
 
 
 def test_padic_chains_have_no_stage_cap():
-    # _decompose_face ends every chain at 2 nu <= deg(phi) * v_p(disc); a
-    # guessed stage count counted stages, not time
+    # _decompose_face ends every chain at 2 nu <= deg(phi) * v_p(disc), read
+    # off the input; a stage count bounds stages, not time
     assert not hasattr(padic, "_MAX_STEPS")
     assert beckmann._vp is arith._vp

@@ -226,8 +226,8 @@ class TestRefusals:
 
     @pytest.mark.parametrize("dv", [1, 8])
     def test_square_passes_the_disc_bound_at_once(self, dv):
-        # _shape refuses disc = 0 first; called directly on (X^2 - 3)^2 at 3,
-        # the chain builder once ran 155 stages in 30 s under a stage cap
+        # _shape refuses disc = 0 first, so the bound is met only by a direct
+        # call; on a square a chain never ends, each stage costlier than the last
         f = xp(-3, 0, 1) ** 2
         for lam, _ell in newton_polygon(f, lambda c: valuation(c, 3)).faces:
             start = time.perf_counter()
