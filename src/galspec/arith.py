@@ -114,7 +114,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for n < 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -153,6 +153,8 @@ def parse_rat(text: str) -> Fraction:
         den = den.strip()
         if den.startswith("-"):
             raise ValueError(f"negative denominator in {text!r}")
+        if not int(den):
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

@@ -33,7 +33,6 @@ from .permgrp import Perm, PermGroup, cycle_type, generate, parse_perm, require_
 from .poly import (
     UniPoly,
     _bind_s,
-    constant_value,
     content_in_coeffs,
     discriminant_in,
     format_poly,
@@ -56,11 +55,6 @@ class ProbeAmbiguous(Exception):
 
 def _s_const(value) -> UniPoly:
     return UniPoly([Fraction(value)], "s")
-
-
-def _normalize_s(g: UniPoly) -> UniPoly:
-    _, ints = integer_normalize(g)
-    return UniPoly([Fraction(v) for v in ints], "s")
 
 
 @dataclass(frozen=True)
@@ -231,7 +225,7 @@ def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
     Binding s0 gives the complete list of rational branch points of the
     specialized family.
     """
-    if not _is_monic(f):
+    if not f.is_monic():
         raise ValueError("family polynomial must be monic in X")
     if s0 is not None:
         # binding s first leaves a t-polynomial over Q
@@ -253,13 +247,6 @@ def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
     if not disc:
         raise ValueError("discriminant vanishes; f is not squarefree in X")
     return _symbolic_locus(f, disc, [])[2]
-
-
-def _is_monic(f: UniPoly) -> bool:
-    try:
-        return constant_value(f.lc()) == 1
-    except ValueError:
-        return False
 
 
 # -- manifest loading ---------------------------------------------------------
@@ -314,7 +301,7 @@ def _load_branch_point(raw: dict, degree: int, disc: UniPoly) -> BranchPoint:
         rho = parse_poly(raw["residue_subextension"])
         if rho.degree_in("t") > 0:
             raise ManifestInconsistent("residue subextension must not involve t")
-        if not _is_monic(rho):
+        if not rho.is_monic():
             raise ManifestInconsistent("residue subextension must be monic in X")
         if not discriminant_in(rho, "X"):
             raise ManifestInconsistent("residue subextension must be squarefree in X")
@@ -372,7 +359,7 @@ def load_manifest(source) -> FamilyManifest:
 
     f = parse_poly(raw["poly"])
     n = f.degree()
-    if n < 1 or not _is_monic(f):
+    if n < 1 or not f.is_monic():
         raise ManifestInconsistent("family polynomial must be monic of degree >= 1 in X")
 
     disc = discriminant_in(f, "X")
@@ -410,7 +397,7 @@ def load_manifest(source) -> FamilyManifest:
         if top.degree() >= 1:
             guards.append(("family t-degree drops", top))
     guards.extend(_collision_guards(rational_points, locus.residual))
-    s_guards = tuple((label, _normalize_s(g)) for label, g in guards)
+    s_guards = tuple((label, UniPoly(integer_normalize(g)[1], "s")) for label, g in guards)
 
     return FamilyManifest(
         name=raw["name"],

@@ -18,18 +18,16 @@ tests their frequencies when they do neither.  Every fibre's X-coefficients
 and discriminant come from one builder, Specialization.fibre.
 
 census sets predicted inertia, from beckmann's contacts read on integers,
-against measured shapes on a grid, and a row reports inertia only.  When p
-divides neither disc(t0) nor the leaf denominator of f(s0, t, X), the fibre
-is p-integral and squarefree mod p, so (Dedekind) its shape is the split
-type of f mod p, a function of t0 mod p alone: census measures it with
-padic._shape once per (p, t0 mod p) and reads the rest of the class from a
-table.  A p in the leaf denominator never uses the table: c(t) = (t - 3)/5
-is 0 at t0 = 3, 1 at t0 = 8 and 1/5 at t0 = 4, so f mod 5 is no function of
-t0 mod 5 and a fibre need not be 5-integral.  Nor does any p | disc(t0).
-census measures every fibre on its integral model Y = d X, d the lcm of
-the fibre's denominators: the same field, and at p prime to d the same
-discriminant valuation.  The table, like everything census builds, lives
-for one call.
+against measured shapes on a grid, and a row reports inertia only.  census
+measures every fibre on its integral model g(Y) = d^n f(Y/d), Y = d X, d
+the lcm of the fibre's denominators: monic and integral, the same field,
+and disc g = d^(n(n-1)) disc(t0).  When p does not divide disc g, g is
+squarefree mod p, so (Dedekind) p is unramified and the row's inertia is
+trivial, whatever t0 is: census measures such a cell with padic._shape once
+per (p, t0 mod p) and reads the rest of the class from a table, every entry
+of which is the all-ones type.  A p in a denominator of the fibre divides
+d, so disc g, and never uses the table.  The table, like everything census
+builds, lives for one call.
 """
 
 from collections import Counter
@@ -49,7 +47,7 @@ from .padic import WildPrime, _shape, padic_shape
 from .permgrp import (
     CycleType, ef_multiset, fingerprint, generate, invariably_generates, power_cycle_type,
 )
-from .poly import UniPoly, _leaf_denominator, specialize, x_poly_coeffs
+from .poly import UniPoly, specialize, x_poly_coeffs
 
 AUX_PRIME_BOUND = 5000
 IDENTIFY_PRIME_BOUND = 2000
@@ -379,13 +377,10 @@ def _split_congruence(spec, cond, chart) -> Congruence:
         if chart == "u" and r == 0:
             continue  # u = 0 mod q ramifies over infinity
         # the u chart at u = r is r^D f(s0, 1/r, X), D = deg_t f: the fibre
-        # at t = 1/r times a unit mod q, so it splits the same way
-        coeffs, _ = spec.fibre(r if chart == "t" else Fraction(1, r))
-        try:
-            seq = degree_sequence(coeffs, q)
-        except (NotPIntegral, NotSquarefree):
-            continue
-        if tuple(sorted(seq, reverse=True)) == cond.target.parts:
+        # at t = 1/r times a unit mod q, so it splits the same way; it is
+        # read as the sampler reads a fibre
+        fibre = spec.fibre(r if chart == "t" else Fraction(1, r))
+        if _tally_fibres([(*fibre, q)], 1)[cond.target]:
             return Congruence(r, q)
     raise TargetNotFound(f"no residue class mod {q} splits with type {cond.target}")
 
@@ -463,36 +458,22 @@ class SpecializationReport:
 
 def local_model(manifest: FamilyManifest, s0, t0, p: int) -> UniPoly:
     """Monic model of the fiber at (s0, t0): the fibre itself, or for p in
-    t0's denominator its image in the 1/t chart, made monic by Y = lc X.  It
-    is not rescaled for p in a leaf denominator of f, so its coefficients
-    need not be p-integral; callers that need them so catch NotPIntegral."""
+    t0's denominator its image t0^-D f(s0, t0, X) in the 1/t chart (D =
+    deg_t f), made monic by Y = t0^-D X.  It is not rescaled for p in a leaf
+    denominator of f, so its coefficients need not be p-integral; callers
+    that need them so catch NotPIntegral."""
     spec, t0 = specialization(manifest, s0), Fraction(t0)
     coeffs, _ = spec.fibre(t0)
     if t0 and valuation(t0, p) < 0:
-        # the u = 1/t chart at u = 1/t0: u^D f(s0, 1/u, X) with D = deg_t f
-        scale = t0 ** -spec.f.degree_in("t")
-        coeffs = [c * scale for c in coeffs]
-    return _monic_model(coeffs)
-
-
-def _monic_model(coeffs: list) -> UniPoly:
-    # Y = lc * X rescales to a monic polynomial with the same splitting
-    lc = coeffs[-1]
-    n = len(coeffs) - 1
-    if lc != 1:
-        coeffs = [c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1])]
-        coeffs.append(1)
+        coeffs = _rescaled(coeffs, t0 ** -spec.f.degree_in("t"))
     return UniPoly(coeffs, "X")
 
 
-def _integral_model(coeffs: list, disc) -> tuple:
-    """(g, disc g) for g(Y) = d^n f(Y/d), Y = d X, where f is the monic fibre
-    with these coefficients and d the lcm of their denominators: g is monic
-    and integral, cuts out the same field, so has the same shapes, and
-    disc g = d^(n(n-1)) disc f."""
+def _rescaled(coeffs: list, lam) -> list:
+    """Coefficients of lam^n f(Y/lam), Y = lam X, for f of degree n with
+    these coefficients: the same field, and monic when f is."""
     n = len(coeffs) - 1
-    d = lcm(*(c.denominator for c in coeffs))
-    return UniPoly([c * d ** (n - j) for j, c in enumerate(coeffs)], "X"), disc * d ** (n * (n - 1))
+    return [c * lam ** (n - j) for j, c in enumerate(coeffs)]
 
 
 def _expand(pairs) -> tuple:
@@ -716,6 +697,12 @@ def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
     return result
 
 
+def _check_n_id(n_id: int) -> None:
+    # a negative cap would never be reached, so nothing would stop the reading
+    if n_id < 0:
+        raise ValueError(f"the identification cap n_id must be at least 0, not {n_id}")
+
+
 def verify(
     manifest: FamilyManifest, s0, t0, conditions, *, n_id: int = 300, seed: int = 0
 ) -> SpecializationReport:
@@ -727,6 +714,7 @@ def verify(
     Mismatches produce failing records, never exceptions: the report is the
     product.  n_id = 0 skips the identification stage.
     """
+    _check_n_id(n_id)
     validate_conditions(manifest, conditions)
     spec, t0 = specialization(manifest, s0), Fraction(t0)
     records = tuple(_check_condition(manifest, spec.s0, t0, c) for c in conditions)
@@ -757,10 +745,10 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     s0 = spec.s0
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
-    leaf = _leaf_denominator(spec.f)
-    unramified = CycleType((1,) * m.f.degree())
+    n = m.f.degree()
+    unramified = CycleType((1,) * n)
     shapes = {}  # _shape pairs -> CycleType
-    classes = {}  # (p, t0 mod p) -> observed type, for p prime to disc(t0) * leaf
+    classes = {}  # (p, t0 mod p) -> observed type, for p prime to disc g
     labels = {unramified: str(unramified)}  # CycleType -> str
 
     rows = []
@@ -768,7 +756,12 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
         coeffs, disc = spec.fibre(t0)
         if disc == 0:
             continue  # exactly on a branch point: no number field to read
-        model = None
+        # an integer t0 is p-integral at every p, so local_model never
+        # switches chart; a leaf denominator can still put p in the
+        # fibre's, so the model is the fibre's integral rescaling
+        d = lcm(*(c.denominator for c in coeffs))
+        g = UniPoly(_rescaled(coeffs, d), "X")
+        g_disc = int(disc * d ** (n * (n - 1)))  # g is monic and integral
         for p in ps:
             if p in bad:
                 reasons = ";".join(bad[p])  # comma is the CSV delimiter
@@ -776,16 +769,9 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                 continue
             prediction = predict_any(m, s0, t0, p)
             predicted = unramified if prediction is None else prediction.generator_class
-            # p prime to the leaf denominator makes the fibre, so disc(t0), p-integral
-            key = (p, t0 % p) if leaf % p and disc.numerator % p else None
+            key = (p, t0 % p) if g_disc % p else None
             observed = classes.get(key)
             if observed is None:
-                # an integer t0 is p-integral at every p, so local_model never
-                # switches chart; a leaf denominator can still put p in the
-                # fibre's, so the model is the fibre's integral rescaling
-                if model is None:
-                    model = _integral_model(coeffs, disc)
-                g, g_disc = model
                 pairs = _shape(g, p, g_disc).pairs
                 if pairs not in shapes:
                     shapes[pairs] = CycleType(_expand(pairs))
@@ -817,6 +803,7 @@ def run_search(
     it (every further member realizes the same ramified prescriptions), one
     record per condition, and the identification summary.
     """
+    _check_n_id(n_id)
     conditions = tuple(conditions)
     s_progression, s0 = search_s0(manifest, conditions)
     t_prescription, t0 = search_t0(manifest, s0, conditions)

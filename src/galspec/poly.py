@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, is_prime, rational
+from .arith import INFINITY, format_rat, is_prime, rational
 from .ffact import FpField, poly_deriv, poly_gcd, reduce_mod_p, roots_mod_p
 
 
@@ -355,9 +355,10 @@ def _tokenize(text: str):
                 k = j + 1
                 while k < len(text) and text[k].isdigit():
                     k += 1
-                if k == j + 1:
+                den = int(text[j + 1 : k]) if k > j + 1 else 0
+                if not den:
                     raise PolyParseError(f"bad rational literal near {text[i:k]!r}")
-                tokens.append(("num", Fraction(num, int(text[j + 1 : k]))))
+                tokens.append(("num", Fraction(num, den)))
                 i = k
             else:
                 tokens.append(("num", num))
@@ -453,8 +454,6 @@ def parse_poly(text: str) -> TriPoly:
 def format_poly(p) -> str:
     """Human-readable form, highest degree first, parseable back."""
     if isinstance(p, (int, Fraction)):
-        from .arith import format_rat
-
         return format_rat(p)
     if not p:
         return "0"
@@ -480,8 +479,6 @@ def format_poly(p) -> str:
             elif c == -1 and mono:
                 text = f"-{mono}"
             else:
-                from .arith import format_rat
-
                 text = f"{format_rat(c)}*{mono}" if mono else format_rat(c)
         parts.append(text)
     out = parts[0]

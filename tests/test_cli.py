@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+
+import pytest
 
 import galspec
 from galspec.cli import main
@@ -59,6 +62,15 @@ def s7claim_file(tmp_path):
     path = tmp_path / "s7claim.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def readme_commands() -> list:
+    """argv of every galspec line in the README's Command line block, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("galspec ")]
 
 
 class TestManifestLoading:
@@ -588,3 +600,55 @@ class TestLibraryBindings:
 
         assert galspec.cli.census is galspec.grunwald.census
         assert galspec.cli.identify is galspec.grunwald.identify
+
+
+class TestReadme:
+    def test_command_block_exits_zero(self, capsys, tmp_path, monkeypatch):
+        # census writes census.csv into the working directory
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "branch", "badprimes", "predict", "predict", "search", "verify", "identify", "census",
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+        assert (tmp_path / "census.csv").read_text().startswith("s0,t0,p,")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--manifest", "x2mt", "--t0", "1/0", "--p", "3"],
+            ["verify", "--manifest", "x2mt", "--t0", "1/0", "--cond", "p=7,unram,type=1,1"],
+            ["badprimes", "--manifest", "x2mt", "--s0", "1/0"],
+            ["branch", "--manifest", "x2mt", "--s0", "1/0"],
+        ],
+    )
+    def test_zero_denominator_in_a_value_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "poly, location", [("X^2 - 1/0*t", "0"), ("X^2 - t", "1/0")]
+    )
+    def test_zero_denominator_in_a_manifest_is_usage_error(self, capsys, tmp_path, poly, location):
+        path = tmp_path / "zero.json"
+        point = {"location": location, "e": 2, "inertia_generator": "(1 2)",
+                 "decomposition_generators": ["(1 2)"]}
+        path.write_text(json.dumps({"name": "zero", "poly": poly, "branch_points": [point]}))
+        assert main(["branch", "--manifest", str(path)]) == 2
+        assert "bad rational literal near '1/0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--manifest", "x2mt", "--t0", "57", "--cond", "p=7,unram,type=1,1"],
+            ["search", "--manifest", "x2mt", "--cond", "p=7,unram,type=2"],
+        ],
+    )
+    def test_negative_n_id_is_usage_error(self, capsys, argv):
+        # a negative cap is never reached, so it would read every auxiliary prime
+        assert main(argv + ["--n-id", "-1"]) == 2
+        assert "n_id must be at least 0, not -1" in capsys.readouterr().err

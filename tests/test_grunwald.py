@@ -1,13 +1,14 @@
 """Condition parsing, residue searches, CRT assembly, and verification."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import dataclasses
 
-from galspec.arith import Congruence, format_rat, primes_up_to
+from galspec.arith import Congruence, format_rat, primes_up_to, valuation
 from galspec.beckmann import (
     InertiaPrediction, bad_primes, is_bad_prime, predict_any, predict_inertia, specialization,
 )
@@ -22,6 +23,8 @@ from galspec.grunwald import (
     UnsupportedConditionCombination,
     IDENTIFY_ALPHA,
     _chi2_sf,
+    _rescaled,
+    _split_congruence,
     _tally_fibres,
     census,
     frobenius_in_residue_field,
@@ -35,7 +38,9 @@ from galspec.grunwald import (
     verify,
 )
 from galspec.padic import _shape, padic_shape
-from galspec.permgrp import CycleType, ef_multiset, generate, parse_perm, power_cycle_type
+from galspec.permgrp import (
+    CycleType, ef_multiset, fingerprint, generate, parse_perm, power_cycle_type,
+)
 from galspec.poly import UniPoly, discriminant_in, parse_poly, specialize, x_poly_coeffs
 from test_arith import legendre
 from test_beckmann import twobranch_manifest
@@ -317,6 +322,39 @@ class TestSearchT0:
         prescription, witness = search_t0(m, 2, [Ramified(7, 0, 1, 2)])
         assert prescription.member(0) == witness == Fraction(1, 7)
         assert prescription.member(1) == Fraction(1, 56)
+
+    def test_split_congruence_matches_a_degree_sequence_scan(self):
+        # the search reads a residue as the sampler does, by p ∤ disc; the
+        # oracle reads it by degree_sequence's gcd, on both charts
+        cases = [
+            (builtin_manifest("x2mt"), 0),
+            (builtin_manifest("x3mt"), 0),
+            (builtin_manifest("psl32"), 1),
+            (builtin_manifest("psl32"), Fraction(3, 7)),
+            (load_manifest(twobranch_manifest()), 1),
+            (load_manifest(twobranch_manifest()), Fraction(1, 3)),
+        ]
+        met = Counter()
+        for m, s0 in cases:
+            spec = specialization(m, s0)
+            for q in primes_up_to(31)[1:]:
+                for chart in ("t", "u"):
+                    for target in fingerprint(m.group):
+                        want = None
+                        for r in range(chart == "u", q):
+                            coeffs, _ = spec.fibre(r if chart == "t" else Fraction(1, r))
+                            try:
+                                seq = degree_sequence(coeffs, q)
+                            except (NotPIntegral, NotSquarefree) as exc:
+                                met[type(exc)] += 1
+                                continue
+                            met["read"] += 1
+                            if tuple(sorted(seq, reverse=True)) == target.parts:
+                                want = Congruence(r, q)
+                                break
+                        got = _outcome(_split_congruence, spec, Unramified(q, target), chart)
+                        assert got == (want or TargetNotFound), (m.name, s0, q, chart, target)
+        assert met.keys() == {"read", NotPIntegral, NotSquarefree}
 
 
 class TestVerify:
@@ -678,6 +716,27 @@ class TestCensus:
             rows, bad = census(m, 0, lo, hi, 97)
             assert sorted(bad) == [2]
             assert rows == census_oracle(m, 0, lo, hi, 97)[0]
+
+    def test_table_serves_a_leaf_denominator_prime_prime_to_disc_g(self):
+        # f(0, X) and f(9, X) are 3-integral with 3 ∤ disc: the cell (9, 3)
+        # reads class 0 mod 3 from the table, where the fibre differs mod 3
+        # from f(0, X) but its inertia is trivial all the same
+        m = load_manifest(ninth_manifest())
+        rows, _ = census(m, 0, 0, 11, 97)
+        assert rows == census_oracle(m, 0, 0, 11, 97)[0]
+        spec = specialization(m, 0)
+        assert [Fraction(c).denominator for t0 in (0, 9) for c in spec.fibre(t0)[0]] == [1] * 6
+        assert [c % 3 for c in spec.fibre(0)[0]] != [c % 3 for c in spec.fibre(9)[0]]
+
+    def test_table_test_needs_the_integral_model(self):
+        # (X - 1/7)(X - 1/7 - 7)(X^3 - 7^5): 7 ∤ disc f, yet 7 ramifies with
+        # e = 3, so the table admits by disc g of g(Y) = 7^5 f(Y/7)
+        X = UniPoly.gen("X")
+        f = (X - Fraction(1, 7)) * (X - Fraction(1, 7) - 7) * (X**3 - 7**5)
+        g = UniPoly(_rescaled(list(f.coeffs), 7), "X")
+        assert valuation(discriminant_in(f, "X"), 7) == 0
+        assert discriminant_in(g, "X") == discriminant_in(f, "X") * 7**20
+        assert padic_shape(g, 7).pairs == ((3, 1), (1, 1), (1, 1))
 
     def test_flagship_rows_pinned(self):
         # one call per t0, hashed from the rows of the census that factored

@@ -7,7 +7,10 @@ rational roots factor no integer, both identification modes decide
 by one judge, and no module factors an integer: exceptional primes are
 decided by divisibility, like bad primes, and residue reads that fail
 raise ffact's own exceptions.  p-adic chains stop at a bound read off the
-discriminant, not at a stage cap, and integer valuations run one loop."""
+discriminant, not at a stage cap, and integer valuations run one loop.
+grunwald builds every fibre model with one rescaling, census's table
+admits a cell by p ∤ disc of its integral model alone, and the t-line
+search reads a residue as the sampler does."""
 
 import ast
 import sys
@@ -176,3 +179,15 @@ def test_padic_chains_have_no_stage_cap():
     # off the input; a stage count bounds stages, not time
     assert not hasattr(padic, "_MAX_STEPS")
     assert beckmann._vp is arith._vp
+
+
+def test_fibre_models_share_one_rescaling_and_one_readability_rule():
+    # _rescaled builds local_model's and census's models; p ∤ disc g decides
+    # census's table, and the sampler's rule reads the search's residues
+    assert not hasattr(grunwald, "_monic_model")
+    assert not hasattr(grunwald, "_integral_model")
+    census = _function("grunwald.py", "census")
+    names = {node.id for node in ast.walk(census) if isinstance(node, ast.Name)}
+    assert "_leaf_denominator" not in names
+    split = _called(_function("grunwald.py", "_split_congruence"))
+    assert "degree_sequence" not in split and "_tally_fibres" in split
