@@ -22,12 +22,11 @@ against measured shapes on a grid, and a row reports inertia only.  census
 measures every fibre on its integral model g(Y) = d^n f(Y/d), Y = d X, d
 the lcm of the fibre's denominators: monic and integral, the same field,
 and disc g = d^(n(n-1)) disc(t0).  When p does not divide disc g, g is
-squarefree mod p, so (Dedekind) p is unramified and the row's inertia is
-trivial, whatever t0 is: census measures such a cell with padic._shape once
-per (p, t0 mod p) and reads the rest of the class from a table, every entry
-of which is the all-ones type.  A p in a denominator of the fibre divides
-d, so disc g, and never uses the table.  The table, like everything census
-builds, lives for one call.
+squarefree mod p, so (Dedekind) p is unramified and census writes the
+all-ones type without a shape; every other good cell calls padic._shape on
+g.  A p in a denominator of the fibre divides d, so disc g, and is always
+measured: with disc(t0) alone, the fibre X^3 - t0/7 would read unramified
+at 7.
 """
 
 from collections import Counter
@@ -738,27 +737,27 @@ class CensusRow:
 def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     """One row per (t0, prime): predicted inertia class against the measured
     p-adic shape.  Returns (rows, bad reason map); rows over good primes
-    must all match.  An unramified cell is measured once per residue class
-    of t0 mod p (module docstring); distinct types and their labels are
-    built once per call."""
+    must all match.  A cell with p ∤ disc g reads unramified directly, and
+    every other good cell is measured (module docstring).  observed never
+    reads the bad-prime set; with a sound set no row could tell, since for
+    a good p and an integer t0 meeting a branch point forces p | disc(t0).
+    An empty grid, t_lo > t_hi or p_max < 2, is refused."""
+    if t_lo > t_hi or p_max < 2:
+        raise ValueError(f"empty census grid: t0 in {t_lo}..{t_hi}, p <= {p_max}")
     spec = specialization(m, s0)
     s0 = spec.s0
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
     n = m.f.degree()
     unramified = CycleType((1,) * n)
-    shapes = {}  # _shape pairs -> CycleType
-    classes = {}  # (p, t0 mod p) -> observed type, for p prime to disc g
-    labels = {unramified: str(unramified)}  # CycleType -> str
 
     rows = []
     for t0 in range(t_lo, t_hi + 1):
         coeffs, disc = spec.fibre(t0)
         if disc == 0:
             continue  # exactly on a branch point: no number field to read
-        # an integer t0 is p-integral at every p, so local_model never
-        # switches chart; a leaf denominator can still put p in the
-        # fibre's, so the model is the fibre's integral rescaling
+        # a leaf denominator can put p in the fibre's, so the model is the
+        # fibre's integral rescaling
         d = lcm(*(c.denominator for c in coeffs))
         g = UniPoly(_rescaled(coeffs, d), "X")
         g_disc = int(disc * d ** (n * (n - 1)))  # g is monic and integral
@@ -769,21 +768,13 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                 continue
             prediction = predict_any(m, s0, t0, p)
             predicted = unramified if prediction is None else prediction.generator_class
-            key = (p, t0 % p) if g_disc % p else None
-            observed = classes.get(key)
-            if observed is None:
-                pairs = _shape(g, p, g_disc).pairs
-                if pairs not in shapes:
-                    shapes[pairs] = CycleType(_expand(pairs))
-                observed = shapes[pairs]
-                if key is not None:
-                    classes[key] = observed
-            for ct in (predicted, observed):
-                if ct not in labels:
-                    labels[ct] = str(ct)
+            if g_disc % p:
+                observed = unramified
+            else:
+                observed = CycleType(_expand(_shape(g, p, g_disc).pairs))
             rows.append(
                 CensusRow(
-                    s0, t0, p, labels[predicted], labels[observed],
+                    s0, t0, p, str(predicted), str(observed),
                     "true" if observed == predicted else "false",
                 )
             )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, _check_prime, valuation
+from .arith import INFINITY, _check_prime, _vp, valuation
 from .ffact import (
     ExtField, FpField, NotPIntegral, NotSquarefree, factor_poly, poly_trim, split_degrees,
 )
@@ -168,7 +168,7 @@ class _StageZero(_Stage):
         best = INFINITY
         for i, c in enumerate(g.coeffs):
             if c:
-                v = d * valuation(c, p) + i * n
+                v = d * (_vp(c.numerator, p) - _vp(c.denominator, p)) + i * n
                 if v < best:
                     best = v
         return best
@@ -180,7 +180,9 @@ class _StageZero(_Stage):
         to h(Y) * x^i0 * p^j0, and value = self.value(g).
         """
         p, n, d = self.p, self.n, self.d
-        vals = [(i, valuation(c, p)) for i, c in enumerate(g.coeffs) if c]
+        vals = [
+            (i, _vp(c.numerator, p) - _vp(c.denominator, p)) for i, c in enumerate(g.coeffs) if c
+        ]
         vg = min(d * j + i * n for i, j in vals)
         S = [(i, j) for i, j in vals if d * j + i * n == vg]
         i0, j0 = S[0]

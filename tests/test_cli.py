@@ -552,6 +552,17 @@ class TestCensus:
         code = main(["census", "--manifest", "x2mt", "--t-range", "oops"])
         assert code == 2
 
+    def test_reversed_t_range_is_usage_error(self, capsys):
+        # a census that checks no cell must not report a match rate of 1
+        code = main(["census", "--manifest", "x3mt", "--t-range=10..-10"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: empty census grid: t0 in 10..-10, p <= 97\n")
+
+    def test_p_max_below_two_is_usage_error(self, capsys):
+        code = main(["census", "--manifest", "x3mt", "--t-range=-10..10", "--p-max", "1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: empty census grid: t0 in -10..10, p <= 1\n")
+
     def test_prediction_contradiction_exits_one(self, capsys, monkeypatch):
         from galspec import grunwald
         from galspec.beckmann import BadPrimeReport, PredictionContradiction

@@ -621,6 +621,18 @@ def ninth_manifest() -> dict:
     }
 
 
+def cube_manifest() -> dict:
+    """X^3 - s t: S3, totally ramified over t = 0 and infinity."""
+    point = {"e": 3, "inertia_generator": "(1 2 3)",
+             "decomposition_generators": ["(1 2 3)", "(1 2)"]}
+    return {
+        "name": "x3mst",
+        "poly": "X^3 - s*t",
+        "group_generators": ["(1 2 3)", "(1 2)"],
+        "branch_points": [{"location": "0", **point}, {"location": "inf", **point}],
+    }
+
+
 def census_text(m, s0, t_lo, t_hi):
     """One census call per t0 at p <= 97, as CSV lines, or the ValueError's
     text where a call raises."""
@@ -717,10 +729,10 @@ class TestCensus:
             assert sorted(bad) == [2]
             assert rows == census_oracle(m, 0, lo, hi, 97)[0]
 
-    def test_table_serves_a_leaf_denominator_prime_prime_to_disc_g(self):
+    def test_leaf_denominator_prime_prime_to_disc_g_reads_unramified(self):
         # f(0, X) and f(9, X) are 3-integral with 3 ∤ disc: the cell (9, 3)
-        # reads class 0 mod 3 from the table, where the fibre differs mod 3
-        # from f(0, X) but its inertia is trivial all the same
+        # reads unramified directly, where the fibre differs mod 3 from
+        # f(0, X) but its inertia is trivial all the same
         m = load_manifest(ninth_manifest())
         rows, _ = census(m, 0, 0, 11, 97)
         assert rows == census_oracle(m, 0, 0, 11, 97)[0]
@@ -728,15 +740,36 @@ class TestCensus:
         assert [Fraction(c).denominator for t0 in (0, 9) for c in spec.fibre(t0)[0]] == [1] * 6
         assert [c % 3 for c in spec.fibre(0)[0]] != [c % 3 for c in spec.fibre(9)[0]]
 
-    def test_table_test_needs_the_integral_model(self):
+    def test_unramified_read_needs_the_integral_model(self):
         # (X - 1/7)(X - 1/7 - 7)(X^3 - 7^5): 7 ∤ disc f, yet 7 ramifies with
-        # e = 3, so the table admits by disc g of g(Y) = 7^5 f(Y/7)
+        # e = 3, so census reads unramified off disc g of g(Y) = 7^5 f(Y/7)
         X = UniPoly.gen("X")
         f = (X - Fraction(1, 7)) * (X - Fraction(1, 7) - 7) * (X**3 - 7**5)
         g = UniPoly(_rescaled(list(f.coeffs), 7), "X")
         assert valuation(discriminant_in(f, "X"), 7) == 0
         assert discriminant_in(g, "X") == discriminant_in(f, "X") * 7**20
         assert padic_shape(g, 7).pairs == ((3, 1), (1, 1), (1, 1))
+
+    def test_observed_does_not_read_the_bad_prime_set(self, monkeypatch):
+        # at s0 = 1/7, 7 is bad only by VerticalRamification; with its report
+        # dropped, the cell is measured on Y^3 - 49 t0, totally ramified at
+        # 7, though 7 ∤ disc(X^3 - t0/7) for 7 ∤ t0
+        from galspec import grunwald
+
+        m = load_manifest(cube_manifest())
+        reports = bad_primes(m, Fraction(1, 7), bound=7)
+        assert [r.reasons for r in reports if r.p == 7] == [("VerticalRamification",)]
+        sound = grunwald.bad_primes
+        monkeypatch.setattr(
+            grunwald, "bad_primes",
+            lambda m, s0, bound: [r for r in sound(m, s0, bound=bound) if r.p != 7],
+        )
+        rows, bad = census(m, Fraction(1, 7), 1, 2, 7)
+        assert sorted(bad) == [2, 3]
+        assert [(r.t0, r.predicted, r.observed, r.match) for r in rows if r.p == 7] == [
+            (1, "1^3", "3", "false"), (2, "1^3", "3", "false"),
+        ]
+        assert [r.match for r in rows if r.p == 5] == ["true", "true"]
 
     def test_flagship_rows_pinned(self):
         # one call per t0, hashed from the rows of the census that factored

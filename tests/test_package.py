@@ -8,9 +8,10 @@ by one judge, and no module factors an integer: exceptional primes are
 decided by divisibility, like bad primes, and residue reads that fail
 raise ffact's own exceptions.  p-adic chains stop at a bound read off the
 discriminant, not at a stage cap, and integer valuations run one loop.
-grunwald builds every fibre model with one rescaling, census's table
-admits a cell by p ∤ disc of its integral model alone, and the t-line
-search reads a residue as the sampler does."""
+grunwald builds every fibre model with one rescaling, census reads a
+cell unramified by p ∤ disc of its integral model alone and keeps no
+table or memo, and the t-line search reads a residue as the sampler
+does."""
 
 import ast
 import sys
@@ -183,7 +184,8 @@ def test_padic_chains_have_no_stage_cap():
 
 def test_fibre_models_share_one_rescaling_and_one_readability_rule():
     # _rescaled builds local_model's and census's models; p ∤ disc g decides
-    # census's table, and the sampler's rule reads the search's residues
+    # census's direct unramified read, and the sampler's rule reads the
+    # search's residues
     assert not hasattr(grunwald, "_monic_model")
     assert not hasattr(grunwald, "_integral_model")
     census = _function("grunwald.py", "census")
@@ -191,3 +193,12 @@ def test_fibre_models_share_one_rescaling_and_one_readability_rule():
     assert "_leaf_denominator" not in names
     split = _called(_function("grunwald.py", "_split_congruence"))
     assert "degree_sequence" not in split and "_tally_fibres" in split
+
+
+def test_census_builds_one_dict():
+    # the bad-prime map is census's one dict: p ∤ disc g reads a cell
+    # unramified at once, so a table of residue classes or a memo of types
+    # and labels would only cache what costs nothing to decide
+    census = _function("grunwald.py", "census")
+    dicts = [node for node in ast.walk(census) if isinstance(node, (ast.Dict, ast.DictComp))]
+    assert len(dicts) == 1
