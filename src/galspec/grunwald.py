@@ -25,8 +25,9 @@ and disc g = d^(n(n-1)) disc(t0).  When p does not divide disc g, g is
 squarefree mod p, so (Dedekind) p is unramified and census writes the
 all-ones type without a shape; every other good cell calls padic._shape on
 g.  A p in a denominator of the fibre divides d, so disc g, and is always
-measured: with disc(t0) alone, the fibre X^3 - t0/7 would read unramified
-at 7.
+measured: disc(t0) alone would read the fibre X^3 - t0/7 unramified at 7,
+where it is totally ramified (7 is bad there, but the measurement never
+reads the bad set).
 """
 
 from collections import Counter

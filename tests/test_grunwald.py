@@ -753,7 +753,8 @@ class TestCensus:
     def test_observed_does_not_read_the_bad_prime_set(self, monkeypatch):
         # at s0 = 1/7, 7 is bad only by VerticalRamification; with its report
         # dropped, the cell is measured on Y^3 - 49 t0, totally ramified at
-        # 7, though 7 ∤ disc(X^3 - t0/7) for 7 ∤ t0
+        # 7, though 7 does not divide the numerator of disc(X^3 - t0/7) =
+        # -27 t0^2 / 49 for 7 ∤ t0
         from galspec import grunwald
 
         m = load_manifest(cube_manifest())
