@@ -38,9 +38,9 @@ from .poly import (
     UniPoly,
     _bind_s,
     _coerce,
-    _leaf_denominator,
     discriminant_in,
     integer_normalize,
+    primitive_part,
     specialize,
     squarefree_part,
     x_poly_coeffs,
@@ -146,10 +146,10 @@ def specialization(manifest: FamilyManifest, s0) -> Specialization:
 
     # the squarefree integer model of the branch locus: degree or
     # separability loss mod p means branch points collide or escape
-    _, wints = integer_normalize(squarefree_part(UniPoly(ints, "t")))
-    add("NonIntegralBranchPoint", wints[-1])
-    if len(wints) > 2:
-        dw = discriminant_in(UniPoly(wints, "t"), "t")
+    w = squarefree_part(disc)
+    add("NonIntegralBranchPoint", w.lc())
+    if w.degree() >= 2:
+        dw = discriminant_in(w, "t")
         add("BranchCollision", dw)
         add("DiscriminantInseparable", dw)
 
@@ -164,8 +164,7 @@ def specialization(manifest: FamilyManifest, s0) -> Specialization:
 
     residual = None
     if manifest.locus.residual.degree() >= 1:
-        _, rints = integer_normalize(_bind_s(manifest.locus.residual, s0))
-        residual = UniPoly(rints, "t")
+        residual = primitive_part(_bind_s(manifest.locus.residual, s0))
     return Specialization(
         s0, specialize(manifest.f, {"s": s0}), disc, locations, residual, tuple(certs)
     )
@@ -204,7 +203,8 @@ def residue_class_bound(manifest: FamilyManifest) -> int:
 
 def is_exceptional(manifest: FamilyManifest, p: int) -> bool:
     """Whether the residue-class analysis itself breaks down at p: p divides
-    the group order, an s-guard's leading numerator or f's leaf denominator."""
+    the group order, an s-guard's leading numerator or f's leaf denominators
+    (f is monic, so their lcm is the denominator of its content)."""
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     if manifest.group is None:
@@ -212,7 +212,7 @@ def is_exceptional(manifest: FamilyManifest, p: int) -> bool:
     return (
         manifest.group.order % p == 0
         or any(g.coeff(g.degree()).numerator % p == 0 for _, g in manifest.s_guards)
-        or _leaf_denominator(manifest.f) % p == 0
+        or integer_normalize(manifest.f)[0].denominator % p == 0
     )
 
 

@@ -36,9 +36,9 @@ from .poly import (
     content_in_coeffs,
     discriminant_in,
     format_poly,
-    integer_normalize,
     lower_hull_vertices,
     parse_poly,
+    primitive_part,
     rational_roots,
     specialize,
     squarefree_part,
@@ -94,6 +94,8 @@ class BranchLocus:
     residual is the squarefree part of the t-discriminant with the points
     divided out; a loaded manifest's locus also has its declared branch
     points divided out, so its residual is exactly the non-rational part.
+    Its leaves are ints: the squarefree part is in poly's normal form, which
+    by Gauss's lemma stays integral when divided by t - m.
     infinity records whether the u = 1/t chart degenerates at u = 0, which
     happens whenever the cover ramifies over t = infinity (and also for
     branch points merely meeting there, so it is a conservative flag).
@@ -240,7 +242,7 @@ def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
                 points.append(root)
                 work = work.exact_div(UniPoly([-root, Fraction(1)], "t"))
         return BranchLocus(
-            tuple(points), work.monic(), _has_infinite_branch(f, disc.degree())
+            tuple(points), primitive_part(work), _has_infinite_branch(f, disc.degree())
         )
 
     disc = discriminant_in(f, "X")
@@ -397,7 +399,7 @@ def load_manifest(source) -> FamilyManifest:
         if top.degree() >= 1:
             guards.append(("family t-degree drops", top))
     guards.extend(_collision_guards(rational_points, locus.residual))
-    s_guards = tuple((label, UniPoly(integer_normalize(g)[1], "s")) for label, g in guards)
+    s_guards = tuple((label, primitive_part(g)) for label, g in guards)
 
     return FamilyManifest(
         name=raw["name"],

@@ -5,10 +5,12 @@ that work over any such field, on one representation: plain coefficient
 lists, lowest degree first, trailing zeros trimmed.  Extension fields nest,
 so towers F_p ⊂ k_1 ⊂ k_2 ⊂ … built one augmentation at a time are
 supported directly; factor_poly factors completely over any of them.  The
-rest of the package enters mod p through four functions: reduce_mod_p
-reduces rational coefficients, split_degrees reads the factor degrees of an
-f known to be squarefree mod p, degree_sequence checks squarefreeness
-first, and roots_mod_p returns the roots of any f nonzero mod p.
+rest of the package enters mod p here: reduce_mod_p reduces rational
+coefficients, split_degrees reads the factor degrees of an f known to be
+squarefree mod p, degree_sequence checks squarefreeness first, roots_mod_p
+returns the roots of any f nonzero mod p, padic factors over its residue
+fields (FpField, ExtField) with factor_poly and poly_trim, and poly tests
+squarefreeness mod p with poly_gcd and poly_deriv.
 
 Distinct-degree splitting applies the q-power map as one linear map, the
 Frobenius matrix of von zur Gathen and Shoup, rather than exponentiating

@@ -12,12 +12,14 @@ convention).
 
 On top of the ring arithmetic this module provides the subresultant PRS,
 which serves resultants, discriminants and the one gcd in the outer
-variable (over Q and over Q[s] alike).  Resultant and gcd clear leaf
-denominators before the PRS, so it runs on integer leaves, and its
-pseudo-remainders eliminate in place on one coefficient list.  The module
-also provides rational roots by p-adic lifting, coefficient-valuation
-Newton polygons, and the text parser for the manifest polynomial syntax
-(`+ - * ^`, implicit multiplication, variables s, t, X).
+variable (over Q and over Q[s] alike).  The one normal form, from
+integer_normalize, has integer leaves with gcd 1 and a positive leading
+leaf; resultant and gcd run the PRS on it, in place on integer leaves, and
+every gcd, content, primitive and squarefree part comes back in it, however
+the inputs were scaled.  The module also provides rational roots by p-adic
+lifting, coefficient-valuation Newton polygons, and the text parser for the
+manifest polynomial syntax (`+ - * ^`, implicit multiplication, variables
+s, t, X).
 """
 
 from __future__ import annotations
@@ -177,10 +179,6 @@ class UniPoly:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def scale(self, c) -> "UniPoly":
-        """Multiply every coefficient by a coefficient-domain scalar."""
-        return UniPoly([a * c for a in self.coeffs], self.var)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -568,30 +566,20 @@ def pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
     return UniPoly(r, f.var)
 
 
-def _leaf_denominator(g) -> int:
-    """lcm of the denominators of every leaf of g."""
-    if isinstance(g, UniPoly):
-        return math.lcm(1, *(_leaf_denominator(c) for c in g.coeffs))
-    return g.denominator
-
-
 def resultant(f: UniPoly, g: UniPoly):
     """Res(f, g) by the subresultant PRS; exact over nested domains.
 
     Zero iff f and g share a root in an algebraic closure (for nonzero
-    inputs of positive degree).  Leaf denominators are cleared first,
-    since Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g), so the PRS runs in
-    integer leaves.
+    inputs of positive degree).  The PRS runs on the integer normal forms,
+    and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the contents back.
     """
     if isinstance(f, UniPoly) and isinstance(g, UniPoly) and f.var != g.var:
         raise ValueError(f"variable mismatch: {f.var} vs {g.var}")
     if not f or not g:
         return 0 if not isinstance(f, UniPoly) else f._zero_scalar()
-    a, b = _leaf_denominator(f), _leaf_denominator(g)
-    if a == b == 1:
-        return _subresultant(f, g)
-    res = _subresultant(f.scale(a), g.scale(b))
-    return _exact_div(res, a ** g.degree() * b ** f.degree())
+    (a, pf), (b, pg) = _normal(f), _normal(g)
+    res = _subresultant(pf, pg)
+    return res if a == b == 1 else _coerce(res * (a ** g.degree() * b ** f.degree()))
 
 
 def _prs(A: UniPoly, B: UniPoly):
@@ -654,20 +642,33 @@ def discriminant_in(f: UniPoly, var: str):
 # -- content, rational roots -------------------------------------------------
 
 
-def integer_normalize(f: UniPoly) -> tuple[Fraction, list[int]]:
-    """Write f = content * primitive with primitive integral, lc > 0.
+def integer_normalize(f: UniPoly) -> tuple[int | Fraction, list]:
+    """(content, primitive coefficient list) with f = content * primitive,
+    the module's one normal form: integer leaves at every depth with gcd 1
+    and a positive leading leaf (the lc of the lc, down to a scalar).  Like
+    a leaf, the content is an int when integral."""
+    content, prim = _normal(f)
+    return content, list(prim.coeffs)
 
-    Returns (content, primitive coefficient list).  Rational coefficients
-    only.
-    """
+
+def _normal(f: UniPoly) -> tuple[int | Fraction, UniPoly]:
+    """integer_normalize with the primitive part as a UniPoly, f itself when
+    the content is 1."""
     if not f:
-        return Fraction(0), []
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    nums = [int(c * den) for c in f.coeffs]
-    g = math.gcd(*nums)
-    if nums[-1] < 0:
-        g = -g
-    return Fraction(g, den), [n // g for n in nums]
+        return 0, f
+    nums, dens, stack = [], [], [f]
+    while stack:  # an lc is pushed last and popped first: nums[0] leads
+        c = stack.pop()
+        if isinstance(c, UniPoly):
+            stack.extend(c.coeffs)
+        else:
+            nums.append(c.numerator)
+            dens.append(c.denominator)
+    num, den = math.gcd(*nums) * (1 if nums[0] > 0 else -1), math.lcm(*dens)
+    content = num if den == 1 else Fraction(num, den)
+    if content == 1:
+        return content, f
+    return content, UniPoly([_exact_div(c, content) for c in f.coeffs], f.var)
 
 
 def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
@@ -687,15 +688,11 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
         raise ValueError("zero polynomial has every root")
     if f.degree() == 0:
         return []
-    _, prim = integer_normalize(f)
-    roots: list[tuple[Fraction, int]] = []
-    ord0 = next(i for i, c in enumerate(prim) if c)
-    if ord0:
-        roots.append((Fraction(0), ord0))
-        prim = prim[ord0:]
-    work = UniPoly(prim, f.var)
+    ord0 = f.order_at_zero()
+    roots: list[tuple[Fraction, int]] = [(Fraction(0), ord0)] if ord0 else []
+    work = primitive_part(UniPoly(f.coeffs[ord0:], f.var))
     if work.degree() >= 1:
-        g = UniPoly(integer_normalize(squarefree_part(work))[1], f.var)
+        g = squarefree_part(work)
         for r in _lifted_candidates(g):
             mult = 0
             lin = UniPoly([-r, 1], f.var)
@@ -739,7 +736,7 @@ def _squarefree_mod(g: UniPoly, p: int) -> bool:
 
 
 def content_in_coeffs(f: UniPoly) -> UniPoly:
-    """gcd of the (polynomial) coefficients of f; monic."""
+    """gcd of the (polynomial) coefficients of f, in the normal form."""
     acc = None
     for c in f.coeffs:
         if not c:
@@ -749,41 +746,38 @@ def content_in_coeffs(f: UniPoly) -> UniPoly:
             break
     if acc is None:
         raise ValueError("zero polynomial")
-    return acc.monic()
+    return _normal(acc)[1]
 
 
 def primitive_part(f: UniPoly) -> UniPoly:
-    """f over its monic content; over Q, where every nonzero constant is a
-    unit, f itself."""
-    if not isinstance(f.lc(), UniPoly):
-        return f
-    cont = content_in_coeffs(f)
-    if cont == 1:
-        return f
-    return UniPoly([_exact_div(c, cont) for c in f.coeffs], f.var)
+    """f over its content in the coefficient ring (Q[s] for nested
+    coefficients; over Q every nonzero constant is a unit), in the normal
+    form."""
+    if isinstance(f.lc(), UniPoly):
+        cont = content_in_coeffs(f)
+        if cont != 1:
+            f = UniPoly([_exact_div(c, cont) for c in f.coeffs], f.var)
+    return _normal(f)[1]
 
 
 def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
     """gcd in the outer variable by the subresultant PRS, the one gcd over Q
-    and Q[s]: monic over rational leaves; over Q[s] coefficients primitive,
-    and monic whenever its leading coefficient is constant in s.  Each input
-    is scaled by the lcm of its leaf denominators first, a unit over Q, so
-    the PRS runs on integer leaves."""
+    and Q[s].  The PRS runs on the inputs' integer normal forms; the result
+    is the primitive part of its last nonzero remainder, in the normal form,
+    so gcd(c1 f, c2 g) = gcd(f, g) for nonzero rationals c1, c2."""
     a, b = (f, g) if f.degree() >= g.degree() else (g, f)
     if not a:
         return a
-    for a, b, _ in _prs(a.scale(_leaf_denominator(a)), b.scale(_leaf_denominator(b))):
+    for a, b, _ in _prs(_normal(a)[1], _normal(b)[1]):
         pass
     if b:
         return UniPoly([_one_like(a._zero_scalar())], a.var)
-    out = primitive_part(a)
-    lead = out.lc()
-    return out if isinstance(lead, UniPoly) and lead.degree() > 0 else out.monic()
+    return primitive_part(a)
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
-    """f divided by gcd(f, f'), over Q or Q[s] coefficients; over Q[s] the
-    result is always primitive."""
+    """f divided by gcd(f, f'), over Q or Q[s] coefficients, as a primitive
+    part in the normal form."""
     base = primitive_part(f)
     if f.degree() < 2:
         return base

@@ -1,5 +1,7 @@
 """Polynomial tower: parser, resultants, discriminants, Newton polygons."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -518,10 +520,76 @@ class TestGcdTower:
         def back(p):
             return fraction_poly([Fraction(str(x)) for x in reversed(p.all_coeffs())])
 
-        assert gcd_over_poly_coeffs(f, g) == back(sympy.gcd(to_sympy(f), to_sympy(g)))
+        assert gcd_over_poly_coeffs(f, g).monic() == back(sympy.gcd(to_sympy(f), to_sympy(g)))
         assert squarefree_part(f).monic() == back(sympy.sqf_part(to_sympy(f)))
 
     def test_gcd_field_monic(self):
         f = qpoly(-1, 0, 1) * qpoly(5, 1)
         g = qpoly(-1, 0, 1) * qpoly(7, 1)
         assert gcd_over_poly_coeffs(f, g) == qpoly(-1, 0, 1)
+
+
+def random_over_s(rng, t_degree, s_degree=2):
+    """A polynomial in t over Q[s] with small rational leaves, nonzero lc."""
+    while True:
+        coeffs = [
+            UniPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(s_degree + 1)], "s")
+            for _ in range(t_degree + 1)
+        ]
+        if coeffs[-1]:
+            return UniPoly(coeffs, "t")
+
+
+def random_scalar(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def assert_normal_form(p):
+    """Integer leaves with gcd 1 and a positive leading leaf."""
+    values = []
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, UniPoly):
+            stack.extend(q.coeffs)
+        else:
+            values.append(q)
+    assert all(type(c) is int for c in values)
+    assert math.gcd(*values) == 1
+    lead = p
+    while isinstance(lead, UniPoly):
+        lead = lead.lc()
+    assert lead > 0
+
+
+class TestNormalForm:
+    """Over Q[s][t] a gcd or squarefree part does not depend on how its
+    inputs were scaled: each is returned in the one integer normal form."""
+
+    SEEDS = range(150)
+
+    def test_gcd_ignores_input_scaling(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            # a planted common factor whose lc depends on s
+            c = random_over_s(rng, rng.randint(1, 2))
+            f = random_over_s(rng, rng.randint(0, 2)) * c
+            g = random_over_s(rng, rng.randint(0, 2)) * c
+            d = gcd_over_poly_coeffs(f, g)
+            assert gcd_over_poly_coeffs(f * random_scalar(rng), g * random_scalar(rng)) == d
+            assert_normal_form(d)
+
+    def test_squarefree_part_ignores_input_scaling(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            f = random_over_s(rng, rng.randint(0, 2)) * random_over_s(rng, rng.randint(1, 2)) ** 2
+            sq = squarefree_part(f)
+            assert squarefree_part(f * random_scalar(rng)) == sq
+            assert_normal_form(sq)
+
+    def test_integer_normalize_at_depth(self):
+        f = parse_poly("-3/2 s t^2 + 9/4 t - 3/8").coeff(0)
+        content, prim = integer_normalize(f)
+        assert content == Fraction(-3, 8)
+        assert UniPoly(prim, "t") == parse_poly("4 s t^2 - 6 t + 1").coeff(0)
+
