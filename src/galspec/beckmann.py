@@ -15,7 +15,7 @@ v_p(g(t0)) = v_p(b^D * g(a/b)) - D*v_p(b), with b^D * g(a/b) summed on ints.
 The bad set is carried as a list of integer certificates, one per reason, so
 membership can be decided exactly for any prime without factoring anything.
 Exceptional primes are decided the same way: is_exceptional tests p against
-the group order, the s-guards' leading numerators and f's leaf denominator.
+the group order, the s-guards' leading numerators and f's leaf denominators.
 
 specialization(manifest, s0) binds s = s0 once per parameter value: it
 refuses a degenerate s0, then caches the bound family, discriminant, branch
