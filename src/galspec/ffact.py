@@ -21,18 +21,28 @@ randomized (Cantor-Zassenhaus, with the trace construction in
 characteristic 2) but seeded, and factor lists are sorted canonically, so
 every public result is deterministic.
 
-Over F_p the multiply, divide, gcd and power helpers work on plain ints and
-reduce each coefficient mod p once per operation.  Powers square with each
-cross product taken once and doubled, and the gcd runs Euclid on the int
-lists directly, with one modular inverse and one division per step.
+Over F_p the multiply, divide and gcd helpers work on plain ints and reduce
+each coefficient mod p once per operation; the gcd runs Euclid on the int
+lists directly, with one modular inverse and one division per step.  Powers
+mod f and the Frobenius matrix live in one quotient ring F_p[x]/(f) whose
+elements are single ints, one 64-bit slot per coefficient (Kronecker
+substitution; Harvey, J. Symb. Comput. 44, 2009): a product is one bigint
+multiplication and its reduction a few more on whole ints, so the per-
+coefficient work runs in C.  For p too large for the slots (2*n*p^2 >=
+2^31, n = deg f) the ring falls back to the list helpers.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from fractions import Fraction
+from operator import mul
 
 from .arith import _check_prime
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class FpField:
@@ -312,29 +322,134 @@ def poly_deriv(K, a: list) -> list:
 
 
 def poly_pow_mod(K, base: list, n: int, mod: list) -> list:
-    if not n:
-        return [K.one()]
-    base = poly_mod(K, base, mod)
-    if isinstance(K, FpField):
-        p, inv_lc = K.p, K.inv(mod[-1])
+    """base^n mod `mod` over K, as a reduced and trimmed coefficient list.
 
-        def mul(a, b):
-            prod = _fp_sqr(a) if a is b else _fp_mul(a, b)
-            return _fp_divmod(p, prod, mod, inv_lc)[1]
+    `mod` may be any nonzero polynomial over K, with any leading
+    coefficient; a constant `mod` gives [] for every n, n = 0 included.
+    `base` is a coefficient list over K of any length.
+    """
+    R = _ring(K, mod)
+    return R.unpack(R.pow(R.pack(poly_mod(K, base, mod)), n))
 
-    else:
 
-        def mul(a, b):
-            return poly_mod(K, poly_mul(K, a, b), mod)
+def _ring(K, f: list):
+    """The quotient ring K[x]/(f) for nonzero f: packed when K is F_p and
+    the slots fit, on coefficient lists otherwise."""
+    n = len(f) - 1
+    if isinstance(K, FpField) and n >= 1 and _FpRing.fits(K.p, n):
+        return _FpRing(K.p, f)
+    return _ListRing(K, f)
 
-    # left to right, so that every product but the squares is by base
-    # itself, which is short when base is x as in distinct_degree
-    result = base
-    for bit in bin(n)[3:]:
-        result = mul(result, result)
-        if bit == "1":
-            result = mul(result, base)
-    return result
+
+class _ListRing:
+    """K[x]/(f) on reduced coefficient lists."""
+
+    __slots__ = ("K", "f", "n", "one")
+
+    def __init__(self, K, f: list):
+        self.K, self.f, self.n = K, f, len(f) - 1
+        self.one = poly_mod(K, [K.one()], f)
+
+    def pack(self, a: list):
+        return a
+
+    def unpack(self, a) -> list:
+        return a
+
+    def mul(self, a, b):
+        return poly_mod(self.K, poly_mul(self.K, a, b), self.f)
+
+    def combine(self, cs: list, rows: list):
+        """The sum of cs[i] * rows[i], for cs over K."""
+        out = []
+        for c, row in zip(cs, rows):
+            out = poly_add(self.K, out, poly_scale(self.K, row, c))
+        return out
+
+    def pow(self, a, e: int):
+        if not e:
+            return self.one
+        # left to right, so that every product but the squares is by a
+        # itself, which is short when a is x as in distinct_degree
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
+class _FpRing(_ListRing):
+    """F_p[x]/(f), f of degree n >= 1, each element packed into one int.
+
+    Coefficient i sits in bits 64i to 64i + 63, so a product is one bigint
+    multiplication.  It is reduced by folding its top n - 1 slots, reduced
+    mod p, onto the low n slots with rows[j] = x^(n+j) mod f (f made monic
+    by lc^-1), then reducing every slot mod p.  A slot stays below
+    B = 2*n*p^2 throughout: a product's slots are below n*p^2, and the fold
+    adds n - 1 terms below p^2.  All slots are reduced mod p at once by
+    Barrett's rule: with B*p < 2^s and m = ceil(2^s / p), floor(v*m / 2^s)
+    is floor(v / p) for every v < B, and v*m < 2*B^2 < 2^64 while B < 2^31
+    (fits), so no slot spills into the next.  The rows are built only as
+    products need them, since x^k with k < n needs none.
+    """
+
+    __slots__ = ("p", "rows", "shift", "low", "m", "s", "mask")
+
+    @staticmethod
+    def fits(p: int, n: int) -> bool:
+        # the slots are read as little-endian machine words
+        return _LITTLE_ENDIAN and (2 * n * p * p).bit_length() <= 31
+
+    def __init__(self, p: int, f: list):
+        n = len(f) - 1
+        self.p, self.f, self.n, self.one = p, f, n, 1
+        self.rows = []
+        self.shift = 64 * n
+        self.low = (1 << 64 * n) - 1
+        self.s = (2 * n * p**3).bit_length()
+        self.m = -(-(1 << self.s) // p)
+        slot = ((1 << 64 - self.s) - 1).to_bytes(8, "little")
+        self.mask = int.from_bytes(slot * n, "little")
+
+    def pack(self, a: list) -> int:
+        p = self.p
+        return int.from_bytes(array("Q", [c % p for c in a]), "little")
+
+    def unpack(self, a: int) -> list:
+        cs = memoryview(a.to_bytes(8 * self.n, "little")).cast("Q").tolist()
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    def _mod(self, a: int) -> int:
+        return a - ((a * self.m >> self.s) & self.mask) * self.p
+
+    def mul(self, a: int, b: int) -> int:
+        a *= b
+        high = a >> self.shift
+        if high:
+            k = (high.bit_length() + 63) >> 6
+            rows = self.rows
+            if len(rows) < k:
+                self._grow(k)
+            high = self._mod(high).to_bytes(8 * k, "little")
+            a = (a & self.low) + sum(map(mul, memoryview(high).cast("Q"), rows))
+        return self._mod(a)
+
+    def _grow(self, k: int):
+        rows = self.rows
+        if not rows:
+            inv = pow(self.f[-1], -1, self.p)
+            rows.append(self.pack([-c * inv for c in self.f[:-1]]))
+        while len(rows) < k:
+            # x^(n+j+1) = x * x^(n+j): one slot shifts out and folds back
+            a = rows[-1] << 64
+            rows.append(self._mod((a & self.low) + (a >> self.shift) * rows[0]))
+
+    def combine(self, cs: list, rows: list) -> int:
+        # n terms below p^2 in each slot, none above slot n - 1
+        return self._mod(sum(map(mul, cs, rows)))
 
 
 def _fp_mul(a: list, b: list) -> list:
@@ -344,18 +459,6 @@ def _fp_mul(a: list, b: list) -> list:
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    return out
-
-
-def _fp_sqr(a: list) -> list:
-    # a*a over Z, unreduced: each cross product once, doubled
-    out = [0] * (2 * len(a) - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[2 * i] += x * x
-            x2 = 2 * x
-            for j, y in enumerate(a[i + 1 :], 2 * i + 1):
-                out[j] += x2 * y
     return out
 
 
@@ -446,8 +549,9 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
     Frobenius matrix of rows x^(q*i) mod f (von zur Gathen and Shoup,
     1992); each further x^(q^d) mod f is one matrix application instead of
     a fresh exponentiation.  Gcds are taken against the cofactor left after
-    removing the factors found so far, which divides f; the matrix is built
-    mod the cofactor left after degree 1, and only when degree 2 is reached.
+    removing the factors found so far.  The cofactor divides f, so x^q, the
+    matrix and every x^(q^d) stay mod f itself, in one quotient ring for the
+    whole split; the matrix is built only when degree 2 is reached.
     """
     out = []
     x = [K.zero(), K.one()]
@@ -457,16 +561,16 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
         if d == 1:
-            h = poly_pow_mod(K, x, K.size, f)
+            R = _ring(K, f)
+            h = R.pow(R.pack(x), K.size)
         else:
             if d == 2:
-                # the matrix is built mod the cofactor, only once it is needed
-                h = poly_mod(K, h, f)
-                rows = [[K.one()], h]
-                for _ in range(2, len(f) - 1):
-                    rows.append(poly_mod(K, poly_mul(K, rows[-1], h), f))
-            h = _frobenius(K, h, rows)
-        g = poly_gcd(K, poly_sub(K, h, x), f)
+                # rows of the ring's own degree: h stays mod the first f
+                rows = [R.one, h]
+                for _ in range(2, R.n):
+                    rows.append(R.mul(rows[-1], h))
+            h = _frobenius(R, h, rows)
+        g = poly_gcd(K, poly_sub(K, R.unpack(h), x), f)
         if len(g) > 1:
             out.append((g, d))
             f = poly_divmod(K, f, g)[0]
@@ -475,20 +579,9 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
     return out
 
 
-def _frobenius(K, h: list, rows: list) -> list:
+def _frobenius(R, h, rows: list):
     # h^q = sum of h_i * x^(q*i), since h_i^q = h_i for h_i in K
-    if isinstance(K, FpField):
-        out = [0] * len(rows)
-        for c, row in zip(h, rows):
-            if c:
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        p = K.p
-        return poly_trim([v % p for v in out])
-    out = []
-    for c, row in zip(h, rows):
-        out = poly_add(K, out, poly_scale(K, row, c))
-    return out
+    return R.combine(R.unpack(h), rows)
 
 
 def equal_degree(K, f: list, d: int, rng: random.Random) -> list[list]:
@@ -496,6 +589,7 @@ def equal_degree(K, f: list, d: int, rng: random.Random) -> list[list]:
     n = len(f) - 1
     if n == d:
         return [f]
+    R = _ring(K, f)
     while True:
         a = poly_trim([K.random(rng) for _ in range(n)])
         if not a:
@@ -503,15 +597,14 @@ def equal_degree(K, f: list, d: int, rng: random.Random) -> list[list]:
         if K.p == 2:
             # trace map over F_2: sum of a^(2^i), i < k*d where size = 2^k
             k = K.size.bit_length() - 1
-            t = list(a)
+            t = R.pack(a)
             acc = list(a)
             for _ in range(k * d - 1):
-                t = poly_pow_mod(K, t, 2, f)
-                acc = poly_add(K, acc, t)
+                t = R.mul(t, t)
+                acc = poly_add(K, acc, R.unpack(t))
             g = poly_gcd(K, acc, f)
         else:
-            e = (K.size**d - 1) // 2
-            b = poly_pow_mod(K, a, e, f)
+            b = R.unpack(R.pow(R.pack(a), (K.size**d - 1) // 2))
             g = poly_gcd(K, poly_sub(K, b, [K.one()]), f)
         if 1 < len(g) < len(f):
             h = poly_divmod(K, f, g)[0]

@@ -1,12 +1,15 @@
 """Finite field factorization: mod-p interface and extension towers."""
 
+import math
 import random
+from array import array
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from galspec import ffact
+from galspec.arith import is_prime
 from galspec.ffact import (
     ExtField,
     FpField,
@@ -17,9 +20,12 @@ from galspec.ffact import (
     factor_poly,
     poly_divmod,
     poly_gcd,
+    poly_mod,
+    poly_monic,
     poly_mul,
     poly_pow_mod,
     poly_sub,
+    poly_trim,
     reduce_mod_p,
     roots_mod_p,
     split_degrees,
@@ -194,7 +200,7 @@ class TestDegreeSequence:
 
 class TestSplitDegrees:
     @given(
-        st.sampled_from([2, 3, 5, 97, 1999]),
+        st.sampled_from([2, 3, 5, 97, 1999, 2**61 - 1]),
         st.lists(st.integers(0, 1998), min_size=1, max_size=10),
     )
     @settings(max_examples=120, deadline=None)
@@ -220,6 +226,119 @@ class TestSplitDegrees:
         assert calls == []
         assert split_degrees([1, 0, 0, 0, 1], 7) == [2, 2]  # degree 2 needs the matrix
         assert len(calls) == 1
+
+
+def reference_pow_mod(K, base: list, n: int, mod: list) -> list:
+    """Square-and-multiply on coefficient lists, as poly_pow_mod over F_p was
+    computed before the packed quotient ring: each square takes its cross
+    products once and doubles them, and each product is divided by mod
+    once, with lc(mod)^-1 computed once."""
+    p = K.p
+    base = poly_mod(K, base, mod)
+    if not n:
+        return poly_mod(K, [1], mod)  # [] mod a constant, [1] otherwise
+    inv_lc = pow(mod[-1], -1, p)
+
+    def sqr(a):
+        out = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[2 * i] += x * x
+                for j, y in enumerate(a[i + 1 :], 2 * i + 1):
+                    out[j] += 2 * x * y
+        return out
+
+    def mul(a, b):
+        if not a or not b:
+            return []
+        if a is b:
+            prod = sqr(a)
+        else:
+            prod = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        return ffact._fp_divmod(p, prod, mod, inv_lc)[1]
+
+    result = base
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
+class TestPowMod:
+    @given(
+        # 4229 is the largest prime packed at degree 60 (2 * 60 * p^2 < 2^31)
+        st.sampled_from([2, 3, 47, 1999, 4229, 2**31 - 1, 2**61 - 1]),
+        st.integers(0, 60),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_list_reference(self, p, deg, data):
+        K = FpField(p)
+        coeff = st.integers(0, p - 1)
+        mod = data.draw(st.lists(coeff, min_size=deg, max_size=deg))
+        mod.append(data.draw(st.integers(1, p - 1)))  # any nonzero lc
+        base = poly_trim(data.draw(st.lists(coeff, max_size=2 * deg + 3)))
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.sampled_from([0, 1, p, (p**d - 1) // 2]))
+        assert poly_pow_mod(K, base, n, mod) == reference_pow_mod(K, base, n, mod)
+
+    @pytest.mark.parametrize("n, primes", [
+        # the largest prime packed at degree n, then the next one, then the
+        # largest that slots one and two bits wider would pack
+        (1, (32749, 32771, 46337, 65521)),
+        (7, (12379, 12391, 17509, 24767)),
+        (60, (4229, 4231, 5981, 8447)),
+    ])
+    def test_largest_slots(self, n, primes):
+        # every coefficient p - 1 puts n*(p - 1)^2 in the middle slot of the
+        # first square, and lc = p - 1 makes every coefficient of x^n mod f
+        # p - 1 as well
+        for p in primes:
+            K = FpField(p)
+            base = [p - 1] * n
+            for mod in ([1] * (n + 1), [p - 1] * (n + 1)):
+                for e in (2, p, (p * p - 1) // 2):
+                    assert poly_pow_mod(K, base, e, mod) == reference_pow_mod(K, base, e, mod)
+
+    def test_slot_reduction_is_exact_up_to_the_bound(self):
+        # Barrett's rule on packed slots: floor(v*m / 2^s) = floor(v / p)
+        # needs B*p < 2^s, and no spill needs (B - 1)*m < 2^64, for every
+        # slot v < B = 2*n*p^2, at the largest packed prime of each degree
+        for n in range(1, 61):
+            p = math.isqrt((1 << 32) // n)  # 2*n*p^2 near 2^33: never packed
+            while not (ffact._FpRing.fits(p, n) and is_prime(p)):
+                p -= 1
+            R = ffact._FpRing(p, [1] * (n + 1))
+            B = 2 * n * p * p
+            assert B * p < 1 << R.s and (B - 1) * R.m < 1 << 64
+            slots = [0, p - 1, p, B // 2, B - p, B - 2, B - 1][-n:]
+            packed = int.from_bytes(array("Q", slots), "little")
+            assert R.unpack(R._mod(packed)) == poly_trim([v % p for v in slots])
+
+    def test_non_monic_modulus(self):
+        # roots_mod_p passes f as it is, not made monic first
+        K = FpField(7)
+        mod = [3, 1, 0, 5]
+        for n in (2, 7, 171):
+            assert poly_pow_mod(K, [0, 1], n, mod) == reference_pow_mod(K, [0, 1], n, mod)
+        assert roots_mod_p([2, 0, 3], 7) == [2, 5]  # 3(X^2 - 4)
+
+    def test_constant_modulus(self):
+        K = FpField(2)
+        for n in (0, 1, 2, 5):
+            assert poly_pow_mod(K, [0, 1], n, [1]) == []
+        assert roots_mod_p([1], 2) == []
+
+    def test_split_after_a_linear_factor(self):
+        # (X - 1)(X^2 - 3)(X^2 - X - 1) times 2 mod 7: after the root at
+        # degree 1, the degree-2 step must still read x^(7i) mod the quintic
+        f = [1, 0, 0, 1, 178, 247]
+        assert split_degrees(poly_monic(FpField(7), reduce_mod_p(f, 7)), 7) == [1, 2, 2]
+        assert [len(g) - 1 for g, _ in factor_mod_p(f, 7)[1]] == [1, 2, 2]
 
 
 class TestRootsModP:
