@@ -2,15 +2,16 @@
 
 A small field protocol (FpField and ExtField) carries polynomial helpers
 that work over any such field, on one representation: plain coefficient
-lists, lowest degree first, trailing zeros trimmed.  Extension fields nest,
-so towers F_p ⊂ k_1 ⊂ k_2 ⊂ … built one augmentation at a time are
-supported directly; factor_poly factors completely over any of them.  The
-rest of the package enters mod p here: reduce_mod_p reduces rational
+lists, lowest degree first, trailing zeros trimmed.  An extension-field
+element is the same trimmed list, frozen as a tuple, over its base field,
+so zero is falsy at every level of a tower F_p ⊂ k_1 ⊂ k_2 ⊂ … built one
+augmentation at a time; factor_poly factors completely over any of them.
+The rest of the package enters mod p here: reduce_mod_p reduces rational
 coefficients, split_degrees reads the factor degrees of an f known to be
 squarefree mod p, degree_sequence checks squarefreeness first, roots_mod_p
 returns the roots of any f nonzero mod p, padic factors over its residue
-fields (FpField, ExtField) with factor_poly and poly_trim, and poly tests
-squarefreeness mod p with poly_gcd and poly_deriv.
+fields (FpField, ExtField) with factor_poly, and poly tests squarefreeness
+mod p with poly_gcd and poly_deriv.
 
 Distinct-degree splitting applies the q-power map as one linear map, the
 Frobenius matrix of von zur Gathen and Shoup, rather than exponentiating
@@ -96,14 +97,15 @@ class FpField:
 
 
 class ExtField:
-    """base[y]/(modulus): elements are tuples over the base field.
+    """base[y]/(modulus): an element is the trimmed tuple of its residue's
+    coefficients over the base field, lowest first, so zero is () and falsy.
 
-    `modulus` is a monic irreducible polynomial over `base`, given as a
-    coefficient tuple lowest-first including the leading 1.  Bases may
-    themselves be extensions, so arbitrary towers are supported.
+    `modulus` is a monic irreducible polynomial over `base`, lowest-first
+    including the leading 1.  Bases may themselves be extensions, so towers
+    are supported; products and powers run in one ring base[y]/(modulus).
     """
 
-    __slots__ = ("base", "modulus", "p", "degree", "size")
+    __slots__ = ("base", "modulus", "p", "degree", "size", "ring")
 
     def __init__(self, base, modulus):
         modulus = poly_trim(list(modulus))
@@ -114,109 +116,65 @@ class ExtField:
         self.p = base.p
         self.degree = len(modulus) - 1
         self.size = base.size**self.degree
+        self.ring = _ListRing(base, modulus)
 
     def zero(self):
-        return (self.base.zero(),) * self.degree
+        return ()
 
     def one(self):
-        return tuple(
-            self.base.one() if i == 0 else self.base.zero()
-            for i in range(self.degree)
-        )
+        return (self.base.one(),)
 
     def gen(self):
         """The class of y; equals a root of the modulus."""
-        if self.degree == 1:
-            # y = -c0 for modulus y + c0
-            return (self.base.neg(self.modulus[0]),)
-        return tuple(
-            self.base.one() if i == 1 else self.base.zero()
-            for i in range(self.degree)
-        )
+        return tuple(poly_mod(self.base, [self.base.zero(), self.base.one()], self.modulus))
 
     def embed(self, a):
         """Lift a base-field element (or plain integer) into this field."""
         if isinstance(a, int):
             a = self.base.embed(a)
-        pad = (self.base.zero(),) * (self.degree - 1)
-        return (a,) + pad
-
-    def _from_list(self, cs):
-        cs = list(cs)[: self.degree]
-        cs += [self.base.zero()] * (self.degree - len(cs))
-        return tuple(cs)
+        return (a,) if a else ()
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        return tuple(poly_add(self.base, a, b))
 
     def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        return tuple(poly_sub(self.base, a, b))
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        prod = poly_mul(self.base, list(a), list(b))
-        return self._from_list(poly_mod(self.base, prod, list(self.modulus)))
+        return tuple(self.ring.mul(a, b))
 
     def inv(self, a):
-        g, u, _ = poly_xgcd(self.base, poly_trim(list(a)), list(self.modulus))
+        g, u, _ = poly_xgcd(self.base, a, self.modulus)
         if len(g) != 1:
             raise ZeroDivisionError("not invertible (zero or modulus reducible)")
-        ginv = self.base.inv(g[0])
-        return self._from_list([self.base.mul(c, ginv) for c in u])
+        return tuple(u)
 
     def pow(self, a, n: int):
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return result
+            a, n = self.inv(a), -n
+        return tuple(self.ring.pow(a, n))  # the ring's a^1 is a itself
 
     def pth_root(self, a):
         # Frobenius x -> x^p generates Gal; its inverse is x -> x^(size/p)
         return self.pow(a, self.size // self.p)
 
     def random(self, rng: random.Random):
-        return tuple(self.base.random(rng) for _ in range(self.degree))
+        return tuple(poly_trim([self.base.random(rng) for _ in range(self.degree)]))
 
     def __repr__(self):
         return f"ExtField(size={self.size})"
-
-
-def field_elt_key(a):
-    """Total order on field elements of one field, for canonical sorting."""
-    if isinstance(a, int):
-        return (a,)
-    out = []
-    for c in a:
-        out.extend(field_elt_key(c))
-    return tuple(out)
 
 
 # -- polynomials over a field: plain lists, lowest degree first, trimmed ----
 
 
 def poly_trim(cs: list) -> list:
-    if cs and isinstance(cs[-1], int):
-        while cs and not cs[-1]:
-            cs.pop()
-        return cs
-    while cs and not _is_nonzero(cs[-1]):
+    while cs and not cs[-1]:
         cs.pop()
     return cs
-
-
-def _is_nonzero(a) -> bool:
-    if isinstance(a, int):
-        return a != 0
-    return any(_is_nonzero(c) for c in a)
 
 
 def poly_add(K, a: list, b: list) -> list:
@@ -247,18 +205,20 @@ def poly_mul(K, a: list, b: list) -> list:
         return poly_trim([c % p for c in _fp_mul(a, b)])
     out = [K.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if _is_nonzero(x):
+        if x:
             for j, y in enumerate(b):
                 out[i + j] = K.add(out[i + j], K.mul(x, y))
     return poly_trim(out)
 
 
-def poly_divmod(K, a: list, b: list) -> tuple[list, list]:
+def poly_divmod(K, a: list, b: list, inv_lc=None) -> tuple[list, list]:
+    """Quotient and remainder of a by b; inv_lc, if given, is lc(b)^-1."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
-    inv_lc = K.inv(b[-1])
+    if inv_lc is None:
+        inv_lc = K.inv(b[-1])
     if isinstance(K, FpField):
         quot, rem = _fp_divmod(K.p, list(a), b, inv_lc)
         return poly_trim(quot), rem
@@ -266,7 +226,7 @@ def poly_divmod(K, a: list, b: list) -> tuple[list, list]:
     quot = [K.zero()] * (len(a) - len(b) + 1)
     for k in range(len(quot) - 1, -1, -1):
         top = rem[k + len(b) - 1]
-        if _is_nonzero(top):
+        if top:
             q = K.mul(top, inv_lc)
             quot[k] = q
             for j, c in enumerate(b):
@@ -342,12 +302,13 @@ def _ring(K, f: list):
 
 
 class _ListRing:
-    """K[x]/(f) on reduced coefficient lists."""
+    """K[x]/(f) on reduced coefficient lists, with lc(f)^-1 kept."""
 
-    __slots__ = ("K", "f", "n", "one")
+    __slots__ = ("K", "f", "n", "one", "inv_lc")
 
     def __init__(self, K, f: list):
         self.K, self.f, self.n = K, f, len(f) - 1
+        self.inv_lc = K.inv(f[-1])
         self.one = poly_mod(K, [K.one()], f)
 
     def pack(self, a: list):
@@ -357,7 +318,11 @@ class _ListRing:
         return a
 
     def mul(self, a, b):
-        return poly_mod(self.K, poly_mul(self.K, a, b), self.f)
+        K = self.K
+        if isinstance(K, FpField):
+            # the product over Z goes to the division unreduced
+            return _fp_divmod(K.p, _fp_mul(a, b), self.f, self.inv_lc)[1]
+        return poly_divmod(K, poly_mul(K, a, b), self.f, self.inv_lc)[1]
 
     def combine(self, cs: list, rows: list):
         """The sum of cs[i] * rows[i], for cs over K."""
@@ -485,7 +450,8 @@ def _fp_divmod(p: int, a: list, b: list, inv_lc: int) -> tuple[list, list]:
 
 
 def poly_key(a: list):
-    return (len(a), tuple(field_elt_key(c) for c in a))
+    # trimmed elements of one field, nested tuples too, are totally ordered
+    return (len(a), tuple(a))
 
 
 # -- factorization over any finite field -------------------------------------
@@ -536,7 +502,7 @@ def _poly_pth_root(K, f: list) -> list:
     for i in range(0, len(f), p):
         out.append(K.pth_root(f[i]))
     for i, c in enumerate(f):
-        if i % p and _is_nonzero(c):
+        if i % p and c:
             raise ValueError("not a p-th power")
     return poly_trim(out)
 

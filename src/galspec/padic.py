@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .arith import INFINITY, _check_prime, _vp, valuation
 from .ffact import (
-    ExtField, FpField, NotPIntegral, NotSquarefree, factor_poly, poly_trim, split_degrees,
+    ExtField, FpField, NotPIntegral, NotSquarefree, factor_poly, split_degrees,
 )
 from .poly import UniPoly, discriminant_in, lower_hull, newton_polygon
 
@@ -109,10 +109,9 @@ class _Stage:
     def lift_key(self, u: list) -> UniPoly:
         """Monic polynomial whose residual class at this stage is u."""
         F = len(u) - 1
-        zero = self.field.zero()
         acc = UniPoly.const(Fraction(0), self.var)
         for k, c in enumerate(u):
-            if c == zero:
+            if not c:
                 continue
             term = self.lift_elt(c, (F - k) * self.n)
             acc = acc + term * self.phi ** (k * self.d)
@@ -120,7 +119,7 @@ class _Stage:
         # a lift must reduce back to u; this closes the loop on the twist
         # exponents and fails immediately if any of them is off
         h, i0, _j0, _v = self.reduction(acc)
-        assert i0 == 0 and h == poly_trim(list(u))
+        assert i0 == 0 and h == u
         return acc
 
     def new_values(self, g: UniPoly, phi2: UniPoly, mu2: int) -> list:
@@ -284,11 +283,10 @@ class _Augmented(_Stage):
         v, i = divmod(pv.a * m, pv.d)
         j = pv.n * v + pv.b * m
         shifted = K.mul(c, K.pow(self.ybar, v))
-        cz = poly_trim(list(shifted)) if self.extended else [shifted]
-        zero = pv.field.zero()
+        cz = shifted if self.extended else [shifted]
         acc = UniPoly.const(Fraction(0), self.var)
         for r, cr in enumerate(cz):
-            if cr == zero:
+            if not cr:
                 continue
             term = pv.lift_elt(cr, j - r * pv.n)
             acc = acc + term * pv.phi ** (i + r * pv.d)
@@ -320,10 +318,9 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction, dv: int) -> list:
     while work:
         V = work.pop()
         h, _i0, _j0, _vg = V.reduction(f)
-        zero = V.field.zero()
         _unit, factors = factor_poly(V.field, h, seed=0)
         for u, _mult in factors:
-            assert u[0] != zero, "unexpected unit-power factor in residual"
+            assert u[0], "unexpected unit-power factor in residual"
             phi2 = V.lift_key(u)
             mu2 = V.value(phi2)
             for nu, length in V.new_values(f, phi2, mu2):

@@ -375,6 +375,24 @@ class TestReduceModP:
             reduce_mod_p([Fraction(1, 5), Fraction(1)], 5)
 
 
+def tower(name: str):
+    """F_4, F_8, F_9, F_25 over their prime fields, and F_81 over F_9."""
+    if name == "F81":
+        F9 = tower("F9")
+        c = F9.add(F9.one(), F9.gen())  # 1 + i, a non-square in F_9
+        return ExtField(F9, (F9.neg(c), F9.zero(), F9.one()))
+    p, modulus = {"F4": (2, (1, 1, 1)), "F8": (2, (1, 1, 0, 1)),
+                  "F9": (3, (1, 0, 1)), "F25": (5, (3, 0, 1))}[name]
+    return ExtField(FpField(p), modulus)
+
+
+def is_trimmed(a) -> bool:
+    """An int, or a tuple with no falsy last entry whose entries are trimmed."""
+    if isinstance(a, int):
+        return True
+    return isinstance(a, tuple) and (not a or bool(a[-1])) and all(map(is_trimmed, a))
+
+
 class TestExtensionFields:
     def test_f4_splits_x4_minus_x(self):
         F2 = FpField(2)
@@ -398,13 +416,20 @@ class TestExtensionFields:
         assert sorted(len(g) - 1 for g, _ in factors) == [1] * 9
 
     def test_tower_arithmetic(self):
+        # F_81 = F_9[y]/(y^2 - (1 + i)), F_9 = F_3(i): 1 + i is a non-square
+        # in F_9 since (1 + i)^4 = -1.  y^2 - i would not do: (1 - i)^2 = i,
+        # so it splits and its quotient is F_9 x F_9, not a field.
         F3 = FpField(3)
         F9 = ExtField(F3, (1, 0, 1))
-        g9 = F9.gen()
-        F81 = ExtField(F9, (F9.neg(g9), F9.zero(), F9.one()))
+        i = F9.gen()
+        assert [len(g) - 1 for g, _ in factor_poly(F9, [F9.neg(i), F9.zero(), F9.one()])[1]] == [1, 1]
+        c = F9.add(F9.one(), i)
+        F81 = ExtField(F9, (F9.neg(c), F9.zero(), F9.one()))
+        assert [len(g) - 1 for g, _ in factor_poly(F9, list(F81.modulus))[1]] == [2]
         b = F81.gen()
-        assert F81.mul(b, b) == F81.embed(g9)
+        assert F81.mul(b, b) == F81.embed(c)
         assert F81.pow(b, 80) == F81.one()
+        assert F81.mul(b, F81.inv(b)) == F81.one()
         assert F81.pow(F81.pth_root(b), 3) == b
 
     @given(st.integers(0, 10**6))
@@ -416,6 +441,40 @@ class TestExtensionFields:
         if a == F9.zero():
             return
         assert F9.mul(a, F9.inv(a)) == F9.one()
+
+    @given(st.sampled_from(["F4", "F8", "F9", "F25", "F81"]), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_towers_are_trimmed_fields(self, name, seed):
+        K = tower(name)
+        rng = random.Random(seed)
+        a, b = K.random(rng), K.random(rng)
+        zero, one = K.zero(), K.one()
+        assert not zero and one
+        p = K.p
+        results = [zero, one, K.gen(), K.embed(2), K.embed(p), a, b, K.add(a, b), K.sub(a, a),
+                   K.sub(a, b), K.neg(a), K.mul(a, b), K.mul(a, zero), K.pow(a, 0),
+                   K.pow(a, K.size), K.pth_root(a), K.random(rng)]
+        if a:
+            results += [K.inv(a), K.mul(a, K.inv(a)), K.pow(a, -3)]
+            assert K.mul(a, K.inv(a)) == one
+        for c in results:
+            assert is_trimmed(c)
+        assert K.pow(a, K.size) == a
+        assert K.pow(K.pth_root(a), p) == a
+        # a product with repeated factors: the unit times the factors to
+        # their multiplicities gives f back
+        g = poly_trim([K.random(rng) for _ in range(rng.randint(1, 3))] + [K.random(rng)])
+        h = poly_trim([K.random(rng) for _ in range(rng.randint(1, 4))])
+        f = poly_mul(K, poly_mul(K, g, g), h)
+        if not f:
+            return
+        unit, factors = factor_poly(K, f, seed=seed)
+        back = [unit]
+        for irr, m in factors:
+            assert irr[-1] == one and all(is_trimmed(c) for c in irr)
+            for _ in range(m):
+                back = poly_mul(K, back, irr)
+        assert back == f
 
     def test_squarefree_decomposition_pth_powers(self):
         F3 = FpField(3)

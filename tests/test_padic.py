@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galspec.arith import NonPrimeError, primes_up_to, rational, valuation
+from galspec import padic
 from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence, factor_poly
 from galspec.padic import (
     PadicShape,
@@ -154,6 +155,30 @@ class TestFrozenShapes:
         assert shape_of(f, 5) == Counter(
             {(2, 1): 1, (3, 1): 1, (1, 1): 1, (1, 2): 1}
         )
+
+    def test_residue_field_two_levels_up(self, monkeypatch):
+        # (X^2+1)^4 - 9(X+1) at 3, theta a root and pi = theta^2 + 1:
+        # - mod 3 f is (X^2+1)^4 with X^2+1 irreducible, so theta reduces to
+        #   a root i of it in F_9 and theta + 1 is a unit;
+        # - pi^4 = 9(theta+1) gives v(pi) = 1/2, so e >= 2;
+        # - (pi^2/3)^2 = theta + 1 reduces to 1 + i, a non-square in F_9
+        #   since (1+i)^4 = -1, so the residue field holds F_9(sqrt(1+i)),
+        #   which is F_81, and f >= 4.
+        # e*f <= 8 leaves one factor (2,4).  The chain reads it with the key
+        # X^2+1 over F_9 and then the residual y^2 - (1+i), which is
+        # irreducible over F_9, so its field is an extension of an extension.
+        built = []
+
+        class Recorded(padic.ExtField):
+            def __init__(self, base, modulus):
+                super().__init__(base, modulus)
+                built.append(self)
+
+        monkeypatch.setattr(padic, "ExtField", Recorded)
+        f = xp(1, 0, 4, 0, 6, 0, 4, 0, 1) - 9 * xp(1, 1)
+        assert padic_shape(f, 3).pairs == ((2, 4),)
+        assert [(F.size, F.base.size) for F in built] == [(9, 3), (81, 9)]
+        assert built[1].base is built[0]
 
     def test_shape_is_sorted_and_tame(self):
         shape = padic_shape(xp(0, -12, 0, 1), 3)
