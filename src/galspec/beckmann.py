@@ -36,7 +36,6 @@ from .ffact import roots_mod_p
 from .permgrp import CycleType, power_cycle_type
 from .poly import (
     UniPoly,
-    _bind_s,
     _coerce,
     discriminant_in,
     integer_normalize,
@@ -138,7 +137,7 @@ def specialization(manifest: FamilyManifest, s0) -> Specialization:
         add("DividesGroupOrder", manifest.group.order)
 
     # vertical ramification: the t-discriminant must stay nonzero mod p
-    disc = _bind_s(manifest.disc, s0)
+    disc = specialize(manifest.disc, {"s": s0})
     c, ints = integer_normalize(disc)
     add("VerticalRamification", c.numerator)
     add("VerticalRamification", c.denominator)
@@ -164,7 +163,7 @@ def specialization(manifest: FamilyManifest, s0) -> Specialization:
 
     residual = None
     if manifest.locus.residual.degree() >= 1:
-        residual = primitive_part(_bind_s(manifest.locus.residual, s0))
+        residual = primitive_part(specialize(manifest.locus.residual, {"s": s0}))
     return Specialization(
         s0, specialize(manifest.f, {"s": s0}), disc, locations, residual, tuple(certs)
     )
@@ -252,7 +251,7 @@ def predict_any(manifest: FamilyManifest, s0, t0, p: int):
         raise NonPrimeError(f"{p} is not prime")
     spec = specialization(manifest, s0)
     if type(t0) is not int:
-        t0 = Fraction(t0)
+        t0 = rational(t0)
     if manifest.group is not None and manifest.group.order % p == 0:
         raise ValueError(
             f"p = {p} divides the group order; the tame criterion does not apply"

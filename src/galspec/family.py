@@ -28,11 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arith import INFINITY
+from .arith import INFINITY, rational
 from .permgrp import Perm, PermGroup, cycle_type, generate, parse_perm, require_normal_inertia
 from .poly import (
     UniPoly,
-    _bind_s,
     content_in_coeffs,
     discriminant_in,
     format_poly,
@@ -51,10 +50,6 @@ class ManifestInconsistent(Exception):
 
 class ProbeAmbiguous(Exception):
     """A single-level Newton polygon cannot certify the local data."""
-
-
-def _s_const(value) -> UniPoly:
-    return UniPoly([Fraction(value)], "s")
 
 
 @dataclass(frozen=True)
@@ -79,21 +74,19 @@ class BranchPoint:
         if self.is_infinite:
             raise ValueError("branch point at infinity has no finite location")
         # a constant location evaluates to its bare int leaf
-        return Fraction(self.location.evaluate(Fraction(s0)))
-
-    def inertia_group(self) -> PermGroup:
-        return generate([self.inertia_generator])
+        return Fraction(self.location.evaluate(rational(s0)))
 
 
 @dataclass(frozen=True)
 class BranchLocus:
     """Rational branch points plus the unfactored remainder of the locus.
 
-    points are Fractions: the constant branch points t = c (symbolic mode)
-    or every rational branch point of the bound family (bound mode).
-    residual is the squarefree part of the t-discriminant with the points
-    divided out; a loaded manifest's locus also has its declared branch
-    points divided out, so its residual is exactly the non-rational part.
+    points are Fractions: in a loaded manifest's locus (s free) the
+    constant branch points t = c, and from branch_locus (s bound) every
+    rational branch point of the bound family.  residual is the squarefree
+    part of the t-discriminant with the points divided out; a loaded
+    manifest's locus also has its declared branch points divided out, so its
+    residual is exactly the non-rational part.
     Its leaves are ints: the squarefree part is in poly's normal form, which
     by Gauss's lemma stays integral when divided by t - m.
     infinity records whether the u = 1/t chart degenerates at u = 0, which
@@ -159,7 +152,7 @@ def infinity_chart(f: UniPoly) -> UniPoly:
     D = f.degree_in("t")
     if D == 0:
         raise ValueError("family does not depend on t; no chart at infinity")
-    zero_s = _s_const(0)
+    zero_s = UniPoly((), "s")
     out = []
     for j in range(f.degree() + 1):
         c = f.coeff(j)
@@ -198,57 +191,48 @@ def _symbolic_locus(f: UniPoly, disc: UniPoly, declared: list) -> tuple:
         if common.degree() >= 1:
             constants = [c for c, _ in rational_roots(common)]
 
-    rational = list(declared)
+    points = list(declared)
     for c in constants:
-        as_poly = _s_const(c)
-        if all(as_poly != m for m in rational):
-            rational.append(as_poly)
-    for a in range(len(rational)):
-        for b in range(a + 1, len(rational)):
-            if rational[a] == rational[b]:
+        as_poly = UniPoly([c], "s")
+        if all(as_poly != m for m in points):
+            points.append(as_poly)
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            if points[a] == points[b]:
                 raise ManifestInconsistent("two branch points declared at one location")
 
     residual = srf
-    for m in rational:
-        residual = residual.exact_div(UniPoly([-m, _s_const(1)], "t"))
+    for m in points:
+        residual = residual.exact_div(UniPoly([-m, UniPoly([1], "s")], "t"))
     locus = BranchLocus(
         tuple(constants), residual, _has_infinite_branch(f, disc.degree())
     )
-    return srf, rational, locus
+    return srf, points, locus
 
 
-def branch_locus(f: UniPoly, s0=None) -> BranchLocus:
-    """Rational branch points of f in t, the non-rational remainder, and
-    whether t -> infinity branches.
+def branch_locus(f: UniPoly, s0) -> BranchLocus:
+    """Every rational branch point in t of f bound at s = s0, the
+    non-rational remainder, and whether t -> infinity branches.
 
-    With s0 = None the rational points reported are the parameter-independent
-    ones (t = c with c rational); parameter-dependent rational branch points
-    are supported as declared manifest data but are not searched for here.
-    Binding s0 gives the complete list of rational branch points of the
-    specialized family.
+    The locus with s free, whose points are only the parameter-independent
+    t = c, is the loader's: FamilyManifest.locus.
     """
     if not f.is_monic():
         raise ValueError("family polynomial must be monic in X")
-    if s0 is not None:
-        # binding s first leaves a t-polynomial over Q
-        disc = discriminant_in(specialize(f, {"s": Fraction(s0)}), "X")
-        if not disc:
-            raise ValueError("discriminant vanishes; f is not squarefree in X")
-        srf = squarefree_part(disc)
-        points = []
-        work = srf
-        if srf.degree() >= 1:
-            for root, _ in rational_roots(srf):
-                points.append(root)
-                work = work.exact_div(UniPoly([-root, Fraction(1)], "t"))
-        return BranchLocus(
-            tuple(points), primitive_part(work), _has_infinite_branch(f, disc.degree())
-        )
-
-    disc = discriminant_in(f, "X")
+    # binding s first leaves a t-polynomial over Q
+    disc = discriminant_in(specialize(f, {"s": s0}), "X")
     if not disc:
         raise ValueError("discriminant vanishes; f is not squarefree in X")
-    return _symbolic_locus(f, disc, [])[2]
+    srf = squarefree_part(disc)
+    points = []
+    work = srf
+    if srf.degree() >= 1:
+        for root, _ in rational_roots(srf):
+            points.append(root)
+            work = work.exact_div(UniPoly([-root, 1], "t"))
+    return BranchLocus(
+        tuple(points), primitive_part(work), _has_infinite_branch(f, disc.degree())
+    )
 
 
 # -- manifest loading ---------------------------------------------------------
@@ -431,7 +415,7 @@ def nondegenerate_check(manifest: FamilyManifest, s0) -> NondegeneracyReport:
     its t-degree, and no two branch points run together.  Every failed
     clause is reported, none is fatal.
     """
-    s0 = Fraction(s0)
+    s0 = rational(s0)
     reasons = []
     for label, g in manifest.s_guards:
         if g.evaluate(s0) == 0:
@@ -456,7 +440,7 @@ def inertia_order_probe(manifest: FamilyManifest, i: int, s0) -> ProbeResult:
     be needed, and guessing is worse than refusing).  A certified multiset
     that contradicts the declared cycle type raises ManifestInconsistent.
     """
-    s0 = Fraction(s0)
+    s0 = rational(s0)
     require_nondegenerate(manifest, s0)
     bp = manifest.branch_points[i]
     if bp.is_infinite:
@@ -466,7 +450,7 @@ def inertia_order_probe(manifest: FamilyManifest, i: int, s0) -> ProbeResult:
 
     tcoeffs = []
     for j in range(f.degree() + 1):
-        c = _bind_s(f.coeff(j), s0)
+        c = specialize(f.coeff(j), {"s": s0})
         if c and m:
             shifted = c.evaluate(UniPoly([m, Fraction(1)], "t"))
             # constant coefficients come back as bare scalars

@@ -38,10 +38,9 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from fractions import Fraction
 from operator import mul
 
-from .arith import _check_prime
+from .arith import _check_prime, rational
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -535,7 +534,8 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
                 rows = [R.one, h]
                 for _ in range(2, R.n):
                     rows.append(R.mul(rows[-1], h))
-            h = _frobenius(R, h, rows)
+            # h^q = sum of h_i * x^(q*i), since h_i^q = h_i for h_i in K
+            h = R.combine(R.unpack(h), rows)
         g = poly_gcd(K, poly_sub(K, R.unpack(h), x), f)
         if len(g) > 1:
             out.append((g, d))
@@ -543,11 +543,6 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
-
-
-def _frobenius(R, h, rows: list):
-    # h^q = sum of h_i * x^(q*i), since h_i^q = h_i for h_i in K
-    return R.combine(R.unpack(h), rows)
 
 
 def equal_degree(K, f: list, d: int, rng: random.Random) -> list[list]:
@@ -616,7 +611,7 @@ def reduce_mod_p(coeffs, p: int) -> list:
         if isinstance(c, int):
             out.append(c % p)
             continue
-        c = Fraction(c)
+        c = rational(c)
         if c.denominator % p == 0:
             raise NotPIntegral(f"{c} is not p-integral at {p}")
         out.append(c.numerator * pow(c.denominator, -1, p) % p)

@@ -37,7 +37,9 @@ from functools import lru_cache
 from math import erfc, exp, gcd, lcm, pi, sqrt
 from random import Random
 
-from .arith import Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, valuation
+from .arith import (
+    Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, rational, valuation,
+)
 from .beckmann import (
     bad_primes, bad_s_residues, is_bad_prime, is_exceptional, predict_any, specialization,
 )
@@ -230,7 +232,7 @@ def frobenius_in_residue_field(rho: UniPoly, s0, p: int) -> tuple:
     NotPIntegral when p is in a denominator and NotSquarefree when the
     reduction has a repeated factor mod p.
     """
-    coeffs = x_poly_coeffs(specialize(rho, {"s": Fraction(s0)}))
+    coeffs = x_poly_coeffs(specialize(rho, {"s": s0}))
     return tuple(degree_sequence(coeffs, p))
 
 
@@ -462,7 +464,7 @@ def local_model(manifest: FamilyManifest, s0, t0, p: int) -> UniPoly:
     deg_t f), made monic by Y = t0^-D X.  It is not rescaled for p in a leaf
     denominator of f, so its coefficients need not be p-integral; callers
     that need them so catch NotPIntegral."""
-    spec, t0 = specialization(manifest, s0), Fraction(t0)
+    spec, t0 = specialization(manifest, s0), rational(t0)
     coeffs, _ = spec.fibre(t0)
     if t0 and valuation(t0, p) < 0:
         coeffs = _rescaled(coeffs, t0 ** -spec.f.degree_in("t"))
@@ -716,7 +718,7 @@ def verify(
     """
     _check_n_id(n_id)
     validate_conditions(manifest, conditions)
-    spec, t0 = specialization(manifest, s0), Fraction(t0)
+    spec, t0 = specialization(manifest, s0), rational(t0)
     records = tuple(_check_condition(manifest, spec.s0, t0, c) for c in conditions)
     summary = _identify(manifest, spec, t0, conditions, n_id, seed) if n_id else None
     return SpecializationReport(spec.s0, t0, records, summary)

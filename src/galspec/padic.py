@@ -109,7 +109,7 @@ class _Stage:
     def lift_key(self, u: list) -> UniPoly:
         """Monic polynomial whose residual class at this stage is u."""
         F = len(u) - 1
-        acc = UniPoly.const(Fraction(0), self.var)
+        acc = UniPoly((), self.var)
         for k, c in enumerate(u):
             if not c:
                 continue
@@ -202,7 +202,7 @@ class _StageZero(_Stage):
         """Constant with class c * p^m."""
         c = int(c)
         lifted = c * self.p**m if m >= 0 else Fraction(c, self.p**-m)
-        return UniPoly.const(lifted, self.var)
+        return UniPoly([lifted], self.var)
 
 
 class _Augmented(_Stage):
@@ -284,7 +284,7 @@ class _Augmented(_Stage):
         j = pv.n * v + pv.b * m
         shifted = K.mul(c, K.pow(self.ybar, v))
         cz = shifted if self.extended else [shifted]
-        acc = UniPoly.const(Fraction(0), self.var)
+        acc = UniPoly((), self.var)
         for r, cr in enumerate(cz):
             if not cr:
                 continue
@@ -384,7 +384,7 @@ def _shape(f: UniPoly, p: int, disc) -> PadicShape:
             pairs.append((1, 1))  # the factor x itself
             h = h.exact_div(UniPoly.gen(h.var))
         if h.degree() > 0:
-            for lam, _ell in newton_polygon(h, lambda c: valuation(c, p)).faces:
+            for lam, _ell in newton_polygon(h, lambda c: valuation(c, p)):
                 pairs.extend(_decompose_face(h, p, lam, dv))
     assert sum(e * res for e, res in pairs) == f.degree()
 

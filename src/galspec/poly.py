@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import INFINITY, format_rat, is_prime, rational
@@ -60,10 +59,6 @@ class UniPoly:
         self.var = var
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, value, var: str) -> "UniPoly":
-        return cls([value], var)
 
     @classmethod
     def gen(cls, var: str) -> "UniPoly":
@@ -217,12 +212,6 @@ class UniPoly:
                 rem[k + j] = rem[k + j] - q * c
         return UniPoly(quot, self.var), UniPoly(rem, self.var)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other) -> "UniPoly":
         q, r = divmod(self, other)
         if r:
@@ -262,14 +251,6 @@ class UniPoly:
             if isinstance(c, UniPoly):
                 best = max(best, c.degree_in(var))
         return best
-
-    def monic(self) -> "UniPoly":
-        if not self:
-            raise ValueError("zero polynomial")
-        c = self.lc()
-        if c == 1:
-            return self
-        return UniPoly([_exact_div(a, c) for a in self.coeffs], self.var)
 
     def __repr__(self):
         return f"UniPoly({format_poly(self)!r})"
@@ -518,11 +499,6 @@ def specialize(f: TriPoly, bindings: dict):
             raise ValueError(f"unknown variable {var!r}")
         out = out.bind(var, _coerce(rational(value)))
     return out
-
-
-def _bind_s(g: UniPoly, s0) -> UniPoly:
-    """Bind s = s0 in a polynomial over Q[s][t], leaving one over Q in t."""
-    return UniPoly([constant_value(c) for c in g.bind("s", s0).coeffs], "t")
 
 
 def x_poly_coeffs(f) -> list:
@@ -788,19 +764,6 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 # -- Newton polygons ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Faces as (slope, horizontal length), slopes strictly increasing.
-
-    The slope convention is root valuations: a face (lam, ell) certifies ell
-    roots of valuation lam (counted in the algebraic closure).  Roots at 0
-    itself (infinite valuation) are not faces; their count is the order of
-    vanishing at 0 and is excluded from the degree span.
-    """
-
-    faces: tuple
-
-
 def lower_hull_vertices(points: list[tuple[int, int | Fraction]]) -> list:
     """Vertices of the lower convex hull, left to right; collinear interior
     points are dropped, so consecutive vertices span maximal faces."""
@@ -827,10 +790,15 @@ def lower_hull(points: list[tuple[int, int | Fraction]]) -> list[tuple[Fraction,
     return faces
 
 
-def newton_polygon(f: UniPoly, val) -> NewtonPolygon:
-    """Polygon of f under a coefficient valuation oracle.
+def newton_polygon(f: UniPoly, val) -> tuple:
+    """Faces of the polygon of f under a coefficient valuation oracle, as
+    (slope, horizontal length) with slopes strictly increasing.
 
-    `val` maps each coefficient to a rational (or INFINITY for zero).
+    `val` maps each coefficient to a rational (or INFINITY for zero).  The
+    slope convention is root valuations: a face (lam, ell) certifies ell
+    roots of valuation lam (counted in the algebraic closure).  Roots at 0
+    itself (infinite valuation) are not faces; their count is the order of
+    vanishing at 0 and is excluded from the degree span.
     """
     if not f:
         raise ValueError("zero polynomial has no Newton polygon")
@@ -842,8 +810,4 @@ def newton_polygon(f: UniPoly, val) -> NewtonPolygon:
         points.append((i, Fraction(v)))
     if not points:
         raise ValueError("all coefficients have infinite valuation")
-    if len(points) == 1:
-        return NewtonPolygon(())
-    faces = [(-s, l) for s, l in lower_hull(points)]
-    faces.reverse()
-    return NewtonPolygon(tuple(faces))
+    return tuple((-s, l) for s, l in reversed(lower_hull(points)))

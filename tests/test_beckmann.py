@@ -1,5 +1,6 @@
 """Bad primes, bad residue classes, and tame inertia predictions."""
 
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -621,6 +622,100 @@ class TestSpecialization:
             bad_primes(m, 3)
         with pytest.raises(ValueError, match="declares no group"):
             is_bad_prime(m, 3, 5)
+
+
+def leaf_types(g):
+    if isinstance(g, UniPoly):
+        for c in g.coeffs:
+            yield from leaf_types(c)
+    else:
+        yield type(g).__name__
+
+
+def specialization_texts(spec) -> dict:
+    """Each bound polynomial with its leaf types, and the branch locations
+    and certificates by repr, so an int leaf is never a Fraction's twin."""
+    texts = {
+        key: f"{g} {' '.join(leaf_types(g))}"
+        for key, g in (("f", spec.f), ("disc", spec.disc), ("residual", spec.residual))
+    }
+    texts["locations"] = repr(spec.locations)
+    texts["certificates"] = repr(spec.certificates)
+    return texts
+
+
+class TestSpecializationPins:
+    """sha256 of specialization_texts, taken at b3047ee, before s was bound
+    through specialize alone: binding s = s0 in f, the discriminant and the
+    residual locus must give the same polynomials with the same leaves."""
+
+    PINS = {
+        ("psl32", "1"): {
+            "f": "038c5349d625ee8b95b3e9d9902e996ba213f15b56f635859705b3440654b7c6",
+            "disc": "42381ccdb5845e069ef0404c669ec6de4ebddb55445097b9b9f59410aa7ec4d7",
+            "residual": "68cc029e551243e1d0c95858d9c9d2f3302773c85a373a0087052b572b94bc07",
+            "locations": "6608785650006e976898e64c1c6460e5ec654f7da306a8bef11908145b1ab96d",
+            "certificates": "9bd6e5abc985f3327da7f500f12eb913ae527eae3e8e6ed5deeec364e8713b94",
+        },
+        ("psl32", "2"): {
+            "f": "4277479934909fee8441c96315fcf7e56b5ff21e5ed84d4a11a7f28f4c758759",
+            "disc": "47f39fc2f902d362e68a880398aaf82619512a7f78f4fc17d2bb96ab21dec6e5",
+            "residual": "52e7cc9bece129b3184d88ee4537dfbdfcf7d7cb2cf3882b96481c4bedb78a1d",
+            "locations": "6608785650006e976898e64c1c6460e5ec654f7da306a8bef11908145b1ab96d",
+            "certificates": "c023d2eeab0b8d3712d51ccc48be40b71fa160a196345c01dba77ee3cc0df56b",
+        },
+        ("psl32", "7"): {
+            "f": "368789f7c7f6ccb352960b209d7a9bf2edb2ba1a10b726cbe7bd3d216a6149f4",
+            "disc": "af11025eda3a1273c739500bc1f6e4f671d756ac81a4e4cd5b9096d6eab767b5",
+            "residual": "dc0d06c96ad6669d020fd67f5151918bfcac12d353c8d90fc9d50c05bd9b0b12",
+            "locations": "6608785650006e976898e64c1c6460e5ec654f7da306a8bef11908145b1ab96d",
+            "certificates": "c13c91a1e868204f6e86c4c3aecea0029658fbe3f354b285425a6249de27262e",
+        },
+        ("psl32", "3/7"): {
+            "f": "8671c4117e2604c40d2201a105e50def1cdc77f88cef452101be1ebe36597a7d",
+            "disc": "0c915ec3931a80927a6274a3e5cd1b6ca683c28767f364de879bf59e16a77cc8",
+            "residual": "d6a4b2f6d5ee52205d03b35723fe4978d53eda03081c230315c8479d4159876c",
+            "locations": "6608785650006e976898e64c1c6460e5ec654f7da306a8bef11908145b1ab96d",
+            "certificates": "34ecbdef7b56b8c76b7ab97974893f5d5dbe19accf1a176178a60df416e8cd63",
+        },
+        ("x2mt", "0"): {
+            "f": "85827595630d1758a502c683edfc2282fd2958d6f4db235fc389f028d716bb38",
+            "disc": "b02c3ad1216d688572a5619f1b48776d0686d8f4c212acc992c636d5a701dfca",
+            "residual": "487791aecd78f5845a7b2acb5fd3a381fa603ecf5763404dca888d07a53d186b",
+            "locations": "f197e09dacb4f7bcb2f77b75fab0e428b71572be84a9b8947dab242ef263f0ee",
+            "certificates": "c20b9f7840c77e0a53c15f4c4e0258685cacdc8843a6489fb7492e417b34ebb5",
+        },
+        ("x2mt", "3"): {
+            "f": "85827595630d1758a502c683edfc2282fd2958d6f4db235fc389f028d716bb38",
+            "disc": "b02c3ad1216d688572a5619f1b48776d0686d8f4c212acc992c636d5a701dfca",
+            "residual": "487791aecd78f5845a7b2acb5fd3a381fa603ecf5763404dca888d07a53d186b",
+            "locations": "f197e09dacb4f7bcb2f77b75fab0e428b71572be84a9b8947dab242ef263f0ee",
+            "certificates": "c20b9f7840c77e0a53c15f4c4e0258685cacdc8843a6489fb7492e417b34ebb5",
+        },
+        ("x3mt", "0"): {
+            "f": "610f5c1b29d3c14bd85d3faa8cf36da2ee047591a385cb206eea786218df5221",
+            "disc": "e6552cf1e12597d73366559edaa2194866eb7026e7904ce7661dfc8aeab4329d",
+            "residual": "487791aecd78f5845a7b2acb5fd3a381fa603ecf5763404dca888d07a53d186b",
+            "locations": "f197e09dacb4f7bcb2f77b75fab0e428b71572be84a9b8947dab242ef263f0ee",
+            "certificates": "01a73aaaec4ce1f57637a536853ff78929fb90db34d5d08050d1d1afbf8e4f3d",
+        },
+        ("x3mt", "3"): {
+            "f": "610f5c1b29d3c14bd85d3faa8cf36da2ee047591a385cb206eea786218df5221",
+            "disc": "e6552cf1e12597d73366559edaa2194866eb7026e7904ce7661dfc8aeab4329d",
+            "residual": "487791aecd78f5845a7b2acb5fd3a381fa603ecf5763404dca888d07a53d186b",
+            "locations": "f197e09dacb4f7bcb2f77b75fab0e428b71572be84a9b8947dab242ef263f0ee",
+            "certificates": "01a73aaaec4ce1f57637a536853ff78929fb90db34d5d08050d1d1afbf8e4f3d",
+        },
+    }
+
+    @pytest.mark.parametrize("name, s0", sorted(PINS))
+    def test_pins(self, name, s0):
+        spec = specialization(builtin_manifest(name), Fraction(s0))
+        digests = {
+            key: hashlib.sha256(text.encode()).hexdigest()
+            for key, text in specialization_texts(spec).items()
+        }
+        assert digests == self.PINS[name, s0]
 
 
 def expanded_shape(shape) -> tuple:

@@ -218,9 +218,9 @@ class TestSplitDegrees:
         # a cofactor of degree < 2(d + 1) is irreducible once degree d is done,
         # so x^p mod f alone settles a cubic
         calls = []
-        original = ffact._frobenius
+        original = ffact._FpRing.combine
         monkeypatch.setattr(
-            ffact, "_frobenius", lambda *args: calls.append(args) or original(*args)
+            ffact._FpRing, "combine", lambda *args: calls.append(args) or original(*args)
         )
         assert split_degrees([-2, 0, 0, 1], 7) == [3]  # 2 is no cube mod 7
         assert calls == []

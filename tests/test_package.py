@@ -11,13 +11,16 @@ discriminant, not at a stage cap, and integer valuations run one loop.
 grunwald builds every fibre model with one rescaling, census reads a
 cell unramified by p ∤ disc of its integral model alone and keeps no
 table or memo, and the t-line search reads a residue as the sampler
-does."""
+does.  Each polynomial job has one entry point, and every library entry
+point refuses a float."""
 
 import ast
 import sys
 from importlib import resources
 
-from galspec import arith, beckmann, grunwald, padic, poly
+import pytest
+
+from galspec import arith, beckmann, family, ffact, grunwald, padic, poly
 
 
 def _tree(name: str):
@@ -84,7 +87,7 @@ def test_s_binding_stays_behind_family_and_beckmann():
             continue
         for node in ast.walk(ast.parse(src.read_text(), src.name)):
             if isinstance(node, ast.ImportFrom) and any(
-                alias.name in ("_bind_s", "integer_normalize") for alias in node.names
+                alias.name == "integer_normalize" for alias in node.names
             ):
                 importers.add(src.name)
     assert importers <= {"family.py", "beckmann.py"}
@@ -202,3 +205,44 @@ def test_census_builds_one_dict():
     census = _function("grunwald.py", "census")
     dicts = [node for node in ast.walk(census) if isinstance(node, (ast.Dict, ast.DictComp))]
     assert len(dicts) == 1
+
+
+def test_each_polynomial_job_has_one_entry_point():
+    # s is bound by specialize, a constant built by the UniPoly constructor,
+    # a quotient taken by divmod or exact_div, a polygon read as its faces
+    # and the Frobenius matrix applied by the ring's combine
+    for owner, name in [
+        (poly, "_bind_s"),
+        (poly.UniPoly, "const"),
+        (poly.UniPoly, "monic"),
+        (poly.UniPoly, "__floordiv__"),
+        (poly.UniPoly, "__mod__"),
+        (poly, "NewtonPolygon"),
+        (family, "_s_const"),
+        (family.BranchPoint, "inertia_group"),
+        (ffact, "_frobenius"),
+    ]:
+        assert not hasattr(owner, name), name
+
+
+def _float_calls():
+    x2mt, x3mt = family.builtin_manifest("x2mt"), family.builtin_manifest("x3mt")
+    rho = x3mt.branch_points[0].rho
+    return {
+        "nondegenerate_check": lambda: family.nondegenerate_check(x2mt, 0.1),
+        "location_at": lambda: x2mt.branch_points[0].location_at(0.1),
+        "inertia_order_probe": lambda: family.inertia_order_probe(x2mt, 0, 0.1),
+        "branch_locus": lambda: family.branch_locus(x2mt.f, 0.1),
+        "predict_any": lambda: beckmann.predict_any(x2mt, 0, 0.1, 5),
+        "local_model": lambda: grunwald.local_model(x2mt, 0, 0.1, 5),
+        "verify": lambda: grunwald.verify(x2mt, 0, 0.1, [grunwald.Ramified(3, 0, 1)], n_id=0),
+        "frobenius_in_residue_field": lambda: grunwald.frobenius_in_residue_field(rho, 0.1, 7),
+        "reduce_mod_p": lambda: ffact.reduce_mod_p([0.1, 1], 7),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float_calls()))
+def test_entry_points_refuse_a_float(name):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="float"):
+        _float_calls()[name]()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from galspec.arith import INFINITY, rational, valuation
 from galspec.poly import (
-    NewtonPolygon,
     PolyParseError,
     UniPoly,
     constant_value,
@@ -19,6 +18,7 @@ from galspec.poly import (
     integer_normalize,
     newton_polygon,
     parse_poly,
+    primitive_part,
     pseudo_rem,
     rational_roots,
     resultant,
@@ -171,7 +171,7 @@ class TestCanonicalLeaves:
         assert all(type(c) is int for c in q.coeffs)
 
     def test_inexact_division_gives_fraction(self):
-        m = UniPoly([1, 3], "t").monic()
+        m = UniPoly([1, 3], "t").exact_div(UniPoly([3], "t"))
         assert m.coeffs == (Fraction(1, 3), 1)
         assert [type(c) for c in m.coeffs] == [Fraction, int]
 
@@ -391,22 +391,22 @@ class TestNewtonPolygon:
 
     def test_eisenstein(self):
         np5 = newton_polygon(qpoly(-5, 0, 1), self.p_adic(5))
-        assert np5.faces == ((Fraction(1, 2), 2),)
+        assert np5 == ((Fraction(1, 2), 2),)
 
     def test_tau_square_unit(self):
         # X^2 - tau^2 u, val(u) = 0, tau-adic on Q[tau] coefficients
         tau_sq = UniPoly([Fraction(0), Fraction(0), Fraction(3)], "t")
         f = UniPoly([-tau_sq, UniPoly((), "t"), UniPoly([Fraction(1)], "t")], "X")
         val = lambda c: c.order_at_zero() if c else INFINITY
-        assert newton_polygon(f, val).faces == ((Fraction(1), 2),)
+        assert newton_polygon(f, val) == ((Fraction(1), 2),)
 
     def test_split_valuations(self):
         np7 = newton_polygon(qpoly(7, -8, 1), self.p_adic(7))
-        assert np7.faces == ((Fraction(0), 1), (Fraction(1), 1))
+        assert np7 == ((Fraction(0), 1), (Fraction(1), 1))
 
     def test_x2_minus_12_at_3(self):
         np3 = newton_polygon(qpoly(-12, 0, 1), self.p_adic(3))
-        assert np3.faces == ((Fraction(1, 2), 2),)
+        assert np3 == ((Fraction(1, 2), 2),)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -414,10 +414,10 @@ class TestNewtonPolygon:
 
     @given(qpolys(6, nonzero=True), st.sampled_from([2, 3, 5]))
     def test_lengths_sum_to_degree_span(self, f, p):
-        poly = newton_polygon(f, self.p_adic(p))
+        faces = newton_polygon(f, self.p_adic(p))
         ord0 = f.order_at_zero()
-        assert sum(l for _, l in poly.faces) == f.degree() - ord0
-        slopes = [s for s, _ in poly.faces]
+        assert sum(l for _, l in faces) == f.degree() - ord0
+        slopes = [s for s, _ in faces]
         assert slopes == sorted(slopes)
         assert len(set(slopes)) == len(slopes)
 
@@ -520,8 +520,10 @@ class TestGcdTower:
         def back(p):
             return fraction_poly([Fraction(str(x)) for x in reversed(p.all_coeffs())])
 
-        assert gcd_over_poly_coeffs(f, g).monic() == back(sympy.gcd(to_sympy(f), to_sympy(g)))
-        assert squarefree_part(f).monic() == back(sympy.sqf_part(to_sympy(f)))
+        # both sides in the normal form: integer leaves, gcd 1, positive lc
+        expected = primitive_part(back(sympy.gcd(to_sympy(f), to_sympy(g))))
+        assert gcd_over_poly_coeffs(f, g) == expected
+        assert squarefree_part(f) == primitive_part(back(sympy.sqf_part(to_sympy(f))))
 
     def test_gcd_field_monic(self):
         f = qpoly(-1, 0, 1) * qpoly(5, 1)
