@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import erfc, exp, gcd, lcm, pi, sqrt
 from random import Random
 
@@ -56,7 +57,7 @@ IDENTIFY_PRIME_BOUND = 2000
 IDENTIFY_T_GRID = 10_000
 # false-reject rate of identify's chi-square test
 IDENTIFY_ALPHA = 1e-3
-# progression members tried before a search for s0 or t0 gives up
+# progression members tried before the search for s0 gives up
 SEARCH_LIMIT = 10_000
 
 
@@ -388,7 +389,9 @@ def _split_congruence(spec, cond, chart) -> Congruence:
 
 
 def _t0_witness(spec, prescription) -> Fraction:
-    for k in range(SEARCH_LIMIT):
+    # the members are distinct, at most one is u = 0, and the nonzero disc
+    # (s0 is nondegenerate) has at most deg roots: the loop ends by k = deg + 1
+    for k in count():
         try:
             t0 = prescription.member(k)
         except ValueError:
@@ -396,7 +399,6 @@ def _t0_witness(spec, prescription) -> Fraction:
         if spec.disc.evaluate(t0) == 0:
             continue  # exactly on a branch point
         return t0
-    raise TargetNotFound("no specialization of t with a squarefree fiber in range")
 
 
 # -- verification --------------------------------------------------------------

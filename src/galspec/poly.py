@@ -16,7 +16,12 @@ variable (over Q and over Q[s] alike).  The one normal form, from
 integer_normalize, has integer leaves with gcd 1 and a positive leading
 leaf; resultant and gcd run the PRS on it, in place on integer leaves, and
 every gcd, content, primitive and squarefree part comes back in it, however
-the inputs were scaled.  The module also provides rational roots by p-adic
+the inputs were scaled.  A resultant over Z[s][t] in which both t and s
+occur, such as the family's X-discriminant, is instead the PRS over Z[s] at
+deg g deg_t f + deg f deg_t g + 1 integer values of t, skipping values that
+drop an X-degree, Newton-interpolated in t (Collins, J. ACM 18, 1971).  A
+gcd does not commute with binding t at unlucky values, so gcds stay on the
+PRS over Z[s][t].  The module also provides rational roots by p-adic
 lifting, coefficient-valuation Newton polygons, and the text parser for the
 manifest polynomial syntax (`+ - * ^`, implicit multiplication, variables
 s, t, X).
@@ -543,19 +548,63 @@ def pseudo_rem(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def resultant(f: UniPoly, g: UniPoly):
-    """Res(f, g) by the subresultant PRS; exact over nested domains.
+    """Res(f, g), exact over nested domains.
 
     Zero iff f and g share a root in an algebraic closure (for nonzero
-    inputs of positive degree).  The PRS runs on the integer normal forms,
-    and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the contents back.
+    inputs of positive degree).  Both routes run on the integer normal
+    forms, and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the contents
+    back.  When the coefficients are polynomials in t over Z[s] (two levels
+    deep) and both t and s occur, the t-coefficients of the result come by
+    evaluation and interpolation (Collins, "The calculation of multivariate
+    polynomial resultants", J. ACM 18, 1971): the PRS over Z[s] at t0 = 0,
+    1, -1, 2, -2, ..., skipping each t0 at which an X-leading coefficient
+    vanishes, until deg g deg_t f + deg f deg_t g + 1 points bound the
+    Sylvester determinant's degree in t; Newton interpolation fixes it.
+    Every other input takes the subresultant PRS, which is also what runs at
+    each point; on one-level coefficients an isinstance check decides.
     """
     if isinstance(f, UniPoly) and isinstance(g, UniPoly) and f.var != g.var:
         raise ValueError(f"variable mismatch: {f.var} vs {g.var}")
     if not f or not g:
         return 0 if not isinstance(f, UniPoly) else f._zero_scalar()
     (a, pf), (b, pg) = _normal(f), _normal(g)
-    res = _subresultant(pf, pg)
+    res = _interpolated(pf, pg) if _two_level(pf) and _two_level(pg) else None
+    if res is None:
+        res = _subresultant(pf, pg)
     return res if a == b == 1 else _coerce(res * (a ** g.degree() * b ** f.degree()))
+
+
+def _two_level(f: UniPoly) -> bool:
+    lc = f.lc()
+    return isinstance(lc, UniPoly) and isinstance(lc.lc(), UniPoly)
+
+
+def _interpolated(f: UniPoly, g: UniPoly):
+    """Res(f, g) over Z[s][t] by evaluation in t and Newton interpolation,
+    or None when t or s does not occur (the PRS is faster there)."""
+    t, s = f.lc().var, f.lc().lc().var
+    n, m = f.degree(), g.degree()
+    need = m * f.degree_in(t) + n * g.degree_in(t) + 1
+    if need == 1 or max(f.degree_in(s), g.degree_in(s)) < 1:
+        return None
+    points, newton = [], []  # Newton divided differences, one per point
+    for k in itertools.count():
+        t0 = (k + 1) // 2 if k % 2 else -(k // 2)
+        ft, gt = f.bind(t, t0), g.bind(t, t0)
+        if ft.degree() < n or gt.degree() < m:
+            continue  # Res does not commute with a binding that drops a degree
+        c = _subresultant(ft, gt)
+        for x, d in zip(points, newton):
+            c = _exact_div(c - d, t0 - x)
+        points.append(t0)
+        newton.append(c)
+        if len(points) == need:
+            break
+    # expand c0 + (t - x0)(c1 + (t - x1)(c2 + ...)) into t-coefficients
+    coeffs = [newton.pop()]
+    for x, c in zip(reversed(points[:-1]), reversed(newton)):
+        coeffs = [c - x * coeffs[0]] + [a - x * b for a, b in zip(coeffs, coeffs[1:] + [0])]
+    return UniPoly(coeffs, t)
 
 
 def _prs(A: UniPoly, B: UniPoly):

@@ -212,6 +212,11 @@ class TestBuiltinManifests:
         for g in (m.squarefree_disc, m.locus.residual):
             assert all(type(c) is int for c in leaves(g))
 
+    def test_psl32_disc_has_integer_leaves(self):
+        # the pins hash printed text, where Fraction(4, 1) reads as 4; the
+        # resultant's interpolation divides by differences of points
+        assert all(type(c) is int for c in leaves(builtin_manifest("psl32").disc))
+
     def test_constant_location_is_a_fraction(self):
         spec = shifted_manifest()
         spec["poly"] = "X^2 - t + 3"

@@ -11,8 +11,8 @@ discriminant, not at a stage cap, and integer valuations run one loop.
 grunwald builds every fibre model with one rescaling, census reads a
 cell unramified by p ∤ disc of its integral model alone and keeps no
 table or memo, and the t-line search reads a residue as the sampler
-does.  Each polynomial job has one entry point, and every library entry
-point refuses a float."""
+does.  Each polynomial job has one entry point, resultants included, and
+every library entry point refuses a float."""
 
 import ast
 import sys
@@ -223,6 +223,18 @@ def test_each_polynomial_job_has_one_entry_point():
         (ffact, "_frobenius"),
     ]:
         assert not hasattr(owner, name), name
+
+
+def test_resultants_have_two_public_names():
+    # evaluation and interpolation in t is a route inside resultant, chosen
+    # by the input's nesting; a public name for it would be a second entry
+    names = {
+        name
+        for name in vars(poly)
+        if not name.startswith("_")
+        and any(word in name.lower() for word in ("resultant", "interpol", "discriminant"))
+    }
+    assert names == {"resultant", "discriminant_in"}
 
 
 def _float_calls():

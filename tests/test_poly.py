@@ -221,6 +221,16 @@ class TestSpecialize:
         assert x_poly_coeffs(a) == x_poly_coeffs(b)
 
 
+def nested(var, inner, max_size):
+    return st.lists(inner, min_size=1, max_size=max_size).map(lambda cs: UniPoly(cs, var))
+
+
+# X-degree <= 3 over t- and s-degree <= 2, with Fraction leaves among the ints
+trivariate_polys = nested(
+    "X", nested("t", nested("s", st.integers(-3, 3) | small_fracs, 3), 3), 4
+).filter(bool)
+
+
 class TestResultant:
     def test_linear(self):
         assert resultant(qpoly(-2, 1), qpoly(-3, 1)) == -1
@@ -260,6 +270,42 @@ class TestResultant:
     def test_rejects_variable_mix(self):
         with pytest.raises(ValueError):
             resultant(fraction_poly([1, 1]), UniPoly([Fraction(1), Fraction(1)], "t"))
+
+    def test_reaches_the_degree_bound_past_a_skipped_point(self):
+        # deg_t Res = 3 = deg g deg_t f + deg f deg_t g, the bound itself, and
+        # the X-leading coefficient t vanishes at t0 = 0, the first point
+        f, g = parse_poly("t*X^2 + s*X + 1"), parse_poly("X - s*t")
+        assert resultant(f, g) == parse_poly("s^2*t^3 + s^2*t + 1").coeff(0)
+
+    @given(trivariate_polys, trivariate_polys)
+    def test_trivariate_matches_sympy(self, sympy, f, g):
+        # sympy's modular resultant over Z[X, t, s] on the denominator-free
+        # inputs a f and b g; Res(a f, b g) = a^deg g b^deg f Res(f, g)
+        X, t, s = sympy.symbols("X t s")
+        (a, sf), (b, sg) = (
+            sympy.Poly.from_dict(monomials(sympy, p), X, t, s, domain="QQ").clear_denoms(convert=True)
+            for p in (f, g)
+        )
+        m, n = f.degree(), g.degree()
+        if m == 0 and n == 0:
+            assert resultant(f, g) == 1  # empty Sylvester matrix
+            return
+        if m >= n:
+            expected = sf.resultant(sg)
+        else:
+            expected = (-1) ** (m * n) * sg.resultant(sf)
+        got = resultant(f, g) * (int(a) ** n * int(b) ** m)
+        assert sympy.Poly.from_dict(monomials(sympy, got), t, s, domain="ZZ") == expected
+
+
+def monomials(sympy, p, exponents=()):
+    """A nested UniPoly, or a leaf, as {exponent tuple: sympy Rational}."""
+    if not isinstance(p, UniPoly):
+        return {exponents: sympy.Rational(p.numerator, p.denominator)} if p else {}
+    out = {}
+    for i, c in enumerate(p.coeffs):
+        out.update(monomials(sympy, c, exponents + (i,)))
+    return out
 
 
 def to_sympy_expr(sympy, p):
@@ -335,6 +381,11 @@ class TestDiscriminant:
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             discriminant_in(qpoly(3), "X")
+
+    def test_reaches_the_discriminant_degree_bound(self):
+        # deg_t disc = 2 = deg_t f (2n - 2) for monic f
+        d = discriminant_in(parse_poly("X^2 + t*X + s"), "X")
+        assert d == parse_poly("t^2 - 4*s").coeff(0)
 
     @given(qpolys(3, monic=True), qpolys(3, monic=True))
     @settings(max_examples=60)
