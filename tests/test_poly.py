@@ -279,8 +279,8 @@ class TestResultant:
 
     @given(trivariate_polys, trivariate_polys)
     def test_trivariate_matches_sympy(self, sympy, f, g):
-        # sympy's modular resultant over Z[X, t, s] on the denominator-free
-        # inputs a f and b g; Res(a f, b g) = a^deg g b^deg f Res(f, g)
+        # sympy's resultant over Z[X, t, s] of the denominator-free a f and
+        # b g, where Res(a f, b g) = a^deg g b^deg f Res(f, g)
         X, t, s = sympy.symbols("X t s")
         (a, sf), (b, sg) = (
             sympy.Poly.from_dict(monomials(sympy, p), X, t, s, domain="QQ").clear_denoms(convert=True)
