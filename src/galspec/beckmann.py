@@ -42,7 +42,6 @@ from .poly import (
     primitive_part,
     specialize,
     squarefree_part,
-    x_poly_coeffs,
 )
 
 REASONS = (
@@ -116,9 +115,10 @@ class Specialization:
     def fibre(self, t0) -> tuple:
         """(X-coefficients lowest first, disc) of f(s0, t0, X); both are ints
         when t0 and the bound leaves are integral.  f is monic in X, so disc
-        is the discriminant of the fibre itself."""
+        is the discriminant of the fibre itself.  Each X-coefficient of f is
+        a polynomial in t, bound by Horner's rule."""
         t0 = _coerce(rational(t0))
-        return x_poly_coeffs(specialize(self.f, {"t": t0})), self.disc.evaluate(t0)
+        return [_coerce(c.evaluate(t0)) for c in self.f.coeffs], self.disc.evaluate(t0)
 
 
 @lru_cache(maxsize=64)

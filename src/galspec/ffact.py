@@ -17,7 +17,14 @@ Distinct-degree splitting applies the q-power map as one linear map, the
 Frobenius matrix of von zur Gathen and Shoup, rather than exponentiating
 afresh at every degree.  It takes x^q itself at degree 1 and builds the
 remaining rows only if a degree-2 step is needed, and it stops as soon as
-the cofactor is too small to hold two factors.  Equal-degree splitting is
+the cofactor is too small to hold two factors.  split_degrees needs only
+the degrees, and for deg f = n < p it reads them from the same matrix
+without a gcd: F_p[x]/(f) is a product of fields F_(p^e), one per factor,
+and on each the p-power map permutes a normal basis cyclically (Lidl and
+Niederreiter, Finite Fields, Thm. 2.35), so trace(Q^d) is the sum of the
+factor degrees e dividing d, reduced mod p; that sum is at most n < p, so
+it is read exactly.  For p <= n it falls back to distinct_degree, as does
+factor_poly, which needs the factors themselves.  Equal-degree splitting is
 randomized (Cantor-Zassenhaus, with the trace construction in
 characteristic 2) but seeded, and factor lists are sorted canonically, so
 every public result is deterministic.
@@ -323,6 +330,11 @@ class _ListRing:
             return _fp_divmod(K.p, _fp_mul(a, b), self.f, self.inv_lc)[1]
         return poly_divmod(K, poly_mul(K, a, b), self.f, self.inv_lc)[1]
 
+    def dense(self, elements: list) -> list:
+        """The n coefficients of each element, lowest first, in one list."""
+        zero = self.K.zero()
+        return [c for a in elements for c in a + [zero] * (self.n - len(a))]
+
     def combine(self, cs: list, rows: list):
         """The sum of cs[i] * rows[i], for cs over K."""
         out = []
@@ -330,11 +342,15 @@ class _ListRing:
             out = poly_add(self.K, out, poly_scale(self.K, row, c))
         return out
 
+    def xpow(self, e: int):
+        """x^e for e >= 2, so that at least one product reduces x."""
+        return self.pow(self.pack([self.K.zero(), self.K.one()]), e)
+
     def pow(self, a, e: int):
         if not e:
             return self.one
         # left to right, so that every product but the squares is by a
-        # itself, which is short when a is x as in distinct_degree
+        # itself, which is short when a is short, as x is in xpow
         result = a
         for bit in bin(e)[3:]:
             result = self.mul(result, result)
@@ -386,6 +402,10 @@ class _FpRing(_ListRing):
             cs.pop()
         return cs
 
+    def dense(self, elements: list) -> list:
+        n = 8 * self.n
+        return memoryview(b"".join([a.to_bytes(n, "little") for a in elements])).cast("Q").tolist()
+
     def _mod(self, a: int) -> int:
         return a - ((a * self.m >> self.s) & self.mask) * self.p
 
@@ -414,6 +434,25 @@ class _FpRing(_ListRing):
     def combine(self, cs: list, rows: list) -> int:
         # n terms below p^2 in each slot, none above slot n - 1
         return self._mod(sum(map(mul, cs, rows)))
+
+    def xpow(self, e: int) -> int:
+        """x^e for e >= 1 by squares and shifts: x^k is the single slot k
+        for the leading bits of e while k < n, and each product by x is a
+        shift by one slot whose top slot folds back by rows[0] = x^n."""
+        bits = bin(e)[2:]
+        k = i = 0
+        while i < len(bits) and 2 * k + (bits[i] == "1") < self.n:
+            k = 2 * k + (bits[i] == "1")
+            i += 1
+        self._grow(1)
+        a, x_n = 1 << 64 * k, self.rows[0]
+        for bit in bits[i:]:
+            a = self.mul(a, a)
+            if bit == "1":
+                a <<= 64
+                # the top slot is below p, rows[0]'s slots too
+                a = self._mod((a & self.low) + (a >> self.shift) * x_n)
+        return a
 
 
 def _fp_mul(a: list, b: list) -> list:
@@ -527,7 +566,7 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
         d += 1
         if d == 1:
             R = _ring(K, f)
-            h = R.pow(R.pack(x), K.size)
+            h = R.xpow(K.size)
         else:
             if d == 2:
                 # rows of the ring's own degree: h stays mod the first f
@@ -622,12 +661,46 @@ def split_degrees(coeffs, p: int) -> list[int]:
     """Ascending degrees of the irreducible factors of f mod p.
 
     The caller knows f to be monic and squarefree mod p (p ∤ disc(f) is the
-    usual warrant), so nothing is checked beyond p-integrality.  Distinct-
-    degree splitting (see distinct_degree) alone determines the degrees, so
-    no randomized stage is involved.
+    usual warrant), so nothing is checked beyond p-integrality, and no
+    randomized stage is involved.  For p <= n = deg f distinct-degree
+    splitting gives the degrees.  For n < p they are read with no gcd from
+    the Frobenius matrix Q, row i = x^(p*i) mod f: trace(Q^d) mod p is N_d,
+    the sum of the factor degrees dividing d (see the module docstring),
+    exactly, since N_d <= n < p; so the number of factors of degree d is
+    (N_d - sum of e * r_e over e | d, e < d) / d.  As in distinct_degree,
+    the read stops once the degree left is below 2(d + 1): what is left is
+    one irreducible factor.
     """
-    split = distinct_degree(FpField(p), reduce_mod_p(coeffs, p))
-    return [d for prod, d in split for _ in range((len(prod) - 1) // d)]
+    K, f = FpField(p), reduce_mod_p(coeffs, p)
+    n = len(f) - 1
+    if n >= p:
+        split = distinct_degree(K, f)
+        return [d for prod, d in split for _ in range((len(prod) - 1) // d)]
+
+    out, d, left = [], 0, n
+    while left >= 2 * (d + 1):
+        d += 1
+        if d == 1:
+            R = _ring(K, f)
+            h = R.xpow(p)
+            rows = [R.one, h]
+            for _ in range(2, n):
+                rows.append(R.mul(rows[-1], h))
+            Q = R.dense(rows)  # Q_ij at n*i + j
+            trace = sum(Q[:: n + 1])
+        else:
+            if d == 2:
+                M, QT = Q, [c for i in range(n) for c in Q[i::n]]
+            else:  # Q^(d-1), one row combination per row
+                M = R.dense([R.combine(M[i : i + n], rows) for i in range(0, n * n, n)])
+            trace = sum(map(mul, M, QT))  # trace(Q^(d-1) Q)
+        # out holds each factor of degree e < d once per factor
+        r = (trace % p - sum(e for e in out if d % e == 0)) // d
+        out += [d] * r
+        left -= d * r
+    if left:
+        out.append(left)
+    return out
 
 
 def roots_mod_p(coeffs, p: int) -> list[int]:

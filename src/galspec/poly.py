@@ -183,7 +183,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = UniPoly([_one_like(self._zero_scalar())], self.var)
+        result = _one_like(self) if self else UniPoly([1], self.var)
         base = self
         while n:
             if n & 1:
@@ -268,9 +268,11 @@ class UniPoly:
 TriPoly = UniPoly
 
 
-def _one_like(zero):
-    if isinstance(zero, UniPoly):
-        return UniPoly([_one_like(zero._zero_scalar())], zero.var)
+def _one_like(c):
+    """1 at the nesting of c, which must be nonzero: an empty polynomial does
+    not record how deep its leaves would sit."""
+    if isinstance(c, UniPoly):
+        return UniPoly([_one_like(c.lc())], c.var)
     return 1
 
 
@@ -612,7 +614,7 @@ def _prs(A: UniPoly, B: UniPoly):
     its subresultant coefficient h, the given pair first, and stops after a
     pair whose B is zero or constant.  Exact coefficient divisions control
     growth without the per-step content gcds of the primitive PRS."""
-    g = h = _one_like(A._zero_scalar())
+    g = h = _one_like(A.lc())
     while True:
         yield A, B, h
         if B.degree() < 1:
@@ -638,7 +640,7 @@ def _subresultant(f: UniPoly, g: UniPoly):
             sign = -sign
         A, B = B, A
     if B.degree() == 0:
-        return sign * B.lc() ** A.degree() if A.degree() > 0 else _one_like(A._zero_scalar()) * sign
+        return sign * B.lc() ** A.degree() if A.degree() > 0 else _one_like(A.lc()) * sign
     for A, B, h in _prs(A, B):
         if B.degree() >= 1 and A.degree() % 2 == 1 and B.degree() % 2 == 1:
             sign = -sign
@@ -796,7 +798,7 @@ def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
     for a, b, _ in _prs(_normal(a)[1], _normal(b)[1]):
         pass
     if b:
-        return UniPoly([_one_like(a._zero_scalar())], a.var)
+        return _one_like(a)
     return primitive_part(a)
 
 

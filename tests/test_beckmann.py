@@ -28,7 +28,7 @@ from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
 from galspec.ffact import FpField, factor_poly, reduce_mod_p
 from galspec.padic import padic_shape
 from galspec.permgrp import power_cycle_type
-from galspec.poly import UniPoly, constant_value, parse_poly, specialize
+from galspec.poly import UniPoly, constant_value, parse_poly, specialize, x_poly_coeffs
 
 
 def twobranch_manifest() -> dict:
@@ -613,6 +613,20 @@ class TestSpecialization:
     def test_float_s0_rejected(self):
         with pytest.raises(TypeError, match="float"):
             specialization(builtin_manifest("psl32"), 0.1)
+
+    @pytest.mark.parametrize("name, s0", [
+        ("psl32", 1), ("psl32", Fraction(3, 7)), ("x2mt", 0), ("x3mt", 0),
+    ])
+    def test_fibre_binds_t_as_specialize_does(self, name, s0):
+        # the same values with the same leaf types: an int where the value
+        # is integral, a Fraction only where it is not
+        spec = specialization(builtin_manifest(name), s0)
+        typed = lambda coeffs, disc: [(c, type(c)) for c in coeffs] + [(disc, type(disc))]
+        for t0 in (0, 1, -3, 40, Fraction(1, 2), Fraction(-7, 5)):
+            want = x_poly_coeffs(specialize(spec.f, {"t": t0})), spec.disc.evaluate(t0)
+            assert typed(*spec.fibre(t0)) == typed(*want)
+        # an integral Fraction is bound as the int
+        assert typed(*spec.fibre(Fraction(10, 1))) == typed(*spec.fibre(10))
 
     def test_group_less_manifest(self):
         m = load_manifest({"name": "m1", "poly": "X^2 - s*t"})

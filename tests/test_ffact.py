@@ -200,7 +200,9 @@ class TestDegreeSequence:
 
 class TestSplitDegrees:
     @given(
-        st.sampled_from([2, 3, 5, 97, 1999, 2**61 - 1]),
+        # 7 and 11 put p = n and p = n + 1 among degrees 6-10, where the
+        # trace read gives way to distinct-degree splitting
+        st.sampled_from([2, 3, 5, 7, 11, 97, 1999, 2**61 - 1]),
         st.lists(st.integers(0, 1998), min_size=1, max_size=10),
     )
     @settings(max_examples=120, deadline=None)
@@ -215,17 +217,32 @@ class TestSplitDegrees:
         assert split_degrees(f, p) == sorted(g.degree() for g, _ in factors)
 
     def test_irreducible_cubic_needs_no_frobenius_step(self, monkeypatch):
-        # a cofactor of degree < 2(d + 1) is irreducible once degree d is done,
-        # so x^p mod f alone settles a cubic
+        # N_1 = trace(Q) and N_2 = the sum of Q_ij * Q_ji come from the rows
+        # x^(p*i) alone; only d >= 3 combines rows, once per row for Q^2
         calls = []
         original = ffact._FpRing.combine
         monkeypatch.setattr(
             ffact._FpRing, "combine", lambda *args: calls.append(args) or original(*args)
         )
         assert split_degrees([-2, 0, 0, 1], 7) == [3]  # 2 is no cube mod 7
+        assert split_degrees([1, 0, 0, 0, 1], 7) == [2, 2]  # read at d = 2
         assert calls == []
-        assert split_degrees([1, 0, 0, 0, 1], 7) == [2, 2]  # degree 2 needs the matrix
-        assert len(calls) == 1
+        assert split_degrees([-4, -1, 0, 0, 0, 0, 0, 1], 11) == [7]  # irreducible
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_trace_read_matches_the_gcd_oracle(self, p):
+        # x^p - x has N_1 = p, which the read mod p would take for 0; and
+        # a factor of degree e | d is counted in N_d at every such d
+        K, rng = FpField(p), random.Random(p)
+        cases = [[0, p - 1] + [0] * (p - 2) + [1]]
+        while len(cases) < 60:
+            f = [rng.randrange(p) for _ in range(rng.randint(2, 12))] + [1]
+            if len(poly_gcd(K, f, ffact.poly_deriv(K, f))) == 1:
+                cases.append(f)
+        for f in cases:
+            assert split_degrees(f, p) == frobenius_gcd_degrees(f, p), f
+        assert split_degrees(cases[0], p) == [1] * p
 
 
 def reference_pow_mod(K, base: list, n: int, mod: list) -> list:

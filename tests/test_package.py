@@ -225,6 +225,25 @@ def test_each_polynomial_job_has_one_entry_point():
         assert not hasattr(owner, name), name
 
 
+def test_ffact_public_names_are_its_interface():
+    # the trace read of split degrees sits behind split_degrees, and x^q mod
+    # f is each quotient ring's xpow, so neither is a public name of its own
+    names = {
+        name
+        for name, value in vars(ffact).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == ffact.__name__
+    }
+    assert names == {
+        "ExtField", "FpField", "NotPIntegral", "NotSquarefree",
+        "degree_sequence", "distinct_degree", "equal_degree", "factor_poly",
+        "poly_add", "poly_deriv", "poly_divmod", "poly_gcd", "poly_key", "poly_mod",
+        "poly_monic", "poly_mul", "poly_pow_mod", "poly_scale", "poly_sub",
+        "poly_trim", "poly_xgcd", "reduce_mod_p", "roots_mod_p", "split_degrees",
+        "squarefree_decomposition",
+    }
+    assert all(hasattr(ring, "xpow") for ring in (ffact._ListRing, ffact._FpRing))
+
+
 def test_resultants_have_two_public_names():
     # evaluation and interpolation in t is a route inside resultant, chosen
     # by the input's nesting; a public name for it would be a second entry

@@ -277,6 +277,15 @@ class TestResultant:
         f, g = parse_poly("t*X^2 + s*X + 1"), parse_poly("X - s*t")
         assert resultant(f, g) == parse_poly("s^2*t^3 + s^2*t + 1").coeff(0)
 
+    def test_constants_over_z_s_t_give_t_over_s(self):
+        # every resultant over Z[s][t] is a polynomial in t over Z[s], the
+        # empty Sylvester matrix's 1 included; == alone cannot tell, since
+        # a nested constant equals its leaf
+        for f, g in [("2", "3"), ("2*t", "3*s"), ("t", "X + s")]:
+            res = resultant(parse_poly(f), parse_poly(g))
+            assert res.var == "t" and all(isinstance(c, UniPoly) and c.var == "s" for c in res.coeffs)
+        assert resultant(parse_poly("2"), parse_poly("3")) == 1
+
     @given(trivariate_polys, trivariate_polys)
     def test_trivariate_matches_sympy(self, sympy, f, g):
         # sympy's resultant over Z[X, t, s] of the denominator-free a f and
