@@ -553,9 +553,10 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
     Frobenius matrix of rows x^(q*i) mod f (von zur Gathen and Shoup,
     1992); each further x^(q^d) mod f is one matrix application instead of
     a fresh exponentiation.  Gcds are taken against the cofactor left after
-    removing the factors found so far.  The cofactor divides f, so x^q, the
-    matrix and every x^(q^d) stay mod f itself, in one quotient ring for the
-    whole split; the matrix is built only when degree 2 is reached.
+    removing the factors found so far.  x^q is taken mod f itself; the
+    matrix is built only when degree 2 is reached, in the ring mod the
+    cofactor left then, with x^q reduced into it (the cofactor divides f),
+    and every later x^(q^d) stays in that ring.
     """
     out = []
     x = [K.zero(), K.one()]
@@ -569,7 +570,10 @@ def distinct_degree(K, f: list) -> list[tuple[list, int]]:
             h = R.xpow(K.size)
         else:
             if d == 2:
-                # rows of the ring's own degree: h stays mod the first f
+                if len(f) - 1 < R.n:  # degree 1 took factors out of f
+                    h = poly_mod(K, R.unpack(h), f)
+                    R = _ring(K, f)
+                    h = R.pack(h)
                 rows = [R.one, h]
                 for _ in range(2, R.n):
                     rows.append(R.mul(rows[-1], h))

@@ -20,11 +20,14 @@ the inputs were scaled.  A resultant over Z[s][t] in which both t and s
 occur, such as the family's X-discriminant, is instead the PRS over Z[s] at
 deg g deg_t f + deg f deg_t g + 1 integer values of t, skipping values that
 drop an X-degree, Newton-interpolated in t (Collins, J. ACM 18, 1971).  A
-gcd does not commute with binding t at unlucky values, so gcds stay on the
-PRS over Z[s][t].  The module also provides rational roots by p-adic
-lifting, coefficient-valuation Newton polygons, and the text parser for the
-manifest polynomial syntax (`+ - * ^`, implicit multiplication, variables
-s, t, X).
+gcd in t over Z[s] in which s occurs, such as the one in the squarefree
+part of that discriminant, is likewise the PRS over Z at integer values of
+s, Newton-interpolated in s; a gcd does not commute with binding s at
+unlucky values, so the interpolant is kept only once trial division proves
+it (Brown, J. ACM 18, 1971).  The module also provides rational roots by
+p-adic lifting, coefficient-valuation Newton polygons, and the text parser
+for the manifest polynomial syntax (`+ - * ^`, implicit multiplication,
+variables s, t, X).
 """
 
 from __future__ import annotations
@@ -590,23 +593,38 @@ def _interpolated(f: UniPoly, g: UniPoly):
     if need == 1 or max(f.degree_in(s), g.degree_in(s)) < 1:
         return None
     points, newton = [], []  # Newton divided differences, one per point
-    for k in itertools.count():
-        t0 = (k + 1) // 2 if k % 2 else -(k // 2)
+    for t0 in _integers():
         ft, gt = f.bind(t, t0), g.bind(t, t0)
         if ft.degree() < n or gt.degree() < m:
             continue  # Res does not commute with a binding that drops a degree
-        c = _subresultant(ft, gt)
-        for x, d in zip(points, newton):
-            c = _exact_div(c - d, t0 - x)
-        points.append(t0)
-        newton.append(c)
+        _newton_step(points, newton, t0, _subresultant(ft, gt))
         if len(points) == need:
-            break
-    # expand c0 + (t - x0)(c1 + (t - x1)(c2 + ...)) into t-coefficients
-    coeffs = [newton.pop()]
-    for x, c in zip(reversed(points[:-1]), reversed(newton)):
+            return _newton_expand(points, newton, t)
+
+
+def _integers():
+    """The interpolation points 0, 1, -1, 2, -2, ..."""
+    for k in itertools.count():
+        yield (k + 1) // 2 if k % 2 else -(k // 2)
+
+
+def _newton_step(points: list, newton: list, x0, c):
+    """Append the value c at x0 to the divided differences newton over
+    points and return the new one: it is zero exactly when the interpolant
+    through the earlier points already takes the value c at x0."""
+    for x, d in zip(points, newton):
+        c = _exact_div(c - d, x0 - x)
+    points.append(x0)
+    newton.append(c)
+    return c
+
+
+def _newton_expand(points: list, newton: list, var: str) -> UniPoly:
+    """c0 + (var - x0)(c1 + (var - x1)(c2 + ...)) in var-coefficients."""
+    coeffs = [newton[-1]]
+    for x, c in zip(reversed(points[:-1]), reversed(newton[:-1])):
         coeffs = [c - x * coeffs[0]] + [a - x * b for a, b in zip(coeffs, coeffs[1:] + [0])]
-    return UniPoly(coeffs, t)
+    return UniPoly(coeffs, var)
 
 
 def _prs(A: UniPoly, B: UniPoly):
@@ -788,23 +806,84 @@ def primitive_part(f: UniPoly) -> UniPoly:
 
 
 def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
-    """gcd in the outer variable by the subresultant PRS, the one gcd over Q
-    and Q[s].  The PRS runs on the inputs' integer normal forms; the result
-    is the primitive part of its last nonzero remainder, in the normal form,
-    so gcd(c1 f, c2 g) = gcd(f, g) for nonzero rationals c1, c2."""
+    """gcd in the outer variable, the one gcd over Q and Q[s], in the normal
+    form: the primitive part of the gcd over Q or Q(s), so gcd(c1 f, c2 g)
+    = gcd(f, g) for nonzero rationals c1, c2.
+
+    Inputs in t over Z[s] in which s occurs, both of t-degree >= 1, go by
+    evaluation in s (Brown, "On Euclid's algorithm and the computation of
+    polynomial greatest common divisors", J. ACM 18, 1971).  At s0 = 0, 1,
+    -1, 2, -2, ..., skipping each s0 at which lc f or lc g vanishes, the PRS
+    over Z gives the image gcd of f(s0) and g(s0), scaled to the leading
+    coefficient gamma(s0), gamma = gcd(lc f, lc g).  An image of degree 0
+    proves the gcd is 1, one of higher degree than the least seen is
+    discarded, and one of lower degree restarts the points.  Each
+    t-coefficient is Newton-interpolated in s; once a point leaves the
+    interpolant unchanged, its primitive part G is returned if f and g have
+    zero pseudo-remainders by G, else points are added.  The trial division
+    makes G exact: G divides the gcd, and as lc of the gcd divides gamma,
+    the gcd's image at s0 divides the image gcd, so deg gcd <= deg G.
+    Unlucky points are roots of a nonzero subresultant, finitely many, so
+    the loop ends.  Every other input runs the subresultant PRS on its
+    integer normal form, and the result is the primitive part of the last
+    nonzero remainder, which is what G equals.
+    """
     a, b = (f, g) if f.degree() >= g.degree() else (g, f)
     if not a:
         return a
-    for a, b, _ in _prs(_normal(a)[1], _normal(b)[1]):
+    a, b = _normal(a)[1], _normal(b)[1]
+    lc = a.lc()
+    if b.degree() >= 1 and isinstance(lc, UniPoly) and not isinstance(lc.lc(), UniPoly):
+        if max(a.degree_in(lc.var), b.degree_in(lc.var)) >= 1:
+            return _evaluated_gcd(a, b)
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """gcd_over_poly_coeffs on the PRS, for deg a >= deg b and nonzero a."""
+    for a, b, _ in _prs(a, b):
         pass
     if b:
         return _one_like(a)
     return primitive_part(a)
 
 
+def _evaluated_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """gcd_over_poly_coeffs by evaluation in s; see there."""
+    t, s = f.var, f.lc().var
+    lf, lg = f.lc(), g.lc()
+    gamma = gcd_over_poly_coeffs(lf, lg)
+    points, newton, least = [], [], math.inf
+    for s0 in _integers():
+        if not lf.evaluate(s0) or not lg.evaluate(s0):
+            continue  # the binding would drop a t-degree
+        image = _prs_gcd(f.bind(s, s0), g.bind(s, s0))
+        d = image.degree()
+        if d == 0:
+            return _one_like(f)
+        if d > least:
+            continue
+        if d < least:
+            points, newton, least = [], [], d
+        scale, lead = gamma.evaluate(s0), image.lc()
+        image = UniPoly([_exact_div(c * scale, lead) for c in image.coeffs], t)
+        if _newton_step(points, newton, s0, image) or len(points) < 2:
+            continue
+        G = primitive_part(UniPoly(
+            [_newton_expand(points, [c.coeff(i) for c in newton], s) for i in range(d + 1)], t
+        ))
+        if not pseudo_rem(f, G) and not pseudo_rem(g, G):
+            return G
+
+
 def squarefree_part(f: UniPoly) -> UniPoly:
     """f divided by gcd(f, f'), over Q or Q[s] coefficients, as a primitive
-    part in the normal form."""
+    part in the normal form.  In t over Z[s] with s occurring, as for the
+    family's branch locus, the gcd is taken at s0 = 0, 1, -1, ..., skipping
+    the roots of lc f and discarding images of more than the least degree,
+    interpolated in s until a point leaves it unchanged, and kept once trial
+    division proves it (Brown, J. ACM 18, 1971; see gcd_over_poly_coeffs).
+    """
     base = primitive_part(f)
     if f.degree() < 2:
         return base

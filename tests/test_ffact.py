@@ -1,5 +1,6 @@
 """Finite field factorization: mod-p interface and extension towers."""
 
+import itertools
 import math
 import random
 from array import array
@@ -16,6 +17,7 @@ from galspec.ffact import (
     NotPIntegral,
     NotSquarefree,
     degree_sequence,
+    distinct_degree,
     equal_degree,
     factor_poly,
     poly_divmod,
@@ -492,6 +494,38 @@ class TestExtensionFields:
             assert irr[-1] == one and all(is_trimmed(c) for c in irr)
             for _ in range(m):
                 back = poly_mul(K, back, irr)
+        assert back == f
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_f9_linear_factors_then_quadratics(self, seed):
+        # once degree 1 has taken the linear factors out, the degree-2 step
+        # runs mod the quartic cofactor, with x^9 reduced into it
+        F9 = tower("F9")
+        one = F9.one()
+        i = F9.gen()
+        elements = [F9.add(F9.embed(a), F9.mul(F9.embed(b), i)) for a in range(3) for b in range(3)]
+
+        def irreducible(g):
+            # no monic divisor of degree 1 .. deg g / 2
+            return not any(
+                not poly_mod(F9, g, list(low) + [one])
+                for k in range(1, (len(g) - 1) // 2 + 1)
+                for low in itertools.product(elements, repeat=k)
+            )
+
+        quadratics = [[a, b, one] for a in elements for b in elements if irreducible([a, b, one])]
+        rng = random.Random(seed)
+        linears = [[F9.neg(a), one] for a in rng.sample(elements, 2)]
+        f = [one]
+        for g in linears + rng.sample(quadratics, 2):
+            f = poly_mul(F9, f, g)
+        assert [d for _, d in distinct_degree(F9, f)] == [1, 2]
+        _, factors = factor_poly(F9, f)
+        assert sorted(len(g) - 1 for g, _ in factors) == [1, 1, 2, 2]
+        assert all(m == 1 and irreducible(g) for g, m in factors)
+        back = [one]
+        for g, _ in factors:
+            back = poly_mul(F9, back, g)
         assert back == f
 
     def test_squarefree_decomposition_pth_powers(self):

@@ -11,8 +11,8 @@ discriminant, not at a stage cap, and integer valuations run one loop.
 grunwald builds every fibre model with one rescaling, census reads a
 cell unramified by p ∤ disc of its integral model alone and keeps no
 table or memo, and the t-line search reads a residue as the sampler
-does.  Each polynomial job has one entry point, resultants included, and
-every library entry point refuses a float."""
+does.  Each polynomial job has one entry point, resultants and gcds
+included, and every library entry point refuses a float."""
 
 import ast
 import sys
@@ -254,6 +254,20 @@ def test_resultants_have_two_public_names():
         and any(word in name.lower() for word in ("resultant", "interpol", "discriminant"))
     }
     assert names == {"resultant", "discriminant_in"}
+
+
+def test_gcds_have_two_public_names():
+    # evaluation in s is a route inside gcd_over_poly_coeffs, chosen by the
+    # input's nesting; a public name for it would be a second entry
+    # (ffact's poly_gcd, imported for a test mod p, is not poly's)
+    names = {
+        name
+        for name, value in vars(poly).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", None) == poly.__name__
+        and any(word in name.lower() for word in ("gcd", "squarefree"))
+    }
+    assert names == {"gcd_over_poly_coeffs", "squarefree_part"}
 
 
 def _float_calls():

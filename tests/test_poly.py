@@ -1,5 +1,6 @@
 """Polynomial tower: parser, resultants, discriminants, Newton polygons."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galspec import poly
 from galspec.arith import INFINITY, rational, valuation
 from galspec.poly import (
     PolyParseError,
@@ -57,6 +59,17 @@ def qpolys(max_degree=4, nonzero=False, monic=False):
     if nonzero or monic:
         strat = strat.filter(lambda p: bool(p))
     return strat
+
+
+def zst_polys(min_degree=0, max_degree=2):
+    """Nonzero polynomials in t over Z[s], s-degree <= 2, small leaves."""
+
+    def build(rows):
+        return UniPoly([UniPoly(row, "s") for row in rows], "t")
+
+    row = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+    strat = st.lists(row, min_size=min_degree + 1, max_size=max_degree + 1).map(build)
+    return strat.filter(lambda p: p.degree() >= min_degree)
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly):
@@ -589,6 +602,53 @@ class TestGcdTower:
         f = qpoly(-1, 0, 1) * qpoly(5, 1)
         g = qpoly(-1, 0, 1) * qpoly(7, 1)
         assert gcd_over_poly_coeffs(f, g) == qpoly(-1, 0, 1)
+
+    def test_unlucky_first_points(self):
+        # at s0 in {0, ±1, ±2} the images are (t - 1)^2 and interpolate
+        # stably; only trial division rejects them
+        q = "s(s - 1)(s + 1)(s - 2)(s + 2)"
+        f = parse_poly(f"(t - 1)(t - 1 - {q})").coeff(0)
+        g = parse_poly(f"(t - 1)(t - 1 + {q})").coeff(0)
+        assert gcd_over_poly_coeffs(f, g) == parse_poly("t - 1").coeff(0)
+        assert squarefree_part(f * f) == primitive_part(f)
+
+    def test_unlucky_point_among_lucky_ones(self, monkeypatch):
+        # the image at s0 = 1 is (t - 1)(t - 5), of degree 2; it must not
+        # enter the interpolation of t - s^3 from the points around it
+        points = poly._integers
+        monkeypatch.setattr(poly, "_integers", lambda: itertools.islice(points(), 12))
+        f = parse_poly("(t - s^3)(t - 2s - 3)").coeff(0)
+        g = parse_poly("(t - s^3)(t - 5)").coeff(0)
+        assert gcd_over_poly_coeffs(f, g) == parse_poly("t - s^3").coeff(0)
+
+    def test_vanishing_leading_coefficient(self):
+        # lc_t is s for both, so s0 = 0 is skipped: there the images are
+        # coprime; the gcd's own lc depends on s
+        f = parse_poly("(s t - 1)(t + s)").coeff(0)
+        g = parse_poly("(s t - 1)(t - 2)").coeff(0)
+        assert gcd_over_poly_coeffs(f, g) == parse_poly("s t - 1").coeff(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(zst_polys(min_degree=1), zst_polys(), zst_polys(), st.integers(1, 3))
+    def test_gcd_over_z_s_matches_sympy(self, sympy, c, a, b, k):
+        # c is a planted common factor of f and g, and c^k a repeated one of f
+        f, g = a * c**k, b * c
+        t, s = sympy.symbols("t s")
+
+        def to_sympy(p):
+            terms = {(i, j): x for i, cs in enumerate(p.coeffs) for j, x in enumerate(cs.coeffs)}
+            return sympy.Poly.from_dict(terms, t, s, domain="ZZ")
+
+        def back(p):
+            zero, out = UniPoly((), "s"), UniPoly((), "t")
+            for (i, j), x in p.terms():
+                out = out + UniPoly([zero] * i + [UniPoly([0] * j + [int(x)], "s")], "t")
+            return out
+
+        # both sides in the normal form, over Q(s): the s-content goes too
+        expected = primitive_part(back(sympy.gcd(to_sympy(f), to_sympy(g))))
+        assert gcd_over_poly_coeffs(f, g) == expected
+        assert squarefree_part(f) == primitive_part(back(sympy.sqf_part(to_sympy(f))))
 
 
 def random_over_s(rng, t_degree, s_degree=2):
