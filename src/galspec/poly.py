@@ -16,15 +16,18 @@ variable (over Q and over Q[s] alike).  The one normal form, from
 integer_normalize, has integer leaves with gcd 1 and a positive leading
 leaf; resultant and gcd run the PRS on it, in place on integer leaves, and
 every gcd, content, primitive and squarefree part comes back in it, however
-the inputs were scaled.  A resultant over Z[s][t] in which both t and s
-occur, such as the family's X-discriminant, is instead the PRS over Z[s] at
-deg g deg_t f + deg f deg_t g + 1 integer values of t, skipping values that
-drop an X-degree, Newton-interpolated in t (Collins, J. ACM 18, 1971).  A
-gcd in t over Z[s] in which s occurs, such as the one in the squarefree
-part of that discriminant, is likewise the PRS over Z at integer values of
-s, Newton-interpolated in s; a gcd does not commute with binding s at
-unlucky values, so the interpolant is kept only once trial division proves
-it (Brown, J. ACM 18, 1971).  The module also provides rational roots by
+the inputs were scaled.  A resultant over Z[s] (one level deep) is one PRS
+over Z after the Kronecker substitution s = 2^B, where 2^(B-1) bounds the
+result's coefficients, read back as balanced base-2^B digits (Kronecker,
+1882).  A resultant over Z[s][t] in which both t and s occur, such as the
+family's X-discriminant, is that integer PRS at deg g deg_t f +
+deg f deg_t g + 1 integer values of t, skipping values that drop an
+X-degree, Newton-interpolated in t (Collins, J. ACM 18, 1971).  A gcd in t over Z[s]
+in which s occurs, such as the one in the squarefree part of that
+discriminant, is likewise the PRS over Z at integer values of s,
+Newton-interpolated in s; a gcd does not commute with binding s at unlucky
+values, so the interpolant is kept only once trial division proves it
+(Brown, J. ACM 18, 1971).  The module also provides rational roots by
 p-adic lifting, coefficient-valuation Newton polygons, and the text parser
 for the manifest polynomial syntax (`+ - * ^`, implicit multiplication,
 variables s, t, X).
@@ -556,37 +559,90 @@ def resultant(f: UniPoly, g: UniPoly):
     """Res(f, g), exact over nested domains.
 
     Zero iff f and g share a root in an algebraic closure (for nonzero
-    inputs of positive degree).  Both routes run on the integer normal
+    inputs of positive degree).  Every route runs on the integer normal
     forms, and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the contents
-    back.  When the coefficients are polynomials in t over Z[s] (two levels
-    deep) and both t and s occur, the t-coefficients of the result come by
-    evaluation and interpolation (Collins, "The calculation of multivariate
-    polynomial resultants", J. ACM 18, 1971): the PRS over Z[s] at t0 = 0,
-    1, -1, 2, -2, ..., skipping each t0 at which an X-leading coefficient
-    vanishes, until deg g deg_t f + deg f deg_t g + 1 points bound the
-    Sylvester determinant's degree in t; Newton interpolation fixes it.
-    Every other input takes the subresultant PRS, which is also what runs at
-    each point; on one-level coefficients an isinstance check decides.
+    back.  The route follows the nesting of the coefficients.
+
+    One level deep, polynomials over Z[s] (or Z[t]), the result is one PRS
+    over Z by Kronecker substitution (Kronecker, "Grundzüge einer
+    arithmetischen Theorie der algebraischen Grössen", J. reine angew.
+    Math. 92, 1882).  With n = deg f, m = deg g and |p| the sum of the
+    absolute values of p's integer leaves, take B one bit longer than
+    |f|^m |g|^n (than |f| and |g| too, which only matters when a degree is
+    0), map each coefficient c to c(2^B), and read the integer resultant N
+    back as balanced base-2^B digits, each in [-2^(B-1), 2^(B-1)).  This is
+    exact: s -> 2^B is a ring map Z[s] -> Z, and a nonzero polynomial whose
+    leaves lie below 2^(B-1) in absolute value maps to a nonzero integer, so
+    the X-degrees survive and the Sylvester determinant commutes with the
+    map; expanding that determinant over permutations with |ab| <= |a| |b|
+    bounds every coefficient of Res(f, g) by |f|^m |g|^n < 2^(B-1), and
+    balanced digits of that size are unique, so they are its coefficients.
+
+    Two levels deep, polynomials in t over Z[s] in which both t and s
+    occur, the t-coefficients of the result come by evaluation and
+    interpolation (Collins, "The calculation of multivariate polynomial
+    resultants", J. ACM 18, 1971): the one-level route at t0 = 0, 1, -1, 2,
+    -2, ..., skipping each t0 at which an X-leading coefficient vanishes,
+    until deg g deg_t f + deg f deg_t g + 1 points bound the Sylvester
+    determinant's degree in t; Newton interpolation fixes it.  Every other
+    input, scalar leaves above all, takes the subresultant PRS.
     """
     if isinstance(f, UniPoly) and isinstance(g, UniPoly) and f.var != g.var:
         raise ValueError(f"variable mismatch: {f.var} vs {g.var}")
     if not f or not g:
         return 0 if not isinstance(f, UniPoly) else f._zero_scalar()
     (a, pf), (b, pg) = _normal(f), _normal(g)
-    res = _interpolated(pf, pg) if _two_level(pf) and _two_level(pg) else None
+    depth = _depth(pf), _depth(pg)
+    res = _interpolated(pf, pg) if depth == (2, 2) else None
     if res is None:
-        res = _subresultant(pf, pg)
+        res = _kronecker(pf, pg) if depth == (1, 1) else _subresultant(pf, pg)
     return res if a == b == 1 else _coerce(res * (a ** g.degree() * b ** f.degree()))
 
 
-def _two_level(f: UniPoly) -> bool:
-    lc = f.lc()
-    return isinstance(lc, UniPoly) and isinstance(lc.lc(), UniPoly)
+def _depth(f: UniPoly) -> int:
+    """How many polynomial levels lie below f's own, read down its lc."""
+    depth, c = 0, f.lc()
+    while isinstance(c, UniPoly):
+        depth, c = depth + 1, c.lc()
+    return depth
+
+
+def _kronecker(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Res(f, g) over Z[s] by one PRS over Z at s = 2^B; see resultant."""
+    s = f.lc().var
+    nf, ng = _leaf_norm(f), _leaf_norm(g)
+    B = max(nf ** g.degree() * ng ** f.degree(), nf, ng).bit_length() + 1
+    N = _subresultant(*(UniPoly([_at_two_power(c, B) for c in p.coeffs], p.var) for p in (f, g)))
+    digits, half, mask = [], 1 << (B - 1), (1 << B) - 1
+    while N:
+        r = N & mask
+        if r >= half:
+            r -= mask + 1
+        digits.append(r)
+        N = (N - r) >> B
+    return UniPoly(digits, s)
+
+
+def _leaf_norm(f: UniPoly) -> int:
+    """The sum of the absolute values of the integer leaves of f, one level
+    deep; a zero coefficient may be the int 0."""
+    return sum(sum(map(abs, c.coeffs)) if isinstance(c, UniPoly) else abs(c) for c in f.coeffs)
+
+
+def _at_two_power(c, B: int) -> int:
+    """c(2^B) for c over Z, by shifts."""
+    if not isinstance(c, UniPoly):
+        return c
+    acc = 0
+    for x in reversed(c.coeffs):
+        acc = (acc << B) + x
+    return acc
 
 
 def _interpolated(f: UniPoly, g: UniPoly):
-    """Res(f, g) over Z[s][t] by evaluation in t and Newton interpolation,
-    or None when t or s does not occur (the PRS is faster there)."""
+    """Res(f, g) over Z[s][t] by evaluation in t, the one-level route at each
+    point, and Newton interpolation, or None when t or s does not occur (the
+    PRS is faster there)."""
     t, s = f.lc().var, f.lc().lc().var
     n, m = f.degree(), g.degree()
     need = m * f.degree_in(t) + n * g.degree_in(t) + 1
@@ -597,7 +653,7 @@ def _interpolated(f: UniPoly, g: UniPoly):
         ft, gt = f.bind(t, t0), g.bind(t, t0)
         if ft.degree() < n or gt.degree() < m:
             continue  # Res does not commute with a binding that drops a degree
-        _newton_step(points, newton, t0, _subresultant(ft, gt))
+        _newton_step(points, newton, t0, _kronecker(ft, gt))
         if len(points) == need:
             return _newton_expand(points, newton, t)
 
@@ -832,9 +888,9 @@ def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
     if not a:
         return a
     a, b = _normal(a)[1], _normal(b)[1]
-    lc = a.lc()
-    if b.degree() >= 1 and isinstance(lc, UniPoly) and not isinstance(lc.lc(), UniPoly):
-        if max(a.degree_in(lc.var), b.degree_in(lc.var)) >= 1:
+    if b.degree() >= 1 and _depth(a) == 1:
+        s = a.lc().var
+        if max(a.degree_in(s), b.degree_in(s)) >= 1:
             return _evaluated_gcd(a, b)
     return _prs_gcd(a, b)
 

@@ -244,6 +244,12 @@ trivariate_polys = nested(
 ).filter(bool)
 
 
+int_xpolys = st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(lambda c: UniPoly(c, "X"))
+zs_xpolys = st.lists(
+    st.lists(st.integers(-3, 3), max_size=3).map(lambda c: UniPoly(c, "s")), min_size=1, max_size=5
+).map(lambda cs: UniPoly(cs, "X"))
+
+
 class TestResultant:
     def test_linear(self):
         assert resultant(qpoly(-2, 1), qpoly(-3, 1)) == -1
@@ -299,6 +305,53 @@ class TestResultant:
             assert res.var == "t" and all(isinstance(c, UniPoly) and c.var == "s" for c in res.coeffs)
         assert resultant(parse_poly("2"), parse_poly("3")) == 1
 
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_over_z_s_digit_width_is_nearly_tight(self, k, sign):
+        # Res(X, X + c s) = c s, and |f|^1 |g|^1 = 1 + 2^k is one above |c|:
+        # with B one bit shorter, c = 2^k = 2^B / 2 would be read back as the
+        # digit -2^k with a carry, s^2 - 2^k s
+        s, one = UniPoly([0, 1], "s"), UniPoly([1], "s")
+        f, g = UniPoly([UniPoly((), "s"), one], "X"), UniPoly([sign * 2**k * s, one], "X")
+        assert resultant(f, g) == sign * 2**k * s
+
+    def test_constants_over_z_s_give_s(self):
+        # one level deep the result is a polynomial in s with int leaves,
+        # the zero resultant and the empty Sylvester matrix's 1 included;
+        # X-constants of small norm must not vanish at s = 2^B
+        s = UniPoly([0, 1], "s")
+        x = lambda *cs: UniPoly(list(cs), "X")
+        for f, g, want in [
+            (x(s - 4), x(s - 4), 1),
+            (x(1, s - 4), x(s), s),
+            (x(0, 1), x(s - 4), s - 4),
+            (x(-s, 1) * x(1, s), x(-s, 1), 0),
+        ]:
+            res = resultant(f, g)
+            assert res == want and res.var == "s" and all(type(c) is int for c in res.coeffs)
+        assert resultant(x(-s, 1) * x(1, s), x(-s, 1)) == UniPoly((), "s")
+
+    @settings(deadline=None)
+    @given(zs_xpolys.filter(bool), zs_xpolys.filter(bool), zs_xpolys, st.integers(-40, 40))
+    def test_over_z_s_matches_sympy(self, sympy, f, g, c, big):
+        # big widens f's leaves; c, when it has positive X-degree, is
+        # planted in both, so the resultant is zero
+        f = f * (big or 1)
+        if c.degree() >= 1:
+            f, g = f * c, g * c
+        X, s = sympy.symbols("X s")
+        sf, sg = (sympy.Poly.from_dict(monomials(sympy, p), X, s, domain="ZZ") for p in (f, g))
+        m, n = f.degree(), g.degree()
+        if m == 0 and n == 0:
+            expected = sympy.Poly(1, s, domain="ZZ")
+        elif m >= n:
+            expected = sf.resultant(sg)
+        else:
+            expected = (-1) ** (m * n) * sg.resultant(sf)
+        got = resultant(f, g)
+        assert got.var == "s" and all(type(x) is int for x in got.coeffs)
+        assert sympy.Poly.from_dict(monomials(sympy, got), s, domain="ZZ") == sympy.Poly(expected, s, domain="ZZ")
+
     @given(trivariate_polys, trivariate_polys)
     def test_trivariate_matches_sympy(self, sympy, f, g):
         # sympy's resultant over Z[X, t, s] of the denominator-free a f and
@@ -336,12 +389,6 @@ def to_sympy_expr(sympy, p):
         return sympy.Rational(p.numerator, p.denominator)
     v = sympy.Symbol(p.var)
     return sum((to_sympy_expr(sympy, c) * v**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
-
-
-int_xpolys = st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(lambda c: UniPoly(c, "X"))
-zs_xpolys = st.lists(
-    st.lists(st.integers(-3, 3), max_size=3).map(lambda c: UniPoly(c, "s")), min_size=1, max_size=5
-).map(lambda cs: UniPoly(cs, "X"))
 
 
 class TestPseudoRem:
