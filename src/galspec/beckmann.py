@@ -21,8 +21,8 @@ specialization(manifest, s0) binds s = s0 once per parameter value: it
 refuses a degenerate s0, then caches the bound family, discriminant, branch
 locations, integer residual locus and certificates that every per-s0 entry
 point here and in grunwald reads.  Its fibre(t0) is the one builder of a
-fibre's X-coefficients and discriminant for census, both identification
-modes and local_model.
+fibre's X-coefficients and discriminant: local_model (the model census and
+verify measure), both identification modes and the t-line search read it.
 """
 
 from dataclasses import dataclass

@@ -8,26 +8,28 @@ on s and on t (or on u = 1/t when the target branch point sits at
 infinity), so every solution comes as an arithmetic progression together
 with its least witness.
 
-Verification is independent of the search: the fiber's p-adic factorization
-shapes are measured from scratch and compared against every lift of the
-prescribed Frobenius into the decomposition model.  Group identification
-reads cycle types of fibres mod p through one sampler and one judge, in
-two modes: verify reads its fibre at auxiliary primes until the types it
-saw prove or refute the group, identify reads random (t0, p) fibres and
-tests their frequencies when they do neither.  Every fibre's X-coefficients
-and discriminant come from one builder, Specialization.fibre.
+Verification is independent of the search.  verify and census measure a
+fibre on one model, local_model's integral h(Y) = d^n f(Y/d), Y = d X, d
+the lcm of the fibre's denominators: monic and integral, the same field,
+and disc h = d^(n(n-1)) disc(t0).  verify reads each condition by one
+padic._shape(h, p, disc h): an unramified one holds when every e is 1 and
+the residue degrees are the target type, a ramified one when the shape and
+the residue Frobenius, re-read on rho(s0), meet the prescription.
+
+Group identification reads cycle types of fibres mod p through one sampler
+and one judge, in two modes: verify reads its fibre at auxiliary primes
+until the types it saw prove or refute the group, identify reads random
+(t0, p) fibres and tests their frequencies when they do neither.  Every
+fibre's X-coefficients and discriminant come from one builder,
+Specialization.fibre.
 
 census sets predicted inertia, from beckmann's contacts read on integers,
-against measured shapes on a grid, and a row reports inertia only.  census
-measures every fibre on its integral model g(Y) = d^n f(Y/d), Y = d X, d
-the lcm of the fibre's denominators: monic and integral, the same field,
-and disc g = d^(n(n-1)) disc(t0).  When p does not divide disc g, g is
-squarefree mod p, so (Dedekind) p is unramified and census writes the
-all-ones type without a shape; every other good cell calls padic._shape on
-g.  A p in a denominator of the fibre divides d, so disc g, and is always
-measured: disc(t0) alone would read the fibre X^3 - t0/7 unramified at 7,
-where it is totally ramified (7 is bad there, but the measurement never
-reads the bad set).
+against measured shapes on a grid, and a row reports inertia only.  When p
+does not divide disc h, h is squarefree mod p, so (Dedekind) p is
+unramified and census writes the all-ones type without a shape; every
+other good cell calls padic._shape on h.  A p in a denominator of the
+fibre divides d, so disc h, and is always measured: disc(t0) alone would
+read X^3 - t0/7 unramified at 7, where it is totally ramified.
 """
 
 from collections import Counter
@@ -46,7 +48,7 @@ from .beckmann import (
 )
 from .family import FamilyManifest, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, split_degrees
-from .padic import WildPrime, _shape, padic_shape
+from .padic import WildPrime, _shape
 from .permgrp import (
     CycleType, ef_multiset, fingerprint, generate, invariably_generates, power_cycle_type,
 )
@@ -231,7 +233,10 @@ def frobenius_in_residue_field(rho: UniPoly, s0, p: int) -> tuple:
     All degrees equal d exactly when the residue Frobenius has order d.
     rho is monic in X, so its degree never drops mod p.  Raises
     NotPIntegral when p is in a denominator and NotSquarefree when the
-    reduction has a repeated factor mod p.
+    reduction has a repeated factor mod p, that is at every p | disc
+    rho(s0).  Where p divides only the index of Z[X]/(rho(s0)), the residue
+    Frobenius is defined, so the refusal is conservative; it stays because
+    search's least witness depends on it.
     """
     coeffs = x_poly_coeffs(specialize(rho, {"s": s0}))
     return tuple(degree_sequence(coeffs, p))
@@ -460,17 +465,14 @@ class SpecializationReport:
         return ok
 
 
-def local_model(manifest: FamilyManifest, s0, t0, p: int) -> UniPoly:
-    """Monic model of the fiber at (s0, t0): the fibre itself, or for p in
-    t0's denominator its image t0^-D f(s0, t0, X) in the 1/t chart (D =
-    deg_t f), made monic by Y = t0^-D X.  It is not rescaled for p in a leaf
-    denominator of f, so its coefficients need not be p-integral; callers
-    that need them so catch NotPIntegral."""
-    spec, t0 = specialization(manifest, s0), rational(t0)
-    coeffs, _ = spec.fibre(t0)
-    if t0 and valuation(t0, p) < 0:
-        coeffs = _rescaled(coeffs, t0 ** -spec.f.degree_in("t"))
-    return UniPoly(coeffs, "X")
+def local_model(manifest: FamilyManifest, s0, t0) -> tuple:
+    """(h, disc h) for the fibre f(s0, t0, X) of degree n: h(Y) = d^n f(Y/d),
+    Y = d X, d the lcm of the fibre's denominators, is monic and integral
+    and cuts out the same field, so it has the fibre's p-adic shape at every
+    p; disc h = d^(n(n-1)) disc(t0) is an int."""
+    coeffs, disc = specialization(manifest, s0).fibre(t0)
+    n, d = len(coeffs) - 1, lcm(*(c.denominator for c in coeffs))
+    return UniPoly(_rescaled(coeffs, d), "X"), int(disc * d ** (n * (n - 1)))
 
 
 def _rescaled(coeffs: list, lam) -> list:
@@ -499,25 +501,26 @@ def _candidate_shapes(bp, d: int, x: int) -> set:
     return out
 
 
-def _check_condition(manifest, s0, t0, cond) -> ConditionRecord:
+def _check_condition(manifest, s0, h, disc, cond) -> ConditionRecord:
+    """cond read on the fibre's local_model (h, disc h) by one _shape; a
+    fibre on a branch point or a wild p gives a failing record."""
     if isinstance(cond, Unramified):
-        try:
-            seq = degree_sequence(local_model(manifest, s0, t0, cond.p).coeffs, cond.p)
-        except (NotSquarefree, NotPIntegral) as exc:
-            return ConditionRecord(cond, "unramified", cond.target.parts, str(exc), False)
-        observed = tuple(sorted(seq, reverse=True))
-        return ConditionRecord(
-            cond, "unramified", cond.target.parts, observed,
-            observed == cond.target.parts,
-        )
-
-    bp = manifest.branch_points[cond.branch]
-    strict = gcd(cond.d, bp.e // cond.d) == 1
-    mode = "full" if strict else "inertia-only"
+        mode, predicted = "unramified", cond.target.parts
+    else:
+        bp = manifest.branch_points[cond.branch]
+        strict = gcd(cond.d, bp.e // cond.d) == 1
+        mode, predicted = "full" if strict else "inertia-only", ()
     try:
-        shape = padic_shape(local_model(manifest, s0, t0, cond.p), cond.p)
-    except (NotSquarefree, NotPIntegral, WildPrime) as exc:
-        return ConditionRecord(cond, mode, (), str(exc), False)
+        shape = _shape(h, cond.p, disc)
+    except (NotSquarefree, WildPrime) as exc:
+        return ConditionRecord(cond, mode, predicted, str(exc), False)
+    if isinstance(cond, Unramified):
+        # with every e = 1 the pairs (1, f) run by f descending, so observed
+        # is the splitting type; otherwise it is the pairs, which no type equals
+        unramified = all(e == 1 for e, _ in shape.pairs)
+        observed = tuple(f for _, f in shape.pairs) if unramified else shape.pairs
+        return ConditionRecord(cond, mode, predicted, observed, observed == predicted)
+
     if not strict:
         predicted = power_cycle_type(bp.inertia_generator, cond.d).parts
         observed = _expand(shape.pairs)
@@ -721,7 +724,8 @@ def verify(
     _check_n_id(n_id)
     validate_conditions(manifest, conditions)
     spec, t0 = specialization(manifest, s0), rational(t0)
-    records = tuple(_check_condition(manifest, spec.s0, t0, c) for c in conditions)
+    h, disc = local_model(manifest, spec.s0, t0)
+    records = tuple(_check_condition(manifest, spec.s0, h, disc, c) for c in conditions)
     summary = _identify(manifest, spec, t0, conditions, n_id, seed) if n_id else None
     return SpecializationReport(spec.s0, t0, records, summary)
 
@@ -742,7 +746,7 @@ class CensusRow:
 def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     """One row per (t0, prime): predicted inertia class against the measured
     p-adic shape.  Returns (rows, bad reason map); rows over good primes
-    must all match.  A cell with p ∤ disc g reads unramified directly, and
+    must all match.  A cell with p ∤ disc h reads unramified directly, and
     every other good cell is measured (module docstring).  observed never
     reads the bad-prime set; with a sound set no row could tell, since for
     a good p and an integer t0 meeting a branch point forces p | disc(t0).
@@ -753,19 +757,13 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     s0 = spec.s0
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
-    n = m.f.degree()
-    unramified = CycleType((1,) * n)
+    unramified = CycleType((1,) * m.f.degree())
 
     rows = []
     for t0 in range(t_lo, t_hi + 1):
-        coeffs, disc = spec.fibre(t0)
+        h, disc = local_model(m, s0, t0)
         if disc == 0:
             continue  # exactly on a branch point: no number field to read
-        # a leaf denominator can put p in the fibre's, so the model is the
-        # fibre's integral rescaling
-        d = lcm(*(c.denominator for c in coeffs))
-        g = UniPoly(_rescaled(coeffs, d), "X")
-        g_disc = int(disc * d ** (n * (n - 1)))  # g is monic and integral
         for p in ps:
             if p in bad:
                 reasons = ";".join(bad[p])  # comma is the CSV delimiter
@@ -773,10 +771,10 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                 continue
             prediction = predict_any(m, s0, t0, p)
             predicted = unramified if prediction is None else prediction.generator_class
-            if g_disc % p:
+            if disc % p:
                 observed = unramified
             else:
-                observed = CycleType(_expand(_shape(g, p, g_disc).pairs))
+                observed = CycleType(_expand(_shape(h, p, disc).pairs))
             rows.append(
                 CensusRow(
                     s0, t0, p, str(predicted), str(observed),

@@ -56,7 +56,7 @@ def test_criterion_1_flagship_prime_grid():
             if p in (2, 3, 7) or is_bad_prime(m, s0, p):
                 continue
             t0 = Fraction(1, p)  # u0 = p has valuation exactly 1
-            shape = padic_shape(local_model(m, s0, t0, p), p)
+            shape = padic_shape(local_model(m, s0, t0)[0], p)
             expected = KLEIN_SHAPE if legendre(s0 * s0 - 4 * s0, p) == -1 else SPLIT_SHAPE
             assert shape.pairs == expected, (s0, p, shape.pairs)
             good += 1

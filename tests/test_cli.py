@@ -73,6 +73,111 @@ def readme_commands() -> list:
     return [shlex.split(line)[1:] for line in lines if line.startswith("galspec ")]
 
 
+# (exit code, sha256 of stdout, sha256 of stderr) of CLI commands, so that
+# a change to the bytes the CLI prints is a deliberate one: every command
+# of the README's block, and more runs of each subcommand, an exit 2 and a
+# census that refuses a t0 included
+PINNED_COMMANDS = {
+    "branch --manifest psl32 --s0 1": (
+        0,
+        "b810e7364c253672de8abd539cac66371426a2960c11cfe797e7b6c8bbdc2532",
+        "11c5204a54f2cf370feb432404b34bd793dc5e63df1ac49fd473f8eb6b5c5c7d",
+    ),
+    "badprimes --manifest psl32 --s0 1 --bound 3000": (
+        0,
+        "9903b8cc2dd1415e09b404d4c37d8624e178fd3aef171009d4f4928be4d41e6f",
+        "eefa6750617eea470fcc072337eb7949087d489042a29870573ec20510f4c127",
+    ),
+    "predict --manifest x2mt --t0 12 --p 3": (
+        0,
+        "53fee55f0c8553e41f4b361d59393dbb263d69e190f1d4273b8dbe65ac8d99dd",
+        "c5bdc183f7fc63485d369550fca3f4d049b3ea377b852035f4d7ad66598275fd",
+    ),
+    "predict --manifest psl32 --s0 1 --t0 1/11 --p 11": (
+        0,
+        "2c928579fb691a4b3f6919aec5da5bc2440210e1efe2e4459e26e270e609c041",
+        "1607446a8cd7610df90fa59da955613a01028e45a5e4b60b5beec2fac8f5d3fa",
+    ),
+    "search --manifest psl32 --cond p=7,branch=inf,d=1,frob=2": (
+        0,
+        "03b3a9017ea49f1aaf266dccbbfd7daaad272275417cf04edfb9b7eef9995360",
+        "d9c3a018a2c3112352b5ca9a506f96cf163f17271ec678663870e35dbbd7fbe0",
+    ),
+    "verify --manifest x2mt --t0 57 --cond p=3,branch=0,d=1 --cond p=7,unram,type=1,1 --cond p=11,unram,type=2": (
+        0,
+        "051aec08ab333772dab703e2b79317c6a69e37b89e430827ff40ba7c36ebaf36",
+        "9048e43a9dae21900d1c9569ba5e000e757970ce312330cf0f41d7eb86e1b953",
+    ),
+    "identify --manifest psl32 --s0 1 --samples 300 --seed 0": (
+        0,
+        "a436736cecf03284123df959bbdb7f53de24c9d407fc408345437ab94d8824fe",
+        "53449b06393266994f910caf8cab94b982c51bf39f9dab40659fcb47033b2c51",
+    ),
+    "census --manifest x3mt --t-range=-500..500 --p-max 97 --out census.csv": (
+        0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b04012a3b30cb4103f3b37bb07dabdf3d0d5eb4fde17541eaf0019a48b3cec6e",
+    ),
+    "branch --manifest psl32": (
+        0,
+        "2c60e2ac9b7286d69b2a8fed9828a38cb22aec0c6a05064e81cd18ece0c52dde",
+        "11c5204a54f2cf370feb432404b34bd793dc5e63df1ac49fd473f8eb6b5c5c7d",
+    ),
+    "branch --manifest x3mt": (
+        0,
+        "7a3dd21412218e0d66020f1633893478da3a8f003f3e3510a9e6ec6779a7f83e",
+        "fc771f576ae4b00d501ec205aa8963a5a5b3dba532191db31c2330eda8795b2d",
+    ),
+    "branch --manifest x2mt --s0 3": (
+        0,
+        "224b507e5518b7666a470711038d29efdec4e535169882222d991e6b7c44f558",
+        "73dc46de60079f4ab769de12526e7cc3b709f656aaf5507fc9f3bcc85e844c87",
+    ),
+    "predict --manifest psl32 --t0 1 --p 11": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c66fd657b2776e9f82d706917927132e8d08a5dfea0f14445346aec45c52c776",
+    ),
+    "search --manifest x3mt --cond p=7,branch=0,d=1": (
+        0,
+        "e048c44f79ce579fae7d65577c18bf28d41626caf436f3779f079d7cef077d7e",
+        "335122077ca0c828597b67511d09d3d4323bccee78dea65f14a25950750ae79f",
+    ),
+    "search --manifest x3mt --cond p=13,unram,type=3": (
+        0,
+        "9816130bf1244cb81824527824931708ef532c786d0e2301367f7c19cba03945",
+        "a4227bb219af69a1d202abf1840777de410c4c63cd9c9ffb46af689a9c8c66ee",
+    ),
+    "verify --manifest psl32 --s0 1 --t0 1/11 --cond p=11,branch=inf,d=1,frob=2 --n-id 50": (
+        0,
+        "9917e7d213cadc209f1a14c7212d7be210002a39c5d0ebc26f5243a3d8785379",
+        "946c1b12ea280e1cf64ec7c8318c62bec97abf4b4cbf58cb7ebe0f0be5d8ab5f",
+    ),
+    "identify --manifest psl32 --s0 2 --seed 3": (
+        0,
+        "a068832cca247ed53075348d49339263c9424cd66274393ef33dbeca087f1325",
+        "381a4461646b49cb9068c5ba4d22e75be8449a3ac2fd356457f41dc53db4a8e8",
+    ),
+    "census --manifest x3mt --t-range=-200..200 --p-max 97": (
+        0,
+        "336277ef17d479b39578098b748c9f1d834b95e90f942be4f3e92569c8c951d2",
+        "471a168ecd4510e7ec22072cf751fde8640f2860def5503938a5b33cf6df708f",
+    ),
+    "census --manifest x2mt --t-range=-200..200 --p-max 97": (
+        0,
+        "26683ad19cf52b6f03ec0e23efd47ea3066582d539825c0de7af30259a60ee8f",
+        "f7d3fdd1cd85c291578b855118b862be2206c8607877c7989e18aef3de77891a",
+    ),
+    "census --manifest psl32 --s0 3/7 --t-range=-3..3 --p-max 60": (
+        0,
+        "71a132058da7f785b273dfdc7dad20789c0f08efa6859e3751525c89dbedc0fe",
+        "75c1b9d5d8f452f2cfca108f5484fa232a5362aa8df80cec8014d1d2450a46d1",
+    ),
+}
+# census.csv as the README's census command writes it
+README_CENSUS_CSV = "37f0a6904a988eaa1179c804054981abd340d2ab9310fce051b4a988680c0042"
+
+
 class TestManifestLoading:
     def test_builtin_bare_name(self, capsys):
         code, _ = run(capsys, "branch", "--manifest", "x2mt")
@@ -321,6 +426,30 @@ class TestVerify:
         assert record["observed"] == [2]
         assert record["predicted"] == [1, 1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 3 divides disc(X^2 - 18) but not that of Q(sqrt 18) = Q(sqrt 2)
+            ["--manifest", "x2mt", "--t0", "18", "--cond", "p=3,unram,type=2", "--n-id", "0"],
+            # t0 = 1/121 meets the branch point at infinity with contact 2
+            ["--manifest", "psl32", "--s0", "1", "--t0", "1/121",
+             "--cond", "p=11,unram,type=2,2,1,1,1"],
+        ],
+    )
+    def test_unramified_prime_dividing_the_model_discriminant_passes(self, capsys, argv):
+        code, payload = run(capsys, "verify", *argv)
+        assert code == 0
+        assert payload["records"][0]["passed"] is True
+
+    def test_ramified_prime_fails_an_unramified_condition_with_its_shape(self, capsys):
+        # v_3(27) = 3 is odd: 3 ramifies in Q(sqrt 27) = Q(sqrt 3)
+        code, payload = run(
+            capsys, "verify", "--manifest", "x2mt", "--t0", "27",
+            "--cond", "p=3,unram,type=2", "--n-id", "0",
+        )
+        assert code == 1
+        assert payload["records"][0]["observed"] == [[2, 1]]
+
     def test_malformed_condition_is_usage_error(self, capsys):
         code, _ = run(
             capsys, "verify", "--manifest", "x2mt", "--t0", "12", "--cond", "p=oops"
@@ -545,7 +674,7 @@ class TestCensus:
         assert [r[1] for r in at3] == ["0", "1", "2", "3"]
         m = load_manifest(ninth_manifest())
         for r in at3:
-            shape = padic_shape(p_integral_model(local_model(m, 0, int(r[1]), 3), 3), 3)
+            shape = padic_shape(p_integral_model(local_model(m, 0, int(r[1]))[0], 3), 3)
             assert r[4] == str(CycleType(tuple(e for e, f in shape.pairs for _ in range(f))))
 
     def test_bad_t_range_is_usage_error(self, capsys):
@@ -625,6 +754,16 @@ class TestReadme:
             assert main(argv) == 0, argv
             capsys.readouterr()
         assert (tmp_path / "census.csv").read_text().startswith("s0,t0,p,")
+
+    def test_pinned_commands_are_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert {shlex.join(argv) for argv in readme_commands()} <= PINNED_COMMANDS.keys()
+        sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        for line, pin in PINNED_COMMANDS.items():
+            code = main(shlex.split(line))
+            out, err = capsys.readouterr()
+            assert (code, sha(out), sha(err)) == pin, line
+        assert sha((tmp_path / "census.csv").read_text()) == README_CENSUS_CSV
 
 
 class TestMalformedInput:

@@ -399,10 +399,10 @@ class TestVerify:
 
     def test_unreadable_fibres_are_failing_records(self):
         x2mt = builtin_manifest("x2mt")
-        # X^2 - 7 is X^2 mod 7: no splitting type to read
+        # X^2 - 7 is ramified at 7: its shape, which no splitting type equals
         (record,) = verify(x2mt, 0, 7, [Unramified(7, CycleType((1, 1)))], n_id=0).records
         assert (record.mode, record.observed, record.passed) == (
-            "unramified", "repeated factor mod 7", False,
+            "unramified", ((2, 1),), False,
         )
         # at t0 = 0 the fibre X^2 is not squarefree, so there is no p-adic shape
         (record,) = verify(x2mt, 0, 0, [Ramified(7, 0, 1)], n_id=0).records
@@ -414,6 +414,25 @@ class TestVerify:
         assert (record.mode, record.predicted, record.observed, record.passed) == (
             "full", (), "repeated factor mod 7", False,
         )
+
+    def test_unramified_conditions_read_the_field_not_the_model(self):
+        # 3 divides disc(X^2 - t0) at each x2mt t0 here, and 3 is unramified
+        # exactly when v_3(t0) is even: at 18 (Q(sqrt 2), 3 inert) and at 9
+        # (contact e = 2 with t = 0, so inertia tau^2 = 1; X^2 - 9 splits).
+        # At s0 = 1/7, X^3 - s t at t0 = 2 is not 7-integral; its integral
+        # model Y^3 - 98 is totally ramified at 7
+        x2mt, cube = builtin_manifest("x2mt"), load_manifest(cube_manifest())
+        cases = [
+            (x2mt, 0, 18, 3, (2,), (2,), True),
+            (x2mt, 0, 9, 3, (1, 1), (1, 1), True),
+            (x2mt, 0, 27, 3, (2,), ((2, 1),), False),
+            (cube, Fraction(1, 7), 2, 7, (3,), ((3, 1),), False),
+        ]
+        for m, s0, t0, p, target, observed, passed in cases:
+            (record,) = verify(m, s0, t0, [Unramified(p, CycleType(target))], n_id=0).records
+            assert (record.mode, record.observed, record.passed) == (
+                "unramified", observed, passed,
+            ), (m.name, t0)
 
     def test_frobenius_drift_detected(self):
         # s0 = 1 realizes the trivial residue Frobenius at 7, so an x = 2
@@ -668,14 +687,15 @@ class TestCensus:
                 met.add(pred.branch)
             else:
                 predicted = CycleType((1, 1, 1, 1))
-            shape = padic_shape(local_model(m, 1, r.t0, r.p), r.p)
+            shape = padic_shape(local_model(m, 1, r.t0)[0], r.p)
             observed = CycleType(tuple(e for e, f in shape.pairs for _ in range(f)))
             assert (r.predicted, r.observed) == (str(predicted), str(observed)), r
             assert r.match == "true"
         assert met == {0, 1}
 
     def test_bound_discriminant_is_the_fibre_discriminant(self):
-        # census hands spec.disc at t0 to padic._shape as disc_X of its model
+        # census and verify hand local_model's disc h to padic._shape as
+        # disc_X of its model h
         cases = [
             (builtin_manifest("x3mt"), 0),
             (builtin_manifest("x2mt"), 0),
@@ -685,26 +705,23 @@ class TestCensus:
             (load_manifest(twobranch_manifest()), 1),
         ]
         for m, s0 in cases:
-            spec = specialization(m, s0)
             for t0 in range(-30, 31):
-                model = local_model(m, s0, t0, 2)
-                assert spec.disc.evaluate(Fraction(t0)) == discriminant_in(model, "X"), (s0, t0)
+                model, disc = local_model(m, s0, t0)
+                assert disc == discriminant_in(model, "X"), (s0, t0)
 
     def test_cell_route_matches_public_shape_on_flagship(self):
         # degree-7 fibres with Fraction coefficients at s0 = 3/7
         m = builtin_manifest("psl32")
         for s0 in (1, Fraction(3, 7)):
-            spec = specialization(m, s0)
             bad = {r.p for r in bad_primes(m, s0, bound=97)}
             ps = [p for p in primes_up_to(97) if p not in bad]
             for t0 in range(-20, 21):
-                disc = spec.disc.evaluate(Fraction(t0))
+                model, disc = local_model(m, s0, t0)
                 if disc == 0:
                     continue
-                model = local_model(m, s0, t0, 2)
                 for p in ps:
                     cell = _outcome(_shape, model, p, disc)
-                    public = _outcome(padic_shape, local_model(m, s0, t0, p), p)
+                    public = _outcome(padic_shape, model, p)
                     assert cell == public, (s0, t0, p)
 
 

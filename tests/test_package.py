@@ -8,10 +8,10 @@ by one judge, and no module factors an integer: exceptional primes are
 decided by divisibility, like bad primes, and residue reads that fail
 raise ffact's own exceptions.  p-adic chains stop at a bound read off the
 discriminant, not at a stage cap, and integer valuations run one loop.
-grunwald builds every fibre model with one rescaling, census reads a
-cell unramified by p ∤ disc of its integral model alone and keeps no
-table or memo, and the t-line search reads a residue as the sampler
-does.  Each polynomial job has one entry point, resultants and gcds
+grunwald builds one fibre model, which census and verify both measure,
+verify reads every condition by padic._shape, census reads a cell
+unramified by p ∤ disc of that integral model alone and keeps no table
+or memo, and the t-line search reads a residue as the sampler does.  Each polynomial job has one entry point, resultants and gcds
 included, and every library entry point refuses a float."""
 
 import ast
@@ -186,14 +186,21 @@ def test_padic_chains_have_no_stage_cap():
 
 
 def test_fibre_models_share_one_rescaling_and_one_readability_rule():
-    # _rescaled builds local_model's and census's models; p ∤ disc g decides
-    # census's direct unramified read, and the sampler's rule reads the
-    # search's residues
+    # local_model's integral model, built by _rescaled, is the one census and
+    # verify measure, with no chart switch; p ∤ disc h decides census's
+    # direct unramified read, _check_condition reads every condition by
+    # padic._shape alone, and the sampler's rule reads the search's residues
     assert not hasattr(grunwald, "_monic_model")
     assert not hasattr(grunwald, "_integral_model")
     census = _function("grunwald.py", "census")
     names = {node.id for node in ast.walk(census) if isinstance(node, ast.Name)}
     assert "_leaf_denominator" not in names
+    assert "local_model" in _called(census)
+    assert "local_model" in _called(_function("grunwald.py", "verify"))
+    check = _called(_function("grunwald.py", "_check_condition"))
+    assert "_shape" in check and not check & {"degree_sequence", "padic_shape"}
+    model = _called(_function("grunwald.py", "local_model"))
+    assert "_rescaled" in model and "valuation" not in model
     split = _called(_function("grunwald.py", "_split_congruence"))
     assert "degree_sequence" not in split and "_tally_fibres" in split
 
@@ -279,7 +286,7 @@ def _float_calls():
         "inertia_order_probe": lambda: family.inertia_order_probe(x2mt, 0, 0.1),
         "branch_locus": lambda: family.branch_locus(x2mt.f, 0.1),
         "predict_any": lambda: beckmann.predict_any(x2mt, 0, 0.1, 5),
-        "local_model": lambda: grunwald.local_model(x2mt, 0, 0.1, 5),
+        "local_model": lambda: grunwald.local_model(x2mt, 0, 0.1),
         "verify": lambda: grunwald.verify(x2mt, 0, 0.1, [grunwald.Ramified(3, 0, 1)], n_id=0),
         "frobenius_in_residue_field": lambda: grunwald.frobenius_in_residue_field(rho, 0.1, 7),
         "reduce_mod_p": lambda: ffact.reduce_mod_p([0.1, 1], 7),
