@@ -21,8 +21,8 @@ from galspec.family import (
     require_nondegenerate,
 )
 from galspec.permgrp import Perm, generate
-from galspec.poly import UniPoly, format_poly, parse_poly
-from test_beckmann import twobranch_manifest
+from galspec.poly import UniPoly, parse_poly
+from test_beckmann import nesting, twobranch_manifest
 from test_grunwald import ninth_manifest
 
 
@@ -496,66 +496,71 @@ class TestInertiaProbe:
 
 
 def loaded_texts(m) -> dict:
-    """Every polynomial the loader derives, as text: the discriminant, its
-    squarefree part, the locus, the s-guards and each branch point's data."""
+    """Every polynomial the loader derives, as its nested coefficient tuple
+    by repr: the discriminant, its squarefree part, the locus, the s-guards
+    with their labels and each branch point's data."""
     texts = {
-        "disc": str(m.disc),
-        "squarefree_disc": str(m.squarefree_disc),
-        "locus": f"{[str(c) for c in m.locus.points]} {m.locus.residual} {m.locus.infinity}",
-        "s_guards": "; ".join(f"{label}: {g}" for label, g in m.s_guards),
+        "disc": repr(nesting(m.disc)),
+        "squarefree_disc": repr(nesting(m.squarefree_disc)),
+        "locus": repr((m.locus.points, nesting(m.locus.residual), m.locus.infinity)),
+        "s_guards": repr([(label, nesting(g)) for label, g in m.s_guards]),
     }
     for i, bp in enumerate(m.branch_points):
-        location = "inf" if bp.is_infinite else format_poly(bp.location)
+        location = "inf" if bp.is_infinite else nesting(bp.location)
         elements = " ".join(str(g) for g in bp.decomposition.elements)
-        texts[f"branch point {i}"] = f"{location} {bp.e} {bp.inertia_generator} [{elements}] {bp.rho}"
+        texts[f"branch point {i}"] = repr(
+            (location, bp.e, str(bp.inertia_generator), elements, nesting(bp.rho))
+        )
     return texts
 
 
 class TestLoadedManifestPins:
     """sha256 of loaded_texts: a change to the resultant, gcd or squarefree
-    machinery must leave every loaded manifest as it was.  disc, s_guards and
-    the branch points are pinned as taken at b588651; squarefree_disc and
-    the locus as retaken when they moved to the integer normal form."""
+    machinery must leave every loaded manifest as it was.  The texts are the
+    nested coefficient tuples, not the printed polynomials, so a change to
+    format_poly leaves every pin as it is; they were retaken in that form at
+    fb551e5.  The s-guard labels print locations in s alone, whose one-level
+    text the printer has never changed."""
 
     PINS = {
         "psl32": {
-            "disc": "d564136dc687f67f7f0054e530b4963eaebaaa7229fe6a52391d45e14fe3661b",
-            "squarefree_disc": "faa830d710b2bd7737cf32ee499e828ee36d6a68d8f28b8bf86e0130bb2944e3",
-            "locus": "be3fb1cf001410809fb6888e266217b11ab08cad9b00c3da6285bd6ea83e3f61",
-            "s_guards": "fdfd7838e49ca0fcc8005fd531da30d5a0152293ee7c9ec3b7035c8b7919fa55",
-            "branch point 0": "b3ebe4bfaf265b3ab0747847f00a2259ddcb1977d801faaae1d34ba85cdcae85",
+            "disc": "26574a6d40c2c0d61148d62a5060f554a098ea7b974aaa947ed24e53a4999492",
+            "squarefree_disc": "2e19d24b37fa7c13803189b159a084c752ecabf5de6e00aa3155b602b86cff9c",
+            "locus": "57b69deb62e92676751d7d801b0da924f436c55eb5f2cd593bfb36746b789513",
+            "s_guards": "6db3422564b1f13bf182dc2619d39bb54051cfd7b5032619b619d1bb26a1d498",
+            "branch point 0": "c3c0b43f8b57703fae87e29e9ffc82cf199ad60322b13034412a0ea3e6e2c595",
         },
         "x2mt": {
-            "disc": "817393c289e8be8b03a1d4de3011f91909ec1657d9b34381a1633b49cf8b6dc4",
-            "squarefree_disc": "0f823f96280830c85ceb972272b4593d450154a51079a455f022771e0e29560d",
-            "locus": "f1b39de9d32bffee0338f36cc6643c802e64b685867b94a7a8de09cf406a22f7",
-            "s_guards": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "branch point 0": "c4053652a9f482b9b621115da0f1a31824ba75e8af90dadc7e8e2eab64e57fa6",
-            "branch point 1": "8847342b345a81fe08b449793b6681caaee8a458f66060ec4e41d416ee88cf11",
+            "disc": "bb0521623d19ba06db7050e258729ddaa6585d44a59354d491875c22194498d2",
+            "squarefree_disc": "9c0d068047daaf4aeb1e8de8812d0d42b023d5018bcaf3db736bba92d479d688",
+            "locus": "c229710eb56367baf705f4b930af95c5a0fbe3d41b7b30c718e22e4c67b73745",
+            "s_guards": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "branch point 0": "c1a261ec0dc4423e63647d9b511ca2039d753579f989cda465c03ab96c228b5e",
+            "branch point 1": "6bcfa7a3aa06da1d899f460661c20f00ff0222e82e9ae823066c1f8a8be3a880",
         },
         "x3mt": {
-            "disc": "ba9cbcd258d13e5c43ff6600ee9b591c542c274d5bac032dbb60888ae925f41c",
-            "squarefree_disc": "0f823f96280830c85ceb972272b4593d450154a51079a455f022771e0e29560d",
-            "locus": "f1b39de9d32bffee0338f36cc6643c802e64b685867b94a7a8de09cf406a22f7",
-            "s_guards": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "branch point 0": "2495b1410a35fd83d6afeb135c3fa362b01147e69513f5bda261e0645f936b4c",
-            "branch point 1": "8b9b88778dd1046970380a6cc4b1e1b3260ee9fd1bb5ba1705c0a6c2b8fb8d80",
+            "disc": "f43ec2d9c3c96101c4412647050fce1217bcbd8a8de19ba7d15b3eed55841948",
+            "squarefree_disc": "9c0d068047daaf4aeb1e8de8812d0d42b023d5018bcaf3db736bba92d479d688",
+            "locus": "c229710eb56367baf705f4b930af95c5a0fbe3d41b7b30c718e22e4c67b73745",
+            "s_guards": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "branch point 0": "809966ead486baf515f91749a9365d2fd427b658d44dad485508f9c5c177e8f0",
+            "branch point 1": "40689dce9f5b79052b50ca771c9c4b1c83d69aa5b2a4df6800ca0741883bf09f",
         },
         "twobranch": {
-            "disc": "680009320a131efa057aae8c3501089a95d9aebaeeda64a28ce7fe109878cea6",
-            "squarefree_disc": "3c15850a445f75613ac3a3971a5d9ef19e72bc650ede678fbbd77b891d21cb11",
-            "locus": "fee0bd10def8874cd491183f725d3fcc78f36928f1746eb089197b2f517408a8",
-            "s_guards": "33c673573619128be3479d8cd6fb56e1617e1f72edd45027ded2a3b153b98437",
-            "branch point 0": "b830ef02c6a4ac4d7f20238c2952340136122dd29b9a11fc01fcc4648348961f",
-            "branch point 1": "b84b932b14fc35d6f1df030e385b770950a5c9d2a3c123599ebf0add43999252",
+            "disc": "15ec870c71a6ec67eec24de1cb315551a9cff9ddf84efd63ebb755b275d28f13",
+            "squarefree_disc": "74a81b067a3f6b3269b63a6d06dd562eb272d041512604c3ec2c8ed1a61a8132",
+            "locus": "cf98a284563d87df947931b16c5ac6f96de6d8bd7f0f4912a8d60f7ac08c8a0d",
+            "s_guards": "05fadfd7c68f0198c836cf5a2fc0c6c68bcaaeb0a102bd053f068d28f0eefc2c",
+            "branch point 0": "2a300bcf0e54a72d7e763c42ba6972ebbbfd86833e93c85bf6fa7ff998655a19",
+            "branch point 1": "7bc18ce4f2760588233b88a49e7b92bf5900cb3e87a6c21350e840a7cf0c1656",
         },
         "ninth": {
-            "disc": "123125234fc38ec289d8db29d952814491128c36c2b76a438e305d6123c22698",
-            "squarefree_disc": "fe57c79b8e78bd8b5e30e4d74288570a2ed0ce32ffc68c6fefe302742fd4d21a",
-            "locus": "73bbb409496b3f0f48243ab9ca914bdd9a2527cdd44e838f6fb32a1c58dc4364",
-            "s_guards": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "branch point 0": "7c3ce6c56851bec2a3913d53c06d8a42828a4d3610a5922ed6d0f3eecd647e97",
-            "branch point 1": "8847342b345a81fe08b449793b6681caaee8a458f66060ec4e41d416ee88cf11",
+            "disc": "ddfa8d11f81acea97501218b785863e0ca2eb9076459f7222aeb4d8c54458a43",
+            "squarefree_disc": "18e7c4242df9c4b2fdca505bb52390b5d85a53bec739ed739727299477f97b71",
+            "locus": "d4ac68eac330534f59e29d4832bd695ea5a373139b9f967b9d30337d0fcaae8f",
+            "s_guards": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "branch point 0": "e12f10e82b0632bcd91bc275148c3affaf55fe99bb0e2b2cdc46a84c5794bf81",
+            "branch point 1": "6bcfa7a3aa06da1d899f460661c20f00ff0222e82e9ae823066c1f8a8be3a880",
         },
     }
 
