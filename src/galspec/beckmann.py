@@ -303,7 +303,9 @@ def predict_any(manifest: FamilyManifest, s0, t0, p: int):
 def predict_inertia(manifest: FamilyManifest, i: int, s0, t0, p: int):
     """predict_any, held to the declared branch point i: an
     InertiaPrediction when t0 meets it, an UnramifiedPrediction when t0
-    meets nothing, and ValueError when t0 meets another branch point."""
+    meets nothing, and ValueError when t0 meets another branch point.  No
+    module calls it; it stays as the README's entry point for a prediction
+    held to one branch point, which bench/spans.py traces by name."""
     if not 0 <= i < len(manifest.branch_points):
         raise IndexError(f"no branch point with index {i}")
     prediction = predict_any(manifest, s0, t0, p)

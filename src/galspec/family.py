@@ -17,7 +17,10 @@ that for one branch point at one parameter value s0, on request: a
 Newton-polygon probe must reproduce the declared cycle type, and ambiguous
 polygons are refused rather than guessed.
 
-A branch point at t = infinity is handled on the u = 1/t chart throughout.
+Only grunwald's search (in u when every ramified condition is at infinity)
+and inertia_order_probe (through infinity_chart) use the u = 1/t chart;
+beckmann.predict_any reads t0 = a/b's contact with t = infinity as
+v_p(b) - v_p(a), and grunwald.local_model has no chart.
 """
 
 from __future__ import annotations
@@ -237,8 +240,7 @@ def branch_locus(f: UniPoly, s0) -> BranchLocus:
 
 # -- manifest loading ---------------------------------------------------------
 
-# infinity_transformed is accepted and ignored: the 1/t chart is always derived
-_MANIFEST_KEYS = {"name", "poly", "group_generators", "branch_points", "infinity_transformed"}
+_MANIFEST_KEYS = {"name", "poly", "group_generators", "branch_points"}
 _BRANCH_KEYS = {"location", "e", "inertia_generator", "decomposition_generators", "residue_subextension"}
 
 

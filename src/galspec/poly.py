@@ -444,57 +444,46 @@ def parse_poly(text: str) -> TriPoly:
 
 
 def format_poly(p) -> str:
-    """Human-readable form, highest degree first, parseable back."""
-    if isinstance(p, (int, Fraction)):
+    """Canonical text, highest degree first, parseable back: a polynomial
+    constant at its own level prints as that constant, a coefficient that
+    prints as 1 or -1 folds into its monomial, any other prints as
+    text*monomial, in parentheses only when it has two or more nonzero
+    coefficients of its own, and the constant term joins the sum bare, as
+    in X^2 - s^2 + 4*s."""
+    p = _own_level(p)
+    if not isinstance(p, UniPoly):
         return format_rat(p)
-    if not p:
-        return "0"
     parts = []
     for i in range(p.degree(), -1, -1):
-        c = p.coeff(i)
+        c = _own_level(p.coeffs[i])
         if not c:
             continue
-        if i == 0:
-            mono = ""
-        elif i == 1:
-            mono = p.var
-        else:
-            mono = f"{p.var}^{i}"
-        if isinstance(c, UniPoly):
-            cs = format_poly(c)
-            if c.degree() > 0 or (c.degree() == 0 and not _scalar_like(c)):
-                cs = f"({cs})"
-            text = f"{cs}*{mono}" if mono else cs
-        else:
-            if c == 1 and mono:
-                text = mono
-            elif c == -1 and mono:
-                text = f"-{mono}"
-            else:
-                text = f"{format_rat(c)}*{mono}" if mono else format_rat(c)
+        text = format_poly(c)
+        if i:
+            mono = p.var if i == 1 else f"{p.var}^{i}"
+            if isinstance(c, UniPoly) and sum(map(bool, c.coeffs)) > 1:
+                text = f"({text})"
+            text = text[:-1] + mono if text in ("1", "-1") else f"{text}*{mono}"
         parts.append(text)
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
+    # no part holds " + -": each one is already in this form
+    return " + ".join(parts).replace(" + -", " - ")
 
 
-def _scalar_like(c: UniPoly) -> bool:
-    while isinstance(c, UniPoly):
-        if c.degree() > 0:
-            return False
-        c = c.coeff(0) if c.coeffs else 0
-    return True
+def _own_level(p):
+    """p without the levels at which it is constant: its first level of
+    positive degree, or its scalar leaf."""
+    while isinstance(p, UniPoly) and p.degree() < 1:
+        p = p.coeff(0)
+    return p
 
 
 def constant_value(p):
     """Collapse a polynomial that is constant in every variable to its
     scalar leaf (an int when integral, else a Fraction)."""
-    while isinstance(p, UniPoly):
-        if p.degree() > 0:
-            raise ValueError(f"{p} is not constant")
-        p = p.coeff(0) if p.coeffs else 0
-    return p
+    leaf = _own_level(p)
+    if isinstance(leaf, UniPoly):
+        raise ValueError(f"{p} is not constant")
+    return leaf
 
 
 # -- specialization ----------------------------------------------------------

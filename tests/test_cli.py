@@ -75,12 +75,12 @@ def readme_commands() -> list:
 
 # (exit code, sha256 of stdout, sha256 of stderr) of CLI commands, so that
 # a change to the bytes the CLI prints is a deliberate one: every command
-# of the README's block, and more runs of each subcommand, an exit 2 and a
-# census that refuses a t0 included
+# of the README's block, and more runs of each subcommand, an exit 1, an
+# exit 2 and a census that refuses a t0 included
 PINNED_COMMANDS = {
     "branch --manifest psl32 --s0 1": (
         0,
-        "b810e7364c253672de8abd539cac66371426a2960c11cfe797e7b6c8bbdc2532",
+        "49d055b27c0fa17501dfa2237f5c8c69254345cca228fca095f805754ed1a254",
         "11c5204a54f2cf370feb432404b34bd793dc5e63df1ac49fd473f8eb6b5c5c7d",
     ),
     "badprimes --manifest psl32 --s0 1 --bound 3000": (
@@ -120,12 +120,12 @@ PINNED_COMMANDS = {
     ),
     "branch --manifest psl32": (
         0,
-        "2c60e2ac9b7286d69b2a8fed9828a38cb22aec0c6a05064e81cd18ece0c52dde",
+        "c62d23d770c7e4e5fe59ef3619fda5f8377c6d3585fe96f8f545af88e1d84920",
         "11c5204a54f2cf370feb432404b34bd793dc5e63df1ac49fd473f8eb6b5c5c7d",
     ),
     "branch --manifest x3mt": (
         0,
-        "7a3dd21412218e0d66020f1633893478da3a8f003f3e3510a9e6ec6779a7f83e",
+        "5fed52651dc13de71f1a9b566b7803ce818c5009734dad5a24b698a97f8a1d64",
         "fc771f576ae4b00d501ec205aa8963a5a5b3dba532191db31c2330eda8795b2d",
     ),
     "branch --manifest x2mt --s0 3": (
@@ -147,6 +147,14 @@ PINNED_COMMANDS = {
         0,
         "9816130bf1244cb81824527824931708ef532c786d0e2301367f7c19cba03945",
         "a4227bb219af69a1d202abf1840777de410c4c63cd9c9ffb46af689a9c8c66ee",
+    ),
+    # exit 1, unrealizable: 5 is not 1 mod 3, so cubing permutes the units
+    # mod 5 and X^3 - u has one root mod 5 for every 5-adic unit u; every
+    # other t0 ramifies at 5 or rescales to that case
+    "search --manifest x3mt --cond p=5,unram,type=1,1,1": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a92e4fe30324e3bf87be4cc710f03438cfa1e19f2c3ef933f2bb2653f87cdbc9",
     ),
     "verify --manifest psl32 --s0 1 --t0 1/11 --cond p=11,branch=inf,d=1,frob=2 --n-id 50": (
         0,

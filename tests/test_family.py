@@ -253,10 +253,12 @@ class TestLoadValidation:
         assert m.group is None
 
     def test_unknown_field(self):
-        raw = self.base()
-        raw["galois_group"] = "C2"
-        with pytest.raises(ManifestInconsistent, match="unknown manifest fields"):
-            load_manifest(raw)
+        # infinity_transformed would ask for a 1/t chart the loader never applies
+        for key, value in (("galois_group", "C2"), ("infinity_transformed", True)):
+            raw = self.base()
+            raw[key] = value
+            with pytest.raises(ManifestInconsistent, match="unknown manifest fields"):
+                load_manifest(raw)
 
     def test_unknown_branch_field(self):
         raw = self.base()

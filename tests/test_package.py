@@ -216,10 +216,12 @@ def test_census_builds_one_dict():
 
 def test_each_polynomial_job_has_one_entry_point():
     # s is bound by specialize, a constant built by the UniPoly constructor,
-    # a quotient taken by divmod or exact_div, a polygon read as its faces
-    # and the Frobenius matrix applied by the ring's combine
+    # a quotient taken by divmod or exact_div, a polygon read as its faces,
+    # the Frobenius matrix applied by the ring's combine and a polynomial
+    # printed by format_poly's one rule
     for owner, name in [
         (poly, "_bind_s"),
+        (poly, "_scalar_like"),
         (poly.UniPoly, "const"),
         (poly.UniPoly, "monic"),
         (poly.UniPoly, "__floordiv__"),

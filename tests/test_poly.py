@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,16 @@ def qpoly(*coeffs_low_to_high):
 
 
 small_fracs = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+
+
+def _nested(var, inner):
+    return st.lists(inner, max_size=3).map(lambda coeffs: UniPoly(coeffs, var))
+
+
+# the parser's nesting with int and Fraction leaves, ±1 drawn often
+nested_polys = _nested("X", _nested("t", _nested("s", st.one_of(
+    st.sampled_from([0, 1, -1]), st.integers(-5, 5), small_fracs
+))))
 
 
 def qpolys(max_degree=4, nonzero=False, monic=False):
@@ -156,18 +167,25 @@ class TestParser:
     def test_round_trip_flagship(self):
         f = parse_poly(F_PSL)
         assert parse_poly(format_poly(f)) == f
+        assert "((-s - 1)*t + s^3 + s^2 + 3*s - 2)*X^4" in format_poly(f)
+        # canonical texts print back as they are
+        for text in ("X + t", "X^2 - s^2 + 4*s", "(s + 1)*t*X", "-X - t", "1/2*s*X - 1/3"):
+            assert format_poly(parse_poly(text)) == text
 
-    @given(st.lists(st.lists(small_fracs, min_size=1, max_size=3), min_size=1, max_size=4))
-    def test_round_trip_random_bivariate(self, rows):
-        # parse(format(f)) nests s under t; compare by evaluation
-        f = UniPoly([UniPoly(row, "t") for row in rows], "X")
-        if not f:
-            return
-        g = parse_poly(format_poly(f)).bind("s", Fraction(1))
-        for tv in (Fraction(0), Fraction(2), Fraction(-3)):
-            lhs = [constant_value(c) for c in f.bind("t", tv).coeffs]
-            rhs = [constant_value(c) for c in g.bind("t", tv).coeffs]
-            assert lhs == rhs
+    @given(nested_polys)
+    def test_round_trip_random_bivariate(self, f):
+        # the parser's nesting, X over t over s, with ±1 and constants nested
+        text = format_poly(f)
+        assert parse_poly(text) == f
+        assert not re.search(r"(?<![0-9/])1\*", text), text
+        opened = []
+        for i, ch in enumerate(text):
+            if ch == "(":
+                opened.append(i)
+            elif ch == ")":
+                group = text[opened.pop() + 1 : i]
+                top = re.sub(r"\([^()]*\)", "", group)  # groups nest two deep at most
+                assert top.count(" + ") + top.count(" - ") >= 1, text
 
 
 class TestCanonicalLeaves:
@@ -466,16 +484,14 @@ class TestDiscriminant:
         rhs = discriminant_in(f, "X") * discriminant_in(g, "X") * r * r
         assert lhs == rhs
 
-    def test_flagship_at_s1_vs_numeric_roots(self):
+    def test_flagship_at_s1_vs_numeric_roots(self, sympy):
         # root-separation oracle: disc vanishes exactly at root collisions
-        import numpy as np
-
         f1 = specialize(parse_poly(F_PSL), {"s": 1})
         disc_t = discriminant_in(f1, "X")
         for tv in (Fraction(2), Fraction(-5), Fraction(7, 3)):
             val = constant_value(disc_t.bind("t", tv))
-            coeffs = [float(c) for c in reversed(x_poly_coeffs(specialize(f1, {"t": tv})))]
-            roots = np.roots(coeffs)
+            coeffs = [sympy.Rational(c) for c in reversed(x_poly_coeffs(specialize(f1, {"t": tv})))]
+            roots = sympy.Poly(coeffs, sympy.Symbol("X")).nroots()
             sep = min(
                 abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]
             )
