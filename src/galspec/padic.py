@@ -9,8 +9,10 @@ The method is exact throughout.  When p does not divide disc(f) every
 factor is unramified and the shape is read off the mod-p degree sequence.
 Otherwise the engine runs chains of inductive valuations: starting from a
 Newton polygon face it grows a key polynomial stage by stage, factoring a
-residual polynomial over the current residue field at each step, until the
-invariants of each p-adic factor freeze.  v_p(disc f) bounds every chain:
+residual polynomial over the current residue field at each step.  A chain
+ends at its first simple residual factor, which is one p-adic factor whose
+(e, f) the stage already holds; only a repeated factor takes a further
+stage.  v_p(disc f) bounds every chain:
 a stage past it raises RuntimeError, which names input that is not
 squarefree (see _decompose_face for the proof).  Every value is an integer,
 scaled by the ramification denominator D of the stage that computes it,
@@ -129,7 +131,9 @@ class _Stage:
         of g's phi2-expansion whose value nu lies strictly above mu2 / D,
         with the face's length: the expansion width of g's minimal-value
         support under the augmented valuation, so 1 means the chain is
-        terminal.  (INFINITY, 1) when phi2 divides g exactly.
+        terminal.  (INFINITY, 1) when phi2 divides g exactly.  The driver
+        lifts keys only for repeated residual factors, so a length of 1
+        here is one of the pieces into which such a factor splits.
         """
         cs = _expansion(g, phi2)
         ordv = 0
@@ -312,6 +316,17 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction, dv: int) -> list:
     nu/m rises strictly along a chain, on a lattice of bounded denominator,
     so the same test ends every chain: a stage past it raises RuntimeError,
     which names input that is not squarefree.
+
+    A residual factor u of multiplicity 1 ends its chain at once with
+    (V.D, V.F * deg u), the pair the next stage would give, and no key is
+    lifted.  By the theorems of the polygon and of the residual polynomial
+    (Ore, Math. Ann. 99, 1928; Guardia, Montes and Nart, Trans. AMS 364,
+    2012, at higher orders), f's polygon beyond mu2 in a lift phi2 of u,
+    of degree V.D * V.F * deg u, has length ord_u(h) = 1.  Either phi2
+    divides f exactly, or its one face has length 1 and a slope whose
+    D-scaled value is an integer, so that stage keeps D = V.D and has
+    F = V.F * deg u.  Both give the pair above, so the length-1 and
+    INFINITY branches below are reached only under repeated factors.
     """
     out = []
     work = [_StageZero(p, lam, f.var)]
@@ -319,8 +334,11 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction, dv: int) -> list:
         V = work.pop()
         h, _i0, _j0, _vg = V.reduction(f)
         _unit, factors = factor_poly(V.field, h, seed=0)
-        for u, _mult in factors:
+        for u, mult in factors:
             assert u[0], "unexpected unit-power factor in residual"
+            if mult == 1:
+                out.append((V.D, V.F * (len(u) - 1)))
+                continue
             phi2 = V.lift_key(u)
             mu2 = V.value(phi2)
             for nu, length in V.new_values(f, phi2, mu2):

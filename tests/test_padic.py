@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from galspec.arith import NonPrimeError, primes_up_to, rational, valuation
 from galspec import padic
+from galspec.family import builtin_manifest
 from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence, factor_poly
+from galspec.grunwald import census
 from galspec.padic import (
     PadicShape,
     WildPrime,
@@ -165,20 +167,28 @@ class TestFrozenShapes:
         #   since (1+i)^4 = -1, so the residue field holds F_9(sqrt(1+i)),
         #   which is F_81, and f >= 4.
         # e*f <= 8 leaves one factor (2,4).  The chain reads it with the key
-        # X^2+1 over F_9 and then the residual y^2 - (1+i), which is
-        # irreducible over F_9, so its field is an extension of an extension.
+        # X^2+1 over F_9 and then the residual y^2 - (1+i), which is one
+        # simple irreducible quadratic over F_9: the chain ends there with
+        # f = 2 * 2, and F_81 is never built.
         built = []
+        reads = []
 
         class Recorded(padic.ExtField):
             def __init__(self, base, modulus):
                 super().__init__(base, modulus)
                 built.append(self)
 
+        def recorded_factor(K, h, seed):
+            unit, factors = factor_poly(K, h, seed=seed)
+            reads.append((K, [(len(u) - 1, mult) for u, mult in factors]))
+            return unit, factors
+
         monkeypatch.setattr(padic, "ExtField", Recorded)
+        monkeypatch.setattr(padic, "factor_poly", recorded_factor)
         f = xp(1, 0, 4, 0, 6, 0, 4, 0, 1) - 9 * xp(1, 1)
         assert padic_shape(f, 3).pairs == ((2, 4),)
-        assert [(F.size, F.base.size) for F in built] == [(9, 3), (81, 9)]
-        assert built[1].base is built[0]
+        assert [(F.size, F.base.size) for F in built] == [(9, 3)]
+        assert [degrees for K, degrees in reads if K is built[0]] == [[(2, 1)]]
 
     def test_shape_is_sorted_and_tame(self):
         shape = padic_shape(xp(0, -12, 0, 1), 3)
@@ -339,11 +349,18 @@ def multistage_products(draw):
     - Schoenemann q^e - p*u, q irreducible quadratic mod p: (e, 2), read
       over an extension of the residue field;
     - (X - c)^(2m) - p^(2j)*u with gcd(m, j) = 1: the residual y^2 - u
-      splits into two (m, 1) or stays one (m, 2) by the residue symbol of u.
+      splits into two (m, 1) or stays one (m, 2) by the residue symbol of u;
+    - shared face (q^2 - p*u1) * ((q^2 - p*u2)^2 - p^3*w), q = X - c and
+      u1 != u2 mod p: one face with residual (y - u1)(y - u2)^2, whose
+      simple factor gives (2, 1) at once and whose square goes one stage
+      further, to two (2, 1) when u2*w is a square mod p and one (2, 2)
+      otherwise.
     """
     p = draw(st.sampled_from([5, 7, 11, 13]))
     kinds = draw(
-        st.lists(st.sampled_from(["tower", "schoenemann", "split"]), min_size=1, max_size=3)
+        st.lists(
+            st.sampled_from(["tower", "schoenemann", "split", "shared"]), min_size=1, max_size=3
+        )
     )
     centers = iter(draw(st.permutations(range(p))))
     quads = iter(irreducibles_mod(p, 2, 3))
@@ -361,7 +378,7 @@ def multistage_products(draw):
             e = draw(st.sampled_from([2, 3]))
             f = f * (next(quads) ** e - p * draw(unit))
             expected.append((e, 2))
-        else:
+        elif kind == "split":
             m, j = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 1), (3, 2)]))
             u = draw(unit)
             f = f * (xp(-next(centers), 1) ** (2 * m) - p ** (2 * j) * u)
@@ -369,6 +386,16 @@ def multistage_products(draw):
                 expected += [(m, 1), (m, 1)]
             else:
                 expected.append((m, 2))
+        else:
+            q = xp(-next(centers), 1)
+            u1 = draw(unit)
+            u2 = draw(st.sampled_from([u for u in range(1, p) if u != u1]))
+            w = draw(unit)
+            f = f * (q**2 - p * u1) * ((q**2 - p * u2) ** 2 - p**3 * w)
+            if pow(u2 * w, (p - 1) // 2, p) == 1:
+                expected += [(2, 1), (2, 1), (2, 1)]
+            else:
+                expected += [(2, 1), (2, 2)]
     return f, p, expected
 
 
@@ -404,6 +431,52 @@ class TestConstructedProducts:
         g = f.evaluate(xp(c, 1))
         assert isinstance(g, UniPoly)
         assert Counter(padic_shape(g, p).pairs) == Counter(expected)
+
+
+class TestChainEnds:
+    """A chain ends at its first simple residual factor: only a repeated
+    factor has a key lifted for it."""
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        calls = []
+        lift_key = padic._Stage.lift_key
+
+        def counted(stage, u):
+            calls.append(len(u) - 1)
+            return lift_key(stage, u)
+
+        monkeypatch.setattr(padic._Stage, "lift_key", counted)
+        return calls
+
+    def test_cubic_census_lifts_no_key(self, lifts):
+        rows, _bad = census(builtin_manifest("x3mt"), 0, -60, 60, 97)
+        assert any(r.observed != "1^3" for r in rows if r.match != "bad")
+        assert lifts == []
+
+    @pytest.mark.parametrize(
+        "f, p, expected",
+        [
+            (xp(-5, 0, 1), 5, {(2, 1): 1}),
+            (xp(-10, 0, 0, 1), 5, {(3, 1): 1}),
+            (xp(-21, 0, 0, 0, 1), 7, {(4, 1): 1}),
+            # X^(2m) - p^(2j)*u: one face, residual y^2 - u
+            (xp(-4 * 25, 0, 0, 0, 1), 5, {(2, 1): 2}),
+            (xp(-2 * 25, 0, 0, 0, 1), 5, {(2, 2): 1}),
+            (xp(-3 * 7**4, 0, 0, 0, 0, 0, 1), 7, {(3, 2): 1}),
+            (xp(-2 * 7**4, 0, 0, 0, 0, 0, 1), 7, {(3, 1): 2}),
+        ],
+        ids=["eis2", "eis3", "eis4", "split2", "inert2", "inert3", "split3"],
+    )
+    def test_eisenstein_and_split_pieces_lift_no_key(self, lifts, f, p, expected):
+        assert shape_of(f, p) == Counter(expected)
+        assert lifts == []
+
+    def test_tower_lifts_its_repeated_factor(self, lifts):
+        # ((X^2 - 5*2)^3 - 5^4*3): residual (y - 2)^3 at v(X) = 1/2
+        f = xp(-10, 0, 1) ** 3 - 625 * 3
+        assert shape_of(f, 5) == Counter({(6, 1): 1})
+        assert lifts == [1]
 
 
 class TestStageValues:
