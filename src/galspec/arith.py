@@ -49,9 +49,10 @@ def valuation(x, p: int):
 
 
 def _vp(n: int, p: int) -> int:
-    """v_p of a nonzero int, with no prime check: census's contacts take
-    several per cell, and valuation's checks made a census about a quarter
-    slower."""
+    """v_p of a nonzero int, with no prime check: beckmann._meet takes
+    several per census cell whose p divides its gate (the product of t0's
+    contact integers, which beckmann._contacts builds once per t0), and
+    valuation's checks made a census about a quarter slower."""
     v = 0
     while n % p == 0:
         n //= p

@@ -5,12 +5,16 @@ out by binding (s, t) = (s0, t0) is read off from the contact order between
 t0 and the branch points: a prime p ramifies only if t0 meets some branch
 point p-adically, and the inertia group is then generated by tau^I, where
 tau generates inertia over that branch point and I is the contact order.
-predict_any reads each contact once and predicts at the one branch point t0
-meets; predict_inertia holds that prediction to a given branch point.  The
-contacts are read on integers: for t0 = a/b in lowest terms and a location
-u/w, v_p(t0 - u/w) = v_p(a*w - u*b) - v_p(b*w); at infinity the contact is
-v_p(b) - v_p(a); and for the integer residual g of degree D,
+The contacts are read on integers: for t0 = a/b in lowest terms and a
+location u/w, v_p(t0 - u/w) = v_p(a*w - u*b) - v_p(b*w); at infinity the
+contact is v_p(b) - v_p(a); and for the integer residual g of degree D,
 v_p(g(t0)) = v_p(b^D * g(a/b)) - D*v_p(b), with b^D * g(a/b) summed on ints.
+predict_any reads them in two steps: _contacts builds those integers once
+per t0, with their product as a gate, and _meet takes their valuations at
+one p, returning None at once when p does not divide the gate, and
+predicts at the one branch point t0 meets.  census calls the two steps
+itself, _contacts once per t0 and _meet once per good p.  predict_inertia
+holds predict_any's prediction to a given branch point.
 
 The bad set is carried as a list of integer certificates, one per reason, so
 membership can be decided exactly for any prime without factoring anything.
@@ -245,8 +249,7 @@ def predict_any(manifest: FamilyManifest, s0, t0, p: int):
     only a degenerate s0 and the wild case (p dividing the group order) are
     rejected here.
     """
-    if not manifest.branch_points:
-        raise ValueError("the manifest declares no branch points")
+    _require_branch_points(manifest)
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     spec = specialization(manifest, s0)
@@ -256,29 +259,72 @@ def predict_any(manifest: FamilyManifest, s0, t0, p: int):
         raise ValueError(
             f"p = {p} divides the group order; the tame criterion does not apply"
         )
+    return _meet(manifest, _contacts(spec, t0), p)
 
-    # contacts on ints (module docstring): t0 = a/b in lowest terms, b > 0
+
+def _require_branch_points(manifest: FamilyManifest) -> None:
+    if not manifest.branch_points:
+        raise ValueError("the manifest declares no branch points")
+
+
+def _contacts(spec: Specialization, t0) -> tuple:
+    """The integers behind t0's contacts (module docstring), which do not
+    depend on p: (t0, a, b, terms, value, D, gate) for t0 = a/b in lowest
+    terms, b > 0.  terms holds, per location in order, None at infinity and
+    (a*w - u*b, w) at u/w; value is b^D * g(a/b) for the residual g of
+    degree D (None when there is none); gate is the product of the nonzero
+    b, a, differences and value.  Raises ValueError when t0 is a branch
+    point, declared (the first in order) before undeclared."""
     a, b = t0.numerator, t0.denominator
-    vb = _vp(b, p)
-    met = []  # (branch index, contact); index None for the residual locus
+    gate = b * a if a else b
+    terms = []
     for j, loc in enumerate(spec.locations):
         if loc is None:
-            contact = vb - _vp(a, p) if a else 0
-        else:
-            diff = a * loc.denominator - loc.numerator * b
-            if not diff:
-                raise ValueError(f"t0 = {t0} is the branch point at index {j}")
-            contact = _vp(diff, p) - vb - _vp(loc.denominator, p)
-        if contact > 0:
-            met.append((j, contact))
+            terms.append(None)
+            continue
+        diff = a * loc.denominator - loc.numerator * b
+        if not diff:
+            raise ValueError(f"t0 = {t0} is the branch point at index {j}")
+        terms.append((diff, loc.denominator))
+        gate *= diff
+    value = degree = None
     if spec.residual is not None:
         value, bk = 0, 1  # b^D * g(a/b), Horner from the top coefficient
         for c in reversed(spec.residual.coeffs):
             value, bk = value * a + c * bk, bk * b
         if value == 0:
             raise ValueError(f"t0 = {t0} is an undeclared branch point")
-        if _vp(value, p) > (len(spec.residual.coeffs) - 1) * vb:
-            met.append((None, 0))
+        degree = len(spec.residual.coeffs) - 1
+        gate *= value
+    return t0, a, b, tuple(terms), value, degree, gate
+
+
+def _meet(manifest: FamilyManifest, contacts: tuple, p: int):
+    """predict_any's answer at p from _contacts' integers, for a prime p
+    prime to the group order.
+
+    When p does not divide the gate, t0 meets nothing at p: then v_p(b) = 0
+    and v_p(a) = 0, so the contact at infinity, v_p(b) - v_p(a), is 0; at
+    u/w the difference is a nonzero factor of the gate, so the contact
+    v_p(a*w - u*b) - v_p(b) - v_p(w) = -v_p(w) is at most 0; and the
+    residual is met only when v_p(value) > D*v_p(b) = 0, which p ∤ value
+    rules out.  So no contact is positive, and None is returned at once.
+    """
+    t0, a, b, terms, value, degree, gate = contacts
+    if gate % p:
+        return None
+    vb = _vp(b, p)
+    met = []  # (branch index, contact); index None for the residual locus
+    for j, term in enumerate(terms):
+        if term is None:
+            contact = vb - _vp(a, p) if a else 0
+        else:
+            diff, w = term
+            contact = _vp(diff, p) - vb - _vp(w, p)
+        if contact > 0:
+            met.append((j, contact))
+    if value is not None and _vp(value, p) > degree * vb:
+        met.append((None, 0))
 
     if not met:
         return None

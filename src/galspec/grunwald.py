@@ -44,7 +44,8 @@ from .arith import (
     Congruence, NonPrimeError, crt, format_rat, is_prime, primes_up_to, rational, valuation,
 )
 from .beckmann import (
-    bad_primes, bad_s_residues, is_bad_prime, is_exceptional, predict_any, specialization,
+    _contacts, _meet, _require_branch_points, bad_primes, bad_s_residues, is_bad_prime,
+    is_exceptional, specialization,
 )
 from .family import FamilyManifest, nondegenerate_check
 from .ffact import NotPIntegral, NotSquarefree, degree_sequence, split_degrees
@@ -750,7 +751,13 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     every other good cell is measured (module docstring).  observed never
     reads the bad-prime set; with a sound set no row could tell, since for
     a good p and an integer t0 meeting a branch point forces p | disc(t0).
-    An empty grid, t_lo > t_hi or p_max < 2, is refused."""
+    An empty grid, t_lo > t_hi or p_max < 2, is refused.
+
+    The prediction is predict_any's two steps, _contacts once per t0 and
+    _meet once per good p: the primes come from primes_up_to and every
+    prime dividing the group order is bad, so of predict_any's guards only
+    the declared branch points are left to check, at the first good cell
+    as predict_any would."""
     if t_lo > t_hi or p_max < 2:
         raise ValueError(f"empty census grid: t0 in {t_lo}..{t_hi}, p <= {p_max}")
     spec = specialization(m, s0)
@@ -758,18 +765,22 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
     ps = primes_up_to(p_max)
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
     unramified = CycleType((1,) * m.f.degree())
+    label = str(unramified)
 
     rows = []
     for t0 in range(t_lo, t_hi + 1):
         h, disc = local_model(m, s0, t0)
         if disc == 0:
             continue  # exactly on a branch point: no number field to read
+        if len(bad) < len(ps):
+            _require_branch_points(m)
+        contacts = _contacts(spec, t0)
         for p in ps:
             if p in bad:
                 reasons = ";".join(bad[p])  # comma is the CSV delimiter
                 rows.append(CensusRow(s0, t0, p, f"bad({reasons})", "-", "bad"))
                 continue
-            prediction = predict_any(m, s0, t0, p)
+            prediction = _meet(m, contacts, p)
             predicted = unramified if prediction is None else prediction.generator_class
             if disc % p:
                 observed = unramified
@@ -777,7 +788,9 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                 observed = CycleType(_expand(_shape(h, p, disc).pairs))
             rows.append(
                 CensusRow(
-                    s0, t0, p, str(predicted), str(observed),
+                    s0, t0, p,
+                    label if predicted is unramified else str(predicted),
+                    label if observed is unramified else str(observed),
                     "true" if observed == predicted else "false",
                 )
             )

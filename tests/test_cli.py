@@ -704,10 +704,10 @@ class TestCensus:
         from galspec import grunwald
         from galspec.beckmann import BadPrimeReport, PredictionContradiction
 
-        def collide(m, s0, t0, p):
+        def collide(m, contacts, p):
             raise PredictionContradiction(BadPrimeReport(p, ("BranchCollision",)))
 
-        monkeypatch.setattr(grunwald, "predict_any", collide)
+        monkeypatch.setattr(grunwald, "_meet", collide)
         code = main(["census", "--manifest", "x2mt", "--t-range", "1..2", "--p-max", "5"])
         err = capsys.readouterr().err
         assert code == 1

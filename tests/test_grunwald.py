@@ -10,7 +10,7 @@ import dataclasses
 
 from galspec.arith import Congruence, format_rat, primes_up_to, valuation
 from galspec.beckmann import (
-    InertiaPrediction, bad_primes, is_bad_prime, predict_any, predict_inertia, specialization,
+    InertiaPrediction, bad_primes, is_bad_prime, predict_inertia, specialization,
 )
 from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
 from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence
@@ -43,7 +43,7 @@ from galspec.permgrp import (
 )
 from galspec.poly import UniPoly, discriminant_in, parse_poly, specialize, x_poly_coeffs
 from test_arith import legendre
-from test_beckmann import twobranch_manifest
+from test_beckmann import RESIDUAL, fraction_rule, outcome, twobranch_manifest
 
 
 def quartic_manifest() -> dict:
@@ -595,8 +595,9 @@ def p_integral_model(model: UniPoly, p: int) -> UniPoly:
 
 def census_oracle(m, s0, t_lo, t_hi, p_max):
     """census reading every cell through padic._shape, the unramified ones
-    included, and a fibre that is not p-integral through padic_shape of
-    p_integral_model (reference oracle)."""
+    included, a fibre that is not p-integral through padic_shape of
+    p_integral_model, and each prediction by fraction_rule, predict_any in
+    Fraction arithmetic, at every good cell (reference oracle)."""
     spec = specialization(m, s0)
     s0 = spec.s0
     bad = {r.p: r.reasons for r in bad_primes(m, s0, bound=p_max)}
@@ -611,7 +612,7 @@ def census_oracle(m, s0, t_lo, t_hi, p_max):
             if p in bad:
                 rows.append(CensusRow(s0, t0, p, f"bad({';'.join(bad[p])})", "-", "bad"))
                 continue
-            prediction = predict_any(m, s0, t0, p)
+            prediction = fraction_rule(m, s0, t0, p)
             predicted = unramified if prediction is None else prediction.generator_class
             if any(Fraction(c).denominator % p == 0 for c in model.coeffs):
                 shape = padic_shape(p_integral_model(model, p), p)
@@ -726,15 +727,41 @@ class TestCensus:
 
 
     def test_rows_match_the_oracle(self):
-        # ramified and unramified cells, s0 with p in the bound leaves
+        # ramified and unramified cells, s0 with p in the bound leaves, t0
+        # meeting a non-rational branch point (psl32 at t0 = 2, p = 11 and
+        # s0 = 1; residual9 at t0 = 3, p = 5 and s0 = 36, where its residual
+        # has the rational roots +-2), and a manifest declaring no branch
+        # point, refused at its first good cell and not when every p is bad;
+        # a refusal is compared by type and message
+        psl32, residual9 = builtin_manifest("psl32"), RESIDUAL
+        bare = load_manifest({"name": "nb", "poly": "X^2 - s*t", "group_generators": ["(1 2)"]})
         cases = [
             (builtin_manifest("x3mt"), 0, -40, 40, 97),
             (builtin_manifest("x2mt"), 0, -40, 40, 97),
             (load_manifest(twobranch_manifest()), 1, 3, 40, 31),
             (load_manifest(twobranch_manifest()), Fraction(1, 3), -20, 20, 31),
+            (psl32, 1, -2, 2, 60),
+            (psl32, 1, 4, 11, 60),
+            (psl32, Fraction(3, 7), -5, 4, 60),
+            (psl32, Fraction(3, 7), -8, -7, 60),
+            (residual9, 36, -2, 2, 60),
+            (residual9, 36, 3, 10, 60),
+            (residual9, 4, -2, 0, 60),
+            (residual9, 3, -8, -6, 60),
+            (bare, 1, -3, 3, 13),
+            (bare, 1, -3, 3, 2),
         ]
-        for m, s0, lo, hi, p_max in cases:
-            assert _outcome(census, m, s0, lo, hi, p_max) == census_oracle(m, s0, lo, hi, p_max)
+        got = [outcome(census, *case) for case in cases]
+        for case, result in zip(cases, got):
+            assert result == outcome(census_oracle, *case), case
+        non_rational = "meets a non-rational branch point at p = {}; no inertia generator"
+        assert [r[1] for r in got if isinstance(r[0], type)] == [
+            f"t0 = 2 {non_rational.format(11)} is declared for it",
+            f"t0 = -8 {non_rational.format(41)} is declared for it",
+            f"t0 = 3 {non_rational.format(5)} is declared for it",
+            f"t0 = -1 {non_rational.format(5)} is declared for it",
+            "the manifest declares no branch points",
+        ]
 
     def test_leaf_denominator_prime_keeps_the_shape_path(self):
         # 3 divides neither disc(0) = 8 nor disc(3) = 20, but only f(0, X)

@@ -10,9 +10,11 @@ raise ffact's own exceptions.  p-adic chains stop at a bound read off the
 discriminant, not at a stage cap, and integer valuations run one loop.
 grunwald builds one fibre model, which census and verify both measure,
 verify reads every condition by padic._shape, census reads a cell
-unramified by p ∤ disc of that integral model alone and keeps no table
-or memo, and the t-line search reads a residue as the sampler does.  Each polynomial job has one entry point, resultants and gcds
-included, and every library entry point refuses a float."""
+unramified by p ∤ disc of that integral model alone, keeps no table or
+memo and calls neither is_prime nor predict_any per cell, and the t-line
+search reads a residue as the sampler does.  Each polynomial job has one
+entry point, resultants and gcds included, and every library entry point
+refuses a float."""
 
 import ast
 import sys
@@ -207,11 +209,39 @@ def test_fibre_models_share_one_rescaling_and_one_readability_rule():
 
 def test_census_builds_one_dict():
     # the bad-prime map is census's one dict: p ∤ disc g reads a cell
-    # unramified at once, so a table of residue classes or a memo of types
-    # and labels would only cache what costs nothing to decide
+    # unramified at once, so a table of residue classes would only cache
+    # what costs nothing to decide.  Labels did cost: printing each row's
+    # two types was 17 % of a cProfiled census of x3mt, so the all-ones
+    # label is printed once per call, and held in a local, not a dict
     census = _function("grunwald.py", "census")
     dicts = [node for node in ast.walk(census) if isinstance(node, (ast.Dict, ast.DictComp))]
     assert len(dicts) == 1
+
+
+def test_census_cells_call_neither_is_prime_nor_predict_any(monkeypatch):
+    # census draws its primes from primes_up_to and puts every prime
+    # dividing the group order in the bad set, so its cells take
+    # predict_any's two steps without its guards: _contacts per t0 and
+    # _meet per good p
+    calls = {"is_prime": 0, "predict_any": 0, "_meet": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    for module in (beckmann, grunwald):
+        monkeypatch.setattr(module, "is_prime", counted("is_prime", arith.is_prime))
+        monkeypatch.setattr(
+            module, "predict_any", counted("predict_any", beckmann.predict_any), raising=False
+        )
+    monkeypatch.setattr(grunwald, "_meet", counted("_meet", beckmann._meet))
+    x3mt = family.builtin_manifest("x3mt")
+    rows, _ = grunwald.census(x3mt, 0, -60, 60, 97)
+    # t0 = 0 is a branch point; 2 and 3 divide the group order
+    assert calls == {"is_prime": 0, "predict_any": 0, "_meet": 120 * 23}
+    assert len(rows) == 120 * 25
 
 
 def test_each_polynomial_job_has_one_entry_point():
