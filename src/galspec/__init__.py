@@ -14,7 +14,7 @@ The package is organized bottom-up:
 - ``ffact``    factorization over finite fields (squarefree/DDF/EDF)
 - ``padic``    (e, f) shapes of p-adic factorizations, by inductive valuations
 - ``permgrp``  small permutation groups, cycle types, orbit/subgroup analysis
-- ``family``   family manifests, branch loci, local probes
+- ``family``   family manifests, branch loci, nondegeneracy
 - ``beckmann`` bad primes, bad residues, tame inertia predictions
 - ``grunwald`` condition search (s0, t0), verification, identification, census
 - ``cli``      command-line front end (parses arguments, prints results)

@@ -24,9 +24,11 @@ the group order, the s-guards' leading numerators and f's leaf denominators.
 specialization(manifest, s0) binds s = s0 once per parameter value: it
 refuses a degenerate s0, then caches the bound family, discriminant, branch
 locations, integer residual locus and certificates that every per-s0 entry
-point here and in grunwald reads.  Its fibre(t0) is the one builder of a
-fibre's X-coefficients and discriminant: local_model (the model census and
-verify measure), both identification modes and the t-line search read it.
+point here and in grunwald reads, and for a family of t-degree 1 it checks
+each declared inertia class against root multiplicities.  Its fibre(t0) is
+the one builder of a fibre's X-coefficients and discriminant: local_model
+(the model census and verify measure), both identification modes and the
+t-line search read it.
 """
 
 from dataclasses import dataclass
@@ -35,13 +37,14 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import NonPrimeError, _vp, is_prime, primes_up_to, rational
-from .family import FamilyManifest, require_nondegenerate
+from .family import FamilyManifest, ManifestInconsistent, require_nondegenerate
 from .ffact import roots_mod_p
-from .permgrp import CycleType, power_cycle_type
+from .permgrp import CycleType, cycle_type, power_cycle_type
 from .poly import (
     UniPoly,
     _coerce,
     discriminant_in,
+    gcd_over_poly_coeffs,
     integer_normalize,
     primitive_part,
     specialize,
@@ -127,7 +130,8 @@ class Specialization:
 
 @lru_cache(maxsize=64)
 def specialization(manifest: FamilyManifest, s0) -> Specialization:
-    """Bind s = s0 once; raises ValueError when s0 is degenerate."""
+    """Bind s = s0 once; raises ValueError when s0 is degenerate and
+    ManifestInconsistent when a declared class fails _check_declared_classes."""
     s0 = rational(s0)
     require_nondegenerate(manifest, s0)
     certs = []
@@ -168,9 +172,52 @@ def specialization(manifest: FamilyManifest, s0) -> Specialization:
     residual = None
     if manifest.locus.residual.degree() >= 1:
         residual = primitive_part(specialize(manifest.locus.residual, {"s": s0}))
-    return Specialization(
+    spec = Specialization(
         s0, specialize(manifest.f, {"s": s0}), disc, locations, residual, tuple(certs)
     )
+    _check_declared_classes(manifest, spec)
+    return spec
+
+
+def _check_declared_classes(manifest: FamilyManifest, spec: Specialization) -> None:
+    """Raise ManifestInconsistent when a declared inertia generator's cycle
+    type is not the ramification of f over its branch point at s0.
+
+    Checked only for t-degree 1, f = A(X) + t*B(X) with deg B < n = deg f,
+    when A and B share no root.  The X-line is then the cover t = -A/B, so
+    by Hurwitz the class over a finite c is the root multiplicities of
+    A + c*B, and over t = infinity those of B plus n - deg B at X = infinity.
+    """
+    if spec.f.degree_in("t") != 1:
+        return
+    A = UniPoly(spec.fibre(0)[0], "X")
+    B = UniPoly([c.coeff(1) for c in spec.f.coeffs], "X")
+    if gcd_over_poly_coeffs(A, B).degree() >= 1:
+        return  # f(s0) has a factor free of t; the X-line is not the cover
+    for i, (bp, loc) in enumerate(zip(manifest.branch_points, spec.locations)):
+        if loc is None:
+            found = _root_multiplicities(B) + (A.degree() - B.degree(),)
+        else:
+            found = _root_multiplicities(UniPoly(spec.fibre(loc)[0], "X"))
+        found, declared = CycleType(found), cycle_type(bp.inertia_generator)
+        if found != declared:
+            raise ManifestInconsistent(
+                f"branch point {i} declares inertia class {declared}, but f "
+                f"ramifies there with indices {found} at s0 = {spec.s0}"
+            )
+
+
+def _root_multiplicities(h: UniPoly) -> tuple:
+    """The multiplicities of h's roots over an algebraic closure.  With
+    g_0 = h and g_k = gcd(g_(k-1), g_(k-1)'), deg g_(k-1) - deg g_k roots
+    have multiplicity >= k; the multiplicities are the conjugate partition
+    of those counts."""
+    at_least, g = [], h
+    while g.degree() >= 1:
+        d = gcd_over_poly_coeffs(g, g.derivative())
+        at_least.append(g.degree() - d.degree())
+        g = d
+    return tuple(sum(r >= j for r in at_least) for j in range(1, max(at_least, default=0) + 1))
 
 
 def bad_primes(manifest: FamilyManifest, s0, bound: int = 1000) -> list:

@@ -322,9 +322,10 @@ def cmd_census(args) -> int:
     except ValueError:
         raise ValueError(f"bad --t-range {args.t_range!r}; expected like -500..500") from None
     rows, bad = census(m, s0, t_lo, t_hi, args.p_max)
+    s0_text = format_rat(s0)
     lines = ["s0,t0,p,predicted,observed,match"]
     for r in rows:
-        lines.append(f"{format_rat(r.s0)},{r.t0},{r.p},{r.predicted},{r.observed},{r.match}")
+        lines.append(f"{s0_text},{r.t0},{r.p},{r.predicted},{r.observed},{r.match}")
     _write("\n".join(lines) + "\n", args.out)
     good = [r for r in rows if r.match != "bad"]
     matched = sum(1 for r in good if r.match == "true")

@@ -1,4 +1,4 @@
-"""Family manifests: declared local data, branch loci, and probe validation.
+"""Family manifests: declared local data and branch loci.
 
 A manifest describes a one-parameter family f(s, t, X), monic in X, whose
 splitting field over Q(s)(t) has a fixed Galois group: for each declared
@@ -12,15 +12,12 @@ against everything that can be computed exactly:
 - the inertia generator's order must match the declared ramification index
   and generate a normal subgroup of the decomposition model.
 
-Loading does not probe the declared cycle types.  inertia_order_probe does
-that for one branch point at one parameter value s0, on request: a
-Newton-polygon probe must reproduce the declared cycle type, and ambiguous
-polygons are refused rather than guessed.
+Loading does not check the declared cycle types; beckmann.specialization
+does, at each s0 it binds, for families of t-degree 1.
 
 Only grunwald's search (in u when every ramified condition is at infinity)
-and inertia_order_probe (through infinity_chart) use the u = 1/t chart;
-beckmann.predict_any reads t0 = a/b's contact with t = infinity as
-v_p(b) - v_p(a), and grunwald.local_model has no chart.
+uses the u = 1/t chart; beckmann.predict_any reads t0 = a/b's contact with
+t = infinity as v_p(b) - v_p(a), and grunwald.local_model has no chart.
 """
 
 from __future__ import annotations
@@ -32,13 +29,12 @@ from functools import lru_cache
 from importlib import resources
 
 from .arith import INFINITY, rational
-from .permgrp import Perm, PermGroup, cycle_type, generate, parse_perm, require_normal_inertia
+from .permgrp import Perm, PermGroup, generate, parse_perm, require_normal_inertia
 from .poly import (
     UniPoly,
     content_in_coeffs,
     discriminant_in,
     format_poly,
-    lower_hull_vertices,
     parse_poly,
     primitive_part,
     rational_roots,
@@ -49,10 +45,6 @@ from .poly import (
 
 class ManifestInconsistent(Exception):
     """Declared manifest data contradicts what was computed from f."""
-
-
-class ProbeAmbiguous(Exception):
-    """A single-level Newton polygon cannot certify the local data."""
 
 
 @dataclass(frozen=True)
@@ -115,19 +107,6 @@ class NondegeneracyReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Local data over one branch point, read off a Newton polygon.
-
-    pairs lists (e, count) per polygon face: count places of ramification
-    index e.  e_multiset expands that to one entry per place, the exact
-    shape of a cycle type.
-    """
-
-    pairs: tuple
-    e_multiset: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class FamilyManifest:
     """A loaded family.  It hashes and compares by identity, so caches keyed
@@ -144,24 +123,6 @@ class FamilyManifest:
 
 
 # -- branch locus -------------------------------------------------------------
-
-
-def infinity_chart(f: UniPoly) -> UniPoly:
-    """u^D * f(s, 1/u, X) with D = deg_t f, as a polynomial in (s, u, X).
-
-    The chart variable u is reused under the name t; the branch point
-    t -> infinity becomes u -> 0.
-    """
-    D = f.degree_in("t")
-    if D == 0:
-        raise ValueError("family does not depend on t; no chart at infinity")
-    zero_s = UniPoly((), "s")
-    out = []
-    for j in range(f.degree() + 1):
-        c = f.coeff(j)
-        coeffs = list(c.coeffs) + [zero_s] * (D + 1 - len(c.coeffs))
-        out.append(UniPoly(list(reversed(coeffs)), "t"))
-    return UniPoly(out, "X")
 
 
 def _has_infinite_branch(f: UniPoly, disc_t_degree: int) -> bool:
@@ -430,67 +391,3 @@ def require_nondegenerate(manifest: FamilyManifest, s0) -> None:
     check = nondegenerate_check(manifest, s0)
     if not check:
         raise ValueError(f"s0 = {check.s0} is degenerate: " + "; ".join(check.reasons))
-
-
-def inertia_order_probe(manifest: FamilyManifest, i: int, s0) -> ProbeResult:
-    """Recompute the local (e, count) data over branch point i at s = s0
-    from the Newton polygon of the shifted family, and check it against the
-    declared inertia generator's cycle type.
-
-    The polygon certifies places only when each face's residual polynomial
-    is squarefree; otherwise ProbeAmbiguous is raised (deeper analysis would
-    be needed, and guessing is worse than refusing).  A certified multiset
-    that contradicts the declared cycle type raises ManifestInconsistent.
-    """
-    s0 = rational(s0)
-    require_nondegenerate(manifest, s0)
-    bp = manifest.branch_points[i]
-    if bp.is_infinite:
-        f, m = infinity_chart(manifest.f), Fraction(0)
-    else:
-        f, m = manifest.f, bp.location_at(s0)
-
-    tcoeffs = []
-    for j in range(f.degree() + 1):
-        c = specialize(f.coeff(j), {"s": s0})
-        if c and m:
-            shifted = c.evaluate(UniPoly([m, Fraction(1)], "t"))
-            # constant coefficients come back as bare scalars
-            if not isinstance(shifted, UniPoly):
-                shifted = UniPoly([shifted], "t")
-            c = shifted
-        tcoeffs.append(c)
-
-    points = [(j, c.order_at_zero()) for j, c in enumerate(tcoeffs) if c]
-    if len(points) < 2:
-        raise ProbeAmbiguous("polygon is a single point; no local data")
-    vertices = lower_hull_vertices(points)
-
-    pairs = []
-    expanded = []
-    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        slope = Fraction(y1 - y0, x1 - x0)
-        den, num = slope.denominator, slope.numerator
-        length = x1 - x0
-        count = length // den
-        rescoeffs = []
-        for r in range(count + 1):
-            c = tcoeffs[x0 + r * den]
-            rescoeffs.append(c.coeff(y0 + r * num) if c else Fraction(0))
-        residual = UniPoly(rescoeffs, "X")
-        if residual.degree() >= 2 and not discriminant_in(residual, "X"):
-            raise ProbeAmbiguous(
-                f"repeated residual roots on the face of slope {-slope} at "
-                f"t = {'infinity' if bp.is_infinite else format_poly(m)}, s0 = {s0}"
-            )
-        pairs.append((den, count))
-        expanded.extend([den] * count)
-
-    expanded = tuple(sorted(expanded, reverse=True))
-    declared = cycle_type(bp.inertia_generator).parts
-    if expanded != declared:
-        raise ManifestInconsistent(
-            f"polygon places {expanded} contradict the declared inertia cycle "
-            f"type {declared} at branch point {i}, s0 = {s0}"
-        )
-    return ProbeResult(tuple(sorted(pairs, reverse=True)), expanded)

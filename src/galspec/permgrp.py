@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 class CapExceeded(Exception):
@@ -181,7 +181,9 @@ def cycle_type(g: Perm) -> CycleType:
 
 
 def power_cycle_type(g: Perm, k: int) -> CycleType:
-    return cycle_type(g**k)
+    """The class of g^k: an l-cycle of g is gcd(l, k) cycles of length l / gcd(l, k)."""
+    pairs = [(length, gcd(length, k)) for length in cycle_type(g).parts]
+    return CycleType(tuple(length // d for length, d in pairs for _ in range(d)))
 
 
 # -- enumeration --------------------------------------------------------------

@@ -939,9 +939,9 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 # -- Newton polygons ---------------------------------------------------------
 
 
-def lower_hull_vertices(points: list[tuple[int, int | Fraction]]) -> list:
-    """Vertices of the lower convex hull, left to right; collinear interior
-    points are dropped, so consecutive vertices span maximal faces."""
+def lower_hull(points: list[tuple[int, int | Fraction]]) -> list[tuple[Fraction, int]]:
+    """Lower convex hull of (i, v) points: [(slope, length)] increasing.
+    Collinear interior points are dropped, so each face is maximal."""
     pts = sorted(points)
     hull = [pts[0]]
     for p in pts[1:]:
@@ -953,16 +953,7 @@ def lower_hull_vertices(points: list[tuple[int, int | Fraction]]) -> list:
             else:
                 break
         hull.append(p)
-    return hull
-
-
-def lower_hull(points: list[tuple[int, int | Fraction]]) -> list[tuple[Fraction, int]]:
-    """Lower convex hull of (i, v) points: [(slope, length)] increasing."""
-    hull = lower_hull_vertices(points)
-    faces = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        faces.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-    return faces
+    return [(Fraction(y2 - y1, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
 
 def newton_polygon(f: UniPoly, val) -> tuple:

@@ -26,6 +26,7 @@ from galspec.beckmann import (
 )
 from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
 from galspec.ffact import FpField, factor_poly, reduce_mod_p
+from galspec.grunwald import local_model
 from galspec.padic import padic_shape
 from galspec.permgrp import power_cycle_type
 from galspec.poly import UniPoly, constant_value, parse_poly, specialize, x_poly_coeffs
@@ -786,23 +787,11 @@ class TestCentralInvariant:
             self.check(m, 0, 1, 1 + p, p)
 
     def test_flagship_infinite_ramified(self):
-        # v_p(t0) = -1 forces the infinite branch; the u-chart polynomial,
-        # made monic, carries the p-adic side of the check
+        # v_p(t0) = -1 forces the infinite branch; the fibre's monic integral
+        # model carries the p-adic side of the check
         m = builtin_manifest("psl32")
-        from galspec.family import infinity_chart
-
-        chart = infinity_chart(m.f)
         for p in (5, 11, 13):
             pred = predict_inertia(m, 0, 1, Fraction(1, p), p)
             assert pred.generator_class.parts == (2, 2, 1, 1, 1)
-            g = specialize(chart, {"s": Fraction(1), "t": Fraction(p)})
-            coeffs = [g.coeff(i) for i in range(g.degree() + 1)]
-            lc = coeffs[-1]
-            n = len(coeffs) - 1
-            monic = UniPoly(
-                [c * lc ** (n - 1 - j) for j, c in enumerate(coeffs[:-1])] + [Fraction(1)],
-                "X",
-            )
-            assert all(c.denominator == 1 for c in monic.coeffs)
-            shape = padic_shape(monic, p)
+            shape = padic_shape(local_model(m, 1, Fraction(1, p))[0], p)
             assert expanded_shape(shape) == (2, 2, 1, 1, 1)

@@ -17,6 +17,7 @@ from galspec.family import load_manifest
 from galspec.grunwald import local_model
 from galspec.padic import padic_shape
 from galspec.permgrp import CycleType
+from test_family import cubic_manifest
 from test_grunwald import ninth_manifest, p_integral_model
 
 
@@ -333,6 +334,16 @@ class TestPredict:
         code, payload = run(capsys, "predict", "--manifest", "psl32", "--s0", "1",
                             "--t0", "1/11", "--p", "11")
         assert code == 0 and payload["branch"] == 0
+
+    @pytest.mark.parametrize("declared", [("2", "(1 2 3)", 3), ("inf", "(1 2)", 2)])
+    def test_wrong_declared_class_is_usage_error(self, capsys, tmp_path, declared):
+        # X^3 - 3X - t has a transposition over t = 2 and a 3-cycle over infinity
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(cubic_manifest(declared)))
+        code = main(["predict", "--manifest", str(path), "--t0", "7", "--p", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "error: branch point 0 declares inertia class" in captured.err
 
     def test_collision_reported_as_bad_prime(self, capsys, tmp_path):
         code, payload = run(

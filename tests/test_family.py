@@ -1,21 +1,21 @@
-"""Manifests, branch loci, nondegeneracy, and Newton-polygon probes."""
+"""Manifests, branch loci, nondegeneracy, and the check of declared classes."""
 
 import hashlib
+import json
 import typing
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from galspec.arith import INFINITY
+from galspec.beckmann import specialization
 from galspec.family import (
     BranchPoint,
     FamilyManifest,
     ManifestInconsistent,
-    ProbeAmbiguous,
     branch_locus,
     builtin_manifest,
-    inertia_order_probe,
-    infinity_chart,
     load_manifest,
     nondegenerate_check,
     require_nondegenerate,
@@ -128,19 +128,6 @@ class TestBranchLocus:
     def test_not_monic(self):
         with pytest.raises(ValueError):
             branch_locus(parse_poly("2*X^2 - t"), 1)
-
-
-class TestInfinityChart:
-    def test_quadratic_chart(self):
-        assert infinity_chart(parse_poly("X^2 - t")) == parse_poly("t*X^2 - 1")
-
-    def test_linear_t_coefficients_reverse(self):
-        f = parse_poly("X^2 + (3*t + 5)*X + t")
-        assert infinity_chart(f) == parse_poly("t*X^2 + (3 + 5*t)*X + 1")
-
-    def test_needs_t(self):
-        with pytest.raises(ValueError):
-            infinity_chart(parse_poly("X^2 - s"))
 
 
 class TestBuiltinManifests:
@@ -404,97 +391,125 @@ class TestNondegenerate:
             assert m.disc.lc().evaluate(Fraction(s0)) == 0
 
 
-class TestInertiaProbe:
-    def test_quadratic_both_charts(self):
-        m = builtin_manifest("x2mt")
-        for i in (0, 1):
-            result = inertia_order_probe(m, i, 1)
-            assert result.pairs == ((2, 1),)
-            assert result.e_multiset == (2,)
+def cubic_manifest(*declared) -> dict:
+    """X^3 - 3X - t, t = X^3 - 3X: a transposition over t = 2 and t = -2,
+    (X + 1)^2 (X - 2) and (X - 1)^2 (X + 2), and a 3-cycle over infinity;
+    each declared item is (location, inertia generator, e)."""
+    return {
+        "name": "cubic",
+        "poly": "X^3 - 3*X - t",
+        "group_generators": ["(1 2 3)", "(1 2)"],
+        "branch_points": [
+            {
+                "location": location,
+                "e": e,
+                "inertia_generator": generator,
+                "decomposition_generators": [generator],
+            }
+            for location, generator, e in declared
+        ],
+    }
 
-    def test_cubic_both_charts(self):
+
+def single_point_manifest(poly: str, e: int, generator: str) -> dict:
+    return {
+        "name": "single",
+        "poly": poly,
+        "branch_points": [
+            {
+                "location": "0",
+                "e": e,
+                "inertia_generator": generator,
+                "decomposition_generators": [generator],
+            }
+        ],
+    }
+
+
+class TestDeclaredClassCheck:
+    """specialization checks each declared generator's cycle type against
+    the root multiplicities of a family of t-degree 1."""
+
+    def test_quadratic_both_points(self):
+        # B is constant: A = X^2 has a double root over t = 0, and the whole
+        # degree sits at X = infinity over t = infinity
+        m = builtin_manifest("x2mt")
+        assert specialization(m, 1).locations == (0, None)
+
+    def test_cubic_both_points(self):
         m = builtin_manifest("x3mt")
-        for i in (0, 1):
-            result = inertia_order_probe(m, i, 2)
-            assert result.pairs == ((3, 1),)
-            assert result.e_multiset == (3,)
+        for s0 in (0, 2, Fraction(-2, 5)):
+            assert specialization(m, s0).locations == (0, None)
 
     def test_flagship_matches_declared_type(self):
-        m = builtin_manifest("psl32")
-        result = inertia_order_probe(m, 0, 1)
-        assert result.e_multiset == (2, 2, 1, 1, 1)
-        assert result.pairs == ((2, 1), (2, 1), (1, 3))
+        # at infinity: B = X^2 (X - 1)(X^2 - sX + s) and X = infinity with
+        # index 7 - 5 = 2, so 2^2.1^3, the class of (4 5)(6 7)
+        assert specialization(builtin_manifest("psl32"), 1).locations == (None,)
 
     def test_flagship_sample_independence(self):
         m = builtin_manifest("psl32")
-        shapes = {
-            inertia_order_probe(m, 0, s0).e_multiset
-            for s0 in (1, 2, 3, 5, 6, -1, Fraction(1, 2))
-        }
-        assert shapes == {(2, 2, 1, 1, 1)}
+        for s0 in (1, 2, 3, 5, 6, -1, Fraction(1, 2)):
+            assert specialization(m, s0).s0 == s0
+
+    def test_flagship_wrong_class_at_infinity_refused(self):
+        raw = json.loads(resources.files("galspec").joinpath("data/psl32.json").read_text())
+        raw["branch_points"][0].update(
+            inertia_generator="(4 5)", decomposition_generators=["(4 5)"]
+        )
+        raw["branch_points"][0].pop("residue_subextension")
+        with pytest.raises(
+            ManifestInconsistent,
+            match=r"branch point 0 declares inertia class 2\.1\^5, .* indices 2\^2\.1\^3",
+        ):
+            specialization(load_manifest(raw), 1)
 
     def test_degenerate_parameter_refused(self):
+        # nondegeneracy is decided before any class is checked
         m = builtin_manifest("psl32")
         for s0 in (0, 4):
             with pytest.raises(ValueError, match="degenerate"):
-                inertia_order_probe(m, 0, s0)
+                specialization(m, s0)
 
     def test_moving_branch_point(self):
-        m = load_manifest(shifted_manifest())
-        result = inertia_order_probe(m, 0, 7)
-        assert result.e_multiset == (2,)
+        # X^2 + s over t = s is X^2
+        assert specialization(load_manifest(shifted_manifest()), 7).locations == (7,)
 
-    def test_unramified_discriminant_root(self):
-        # t = 0 lies on the discriminant of X^2 - t^2 but carries no
-        # ramification; the probe certifies the trivial inertia
-        raw = {
-            "name": "split",
-            "poly": "X^2 - t^2",
-            "branch_points": [
-                {
-                    "location": "0",
-                    "e": 1,
-                    "inertia_generator": "()",
-                    "decomposition_generators": ["()"],
-                }
-            ],
-        }
-        result = inertia_order_probe(load_manifest(raw), 0, 3)
-        assert result.e_multiset == (1, 1)
+    def test_two_moving_branch_points(self):
+        # t-degree 2, so unchecked
+        assert specialization(load_manifest(twobranch_manifest()), 1).locations == (1, 2)
 
-    def test_tangent_roots_are_ambiguous(self):
-        # roots t and t + t^2 agree to first order at t = 0: the polygon
-        # alone cannot separate them
-        raw = {
-            "name": "tangent",
-            "poly": "X^2 - (2*t + t^2)*X + t^2 + t^3",
-            "branch_points": [
-                {
-                    "location": "0",
-                    "e": 1,
-                    "inertia_generator": "()",
-                    "decomposition_generators": ["()"],
-                }
-            ],
-        }
-        with pytest.raises(ProbeAmbiguous):
-            inertia_order_probe(load_manifest(raw), 0, 5)
+    def test_right_classes_pass(self):
+        m = load_manifest(cubic_manifest(
+            ("2", "(1 2)", 2), ("-2", "(2 3)", 2), ("inf", "(1 2 3)", 3)
+        ))
+        for s0 in (0, 1, Fraction(1, 3)):
+            assert specialization(m, s0).locations == (2, -2, None)
 
-    def test_wrong_declared_type_detected(self):
-        raw = {
-            "name": "wrong",
-            "poly": "X^2 - t^2",
-            "branch_points": [
-                {
-                    "location": "0",
-                    "e": 2,
-                    "inertia_generator": "(1 2)",
-                    "decomposition_generators": ["(1 2)"],
-                }
-            ],
-        }
-        with pytest.raises(ManifestInconsistent, match="contradict"):
-            inertia_order_probe(load_manifest(raw), 0, 3)
+    def test_wrong_class_at_finite_point_refused(self):
+        m = load_manifest(cubic_manifest(("inf", "(1 2 3)", 3), ("2", "(1 2 3)", 3)))
+        with pytest.raises(
+            ManifestInconsistent,
+            match=r"branch point 1 declares inertia class 3, .* indices 2\.1 at s0 = 0",
+        ):
+            specialization(m, 0)
+
+    def test_wrong_class_at_infinity_refused(self):
+        m = load_manifest(cubic_manifest(("2", "(1 2)", 2), ("inf", "(1 2)", 2)))
+        with pytest.raises(
+            ManifestInconsistent,
+            match=r"branch point 1 declares inertia class 2\.1, .* indices 3 at s0 = 5",
+        ):
+            specialization(m, 5)
+
+    def test_unramified_discriminant_root_unchecked(self):
+        # X^2 - t^2 has no ramification over t = 0, yet its declared
+        # transposition is not checked: the family has t-degree 2
+        m = load_manifest(single_point_manifest("X^2 - t^2", 2, "(1 2)"))
+        assert specialization(m, 3).locations == (0,)
+
+    def test_tangent_roots_unchecked(self):
+        m = load_manifest(single_point_manifest("X^2 - (2*t + t^2)*X + t^2 + t^3", 1, "()"))
+        assert specialization(m, 5).locations == (0,)
 
 
 def loaded_texts(m) -> dict:

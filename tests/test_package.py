@@ -315,7 +315,6 @@ def _float_calls():
     return {
         "nondegenerate_check": lambda: family.nondegenerate_check(x2mt, 0.1),
         "location_at": lambda: x2mt.branch_points[0].location_at(0.1),
-        "inertia_order_probe": lambda: family.inertia_order_probe(x2mt, 0, 0.1),
         "branch_locus": lambda: family.branch_locus(x2mt.f, 0.1),
         "predict_any": lambda: beckmann.predict_any(x2mt, 0, 0.1, 5),
         "local_model": lambda: grunwald.local_model(x2mt, 0, 0.1),

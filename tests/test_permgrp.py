@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galspec.family import builtin_manifest
 from galspec.permgrp import (
     CapExceeded,
     CycleType,
@@ -121,6 +122,14 @@ class TestCycleType:
         g = p("(1 2 3 4)(5 6)")
         assert power_cycle_type(g, 2).parts == (2, 2, 1, 1, 1)
         assert power_cycle_type(g, -1) == cycle_type(g)
+
+    @pytest.mark.parametrize("name", ["psl32", "x2mt", "x3mt"])
+    def test_powers_read_from_cycle_lengths(self, name):
+        # an l-cycle of g is gcd(l, k) cycles of length l / gcd(l, k) in g^k
+        for g in builtin_manifest(name).group.elements:
+            bound = 2 * g.order()
+            for k in range(-bound, bound + 1):
+                assert power_cycle_type(g, k) == cycle_type(g**k), (str(g), k)
 
 
 class TestGenerate:
