@@ -18,7 +18,7 @@ from itertools import count
 from pathlib import Path
 
 from .arith import format_rat, parse_rat
-from .beckmann import PredictionContradiction, bad_primes, predict_any
+from .beckmann import PredictionContradiction, bad_primes, predict_any, specialization
 from .family import (
     FamilyManifest,
     ManifestInconsistent,
@@ -111,6 +111,8 @@ def cmd_branch(args) -> int:
         s0 = parse_rat(args.s0)
         locus = branch_locus(m.f, s0)
         check = nondegenerate_check(m, s0)
+        if check.ok:
+            specialization(m, s0)  # raises ManifestInconsistent on a wrong declared class
         payload["s0"] = format_rat(s0)
         payload["nondegenerate"] = check.ok
         payload["degenerate_reasons"] = list(check.reasons)

@@ -625,6 +625,8 @@ def factor_poly(K, f: list, seed: int = 0):
         raise ValueError("cannot factor the zero polynomial")
     unit = f[-1]
     f = poly_monic(K, f)
+    if len(f) == 2:  # a linear polynomial is irreducible
+        return unit, [(f, 1)]
     rng = random.Random(seed)
     factors = []
     for g, mult in squarefree_decomposition(K, f):

@@ -12,7 +12,9 @@ Newton polygon face it grows a key polynomial stage by stage, factoring a
 residual polynomial over the current residue field at each step.  A chain
 ends at its first simple residual factor, which is one p-adic factor whose
 (e, f) the stage already holds; only a repeated factor takes a further
-stage.  v_p(disc f) bounds every chain:
+stage.  Each stage keeps the key expansions it has computed, with the
+values of their coefficients, for the life of its chain, so no polynomial
+is expanded in the same key twice.  v_p(disc f) bounds every chain:
 a stage past it raises RuntimeError, which names input that is not
 squarefree (see _decompose_face for the proof).  Every value is an integer,
 scaled by the ramification denominator D of the stage that computes it,
@@ -100,6 +102,22 @@ def _expansion(g: UniPoly, phi: UniPoly) -> list:
 class _Stage:
     """Shared augmentation machinery; subclasses fix value/reduction."""
 
+    def spread(self, g: UniPoly, phi: UniPoly):
+        """(g's phi-expansion, this stage's value of each coefficient).
+
+        A chain asks for the same spread several times: new_values here,
+        then every reduction and value of g at each stage built on phi; the
+        value of a coefficient, then its reduction; lift_key's self-check,
+        then the key's value.  So each stage keeps the spreads it has
+        computed, keyed by both coefficient tuples; they die with the chain.
+        """
+        key = (phi.coeffs, g.coeffs)
+        got = self.spreads.get(key)
+        if got is None:
+            cs = _expansion(g, phi)
+            got = self.spreads[key] = (cs, [self.value(c) if c else INFINITY for c in cs])
+        return got
+
     def _solve_slope(self, rel: Fraction) -> None:
         """n/d = rel in lowest terms, and a*n + b*d = 1 with 0 <= a < d."""
         self.n = rel.numerator
@@ -135,7 +153,7 @@ class _Stage:
         lifts keys only for repeated residual factors, so a length of 1
         here is one of the pieces into which such a factor splits.
         """
-        cs = _expansion(g, phi2)
+        cs, values = self.spread(g, phi2)
         ordv = 0
         while not cs[ordv]:
             ordv += 1
@@ -143,7 +161,7 @@ class _Stage:
         if ordv:
             assert ordv == 1, "repeated exact key divisor in squarefree input"
             vals.append((INFINITY, 1))
-        pts = [(i, self.value(cs[i])) for i in range(ordv, len(cs)) if cs[i]]
+        pts = [(i, values[i]) for i in range(ordv, len(cs)) if cs[i]]
         for slope, length in lower_hull(pts):
             if -slope > mu2:
                 vals.append((-slope / self.D, length))
@@ -154,7 +172,7 @@ class _Stage:
 class _StageZero(_Stage):
     """Base valuation: v_p on coefficients, v(x) = n/d for one polygon face."""
 
-    __slots__ = ("p", "n", "d", "a", "b", "D", "F", "field", "phi", "var")
+    __slots__ = ("p", "n", "d", "a", "b", "D", "F", "field", "phi", "var", "spreads")
 
     def __init__(self, p: int, lam: Fraction, var: str):
         self.p = p
@@ -164,6 +182,7 @@ class _StageZero(_Stage):
         self.field = FpField(p)
         self.var = var
         self.phi = UniPoly.gen(var)
+        self.spreads = {}
 
     def value(self, g: UniPoly):
         """d * v(g), an int; INFINITY for g = 0."""
@@ -213,7 +232,7 @@ class _Augmented(_Stage):
     """Chain extended by one key: the previous stage plus v(phi) = mu."""
 
     __slots__ = ("prev", "p", "phi", "n", "d", "a", "b", "D", "F",
-                 "field", "ybar", "extended", "var")
+                 "field", "ybar", "extended", "var", "spreads")
 
     def __init__(self, prev, phi: UniPoly, mu: Fraction, u: list):
         self.prev = prev
@@ -234,15 +253,16 @@ class _Augmented(_Stage):
             self.field = prev.field
             self.ybar = prev.field.neg(u[0])
         self.var = prev.var
+        self.spreads = {}
 
     def value(self, g: UniPoly):
         """D * v(g), an int; INFINITY for g = 0."""
         return self._spread(g)[2]
 
     def _spread(self, g: UniPoly):
-        cs = _expansion(g, self.phi)
-        pv, n, d = self.prev, self.n, self.d
-        vals = [d * pv.value(c) + i * n if c else INFINITY for i, c in enumerate(cs)]
+        cs, prev_values = self.prev.spread(g, self.phi)
+        n, d = self.n, self.d
+        vals = [v if v is INFINITY else d * v + i * n for i, v in enumerate(prev_values)]
         best = min(vals)
         S = [i for i, v in enumerate(vals) if v is not INFINITY and v == best]
         return cs, S, best

@@ -968,12 +968,7 @@ def newton_polygon(f: UniPoly, val) -> tuple:
     """
     if not f:
         raise ValueError("zero polynomial has no Newton polygon")
-    points = []
-    for i, c in enumerate(f.coeffs):
-        v = val(c)
-        if v == INFINITY:
-            continue
-        points.append((i, Fraction(v)))
+    points = [(i, v) for i, v in enumerate(map(val, f.coeffs)) if v != INFINITY]
     if not points:
         raise ValueError("all coefficients have infinite valuation")
     return tuple((-s, l) for s, l in reversed(lower_hull(points)))

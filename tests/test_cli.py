@@ -243,6 +243,24 @@ class TestBranch:
         assert payload["infinity"] is True
         assert "s0" not in payload
 
+    def test_wrong_declared_class_at_s0_is_usage_error(self, capsys, tmp_path):
+        # X^3 - 3X - t has a transposition over t = 2, not a 3-cycle
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(cubic_manifest(("2", "(1 2 3)", 3))))
+        code = main(["branch", "--manifest", str(path), "--s0", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "error: branch point 0 declares inertia class 3" in captured.err
+        # without --s0 nothing is bound, so no class is checked
+        code, payload = run(capsys, "branch", "--manifest", str(path))
+        assert code == 0 and payload["declared"][0]["inertia_class"] == "3"
+
+    def test_degenerate_s0_is_reported_not_refused(self, capsys):
+        code, payload = run(capsys, "branch", "--manifest", "psl32", "--s0", "0")
+        assert code == 0
+        assert payload["nondegenerate"] is False
+        assert payload["degenerate_reasons"] == ["discriminant t-degree drops"]
+
 
 class TestBadPrimes:
     def test_cubic_frozen(self, capsys):

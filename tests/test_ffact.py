@@ -109,7 +109,7 @@ class TestFactorModP:
         with pytest.raises(ValueError):
             factor_mod_p([], 7)
 
-    def test_unit_and_multiplicity(self):
+    def test_unit_and_multiplicity(self, monkeypatch):
         # 3 (X-1)^2 (X^2+1) mod 7
         K = FpField(7)
         f = poly_mul(K, poly_mul(K, [3], poly_mul(K, [-1, 1], [-1, 1])), [1, 0, 1])
@@ -118,6 +118,13 @@ class TestFactorModP:
         assert [(tuple(g), m) for g, m in factors] == [
             ((6, 1), 2), ((1, 0, 1), 1),
         ]
+        # a linear input is its own monic factor, read with no factoring stage
+        monkeypatch.setattr(ffact, "squarefree_decomposition", None)
+        assert factor_poly(K, [2, 3]) == (3, [([3, 1], 1)])  # 3X + 2 = 3 (X + 3)
+        F9 = tower("F9")
+        i = F9.gen()
+        assert factor_poly(F9, [F9.one(), i]) == (i, [([F9.inv(i), F9.one()], 1)])
+        assert factor_poly(F9, [i, F9.one()]) == (F9.one(), [([i, F9.one()], 1)])
 
     @given(
         st.sampled_from([2, 3, 5, 13]),

@@ -479,6 +479,43 @@ class TestChainEnds:
         assert lifts == [1]
 
 
+class TestOneExpansionPerKey:
+    """Each stage keeps its spreads, so new_values, the reductions at the
+    stages built on its key, and lift_key's self-check expand each
+    polynomial in each key once."""
+
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            # the shapes benchmark's templates at p = 11: a tower
+            # ((X - 2)^2 - 11*3)^3 - 11^4*5 with a split quadratic piece and
+            # two linear ones, and (X - 2)^4 - 11^2*2 with an Eisenstein
+            # cubic, an irreducible quadratic and a linear piece
+            (
+                (xp(-33 + 4, -4, 1) ** 3 - 11**4 * 5) * (xp(-5, 1) ** 2 - 121 * 3)
+                * xp(-7, 1) * xp(-9, 1),
+                {(6, 1): 1, (1, 1): 4},
+            ),
+            (
+                (xp(-2, 1) ** 4 - 121 * 2) * (xp(-5, 1) ** 3 - 11 * 4) * xp(1, 0, 1) * xp(-7, 1),
+                {(2, 2): 1, (3, 1): 1, (1, 2): 1, (1, 1): 1},
+            ),
+        ],
+        ids=["tower", "split4"],
+    )
+    def test_no_expansion_repeats(self, monkeypatch, f, expected):
+        calls = Counter()
+        expansion = padic._expansion
+
+        def counted(g, phi):
+            calls[phi.coeffs, g.coeffs] += 1
+            return expansion(g, phi)
+
+        monkeypatch.setattr(padic, "_expansion", counted)
+        assert shape_of(f, 11) == Counter(expected)
+        assert calls and max(calls.values()) == 1
+
+
 class TestStageValues:
     # (X^2 - 5)^3 - 5^4: v(X) = 1/2 at the base stage, then the key
     # X^2 - 5 takes the value 4/3, so the second stage has D = 2 * 3

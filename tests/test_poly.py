@@ -556,6 +556,10 @@ class TestNewtonPolygon:
         slopes = [s for s, _ in faces]
         assert slopes == sorted(slopes)
         assert len(set(slopes)) == len(slopes)
+        # the oracle's int values go through as they are; the slopes are
+        # Fractions either way
+        assert newton_polygon(f, lambda c: Fraction(valuation(c, p)) if c else INFINITY) == faces
+        assert all(type(s) is Fraction for s in slopes)
 
 
 class TestRationalRoots:
