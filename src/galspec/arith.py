@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 INFINITY = float("inf")
@@ -60,17 +60,15 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(namedtuple("Congruence", "residue modulus")):
     """The class of integers congruent to `residue` mod `modulus`."""
 
-    residue: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus <= 0:
+    def __new__(cls, residue: int, modulus: int):
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        return super().__new__(cls, residue % modulus, modulus)
 
     def contains(self, n: int) -> bool:
         return n % self.modulus == self.residue

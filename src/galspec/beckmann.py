@@ -31,7 +31,7 @@ the one builder of a fibre's X-coefficients and discriminant: local_model
 t-line search read it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -60,38 +60,33 @@ REASONS = (
 )
 
 
-@dataclass(frozen=True)
-class BadPrimeReport:
+class BadPrimeReport(namedtuple("BadPrimeReport", "p reasons")):
     """A prime excluded from predictions, with the reasons it fails."""
 
-    p: int
-    reasons: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.reasons:
-            raise ValueError(f"bad prime {self.p} reported without a reason")
-        unknown = set(self.reasons) - set(REASONS)
+    def __new__(cls, p: int, reasons: tuple):
+        if not reasons:
+            raise ValueError(f"bad prime {p} reported without a reason")
+        unknown = set(reasons) - set(REASONS)
         if unknown:
             raise ValueError(f"unknown reasons {sorted(unknown)}")
-        object.__setattr__(self, "reasons", tuple(sorted(set(self.reasons))))
+        return super().__new__(cls, p, tuple(sorted(set(reasons))))
 
 
-@dataclass(frozen=True)
-class InertiaPrediction:
-    """Inertia over p is conjugate to the cyclic group <tau^multiplicity>."""
+class InertiaPrediction(
+    namedtuple("InertiaPrediction", "p branch multiplicity generator_class order")
+):
+    """Inertia over p is conjugate to the cyclic group <tau^multiplicity>;
+    generator_class is the CycleType of tau^multiplicity."""
 
-    p: int
-    branch: int
-    multiplicity: int
-    generator_class: CycleType
-    order: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnramifiedPrediction:
+class UnramifiedPrediction(namedtuple("UnramifiedPrediction", "p")):
     """t0 meets no branch point at p; the specialization is unramified."""
 
-    p: int
+    __slots__ = ()
 
 
 class PredictionContradiction(Exception):
@@ -105,19 +100,15 @@ class PredictionContradiction(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(
+    namedtuple("Specialization", "s0 f disc locations residual certificates")
+):
     """The family at one nondegenerate s = s0: f and its X-discriminant
     bound, each declared branch point's t-location (None at infinity), the
     primitive integer model of the non-rational locus (None when empty), and
     (reason, integer) certificates: p is bad for s0 iff it divides one."""
 
-    s0: Fraction
-    f: UniPoly
-    disc: UniPoly
-    locations: tuple
-    residual: UniPoly | None
-    certificates: tuple
+    __slots__ = ()
 
     def fibre(self, t0) -> tuple:
         """(X-coefficients lowest first, disc) of f(s0, t0, X); both are ints

@@ -295,6 +295,12 @@ def cmd_verify(args) -> int:
     _emit(_report_json(report), args.out)
     ok = sum(1 for r in report.records if r.passed)
     _note(f"{ok}/{len(report.records)} condition(s) hold; report {'passed' if report.passed else 'FAILED'}")
+    if args.n_id and report.identification is None:
+        # verify skips a requested identification only on a branch point
+        _note(
+            f"identification skipped: t0 = {format_rat(report.t0)} lies on a branch point, "
+            "so the fibre has a repeated factor and no auxiliary prime can read it"
+        )
     _note_identification(report)
     return 0 if report.passed else 1
 

@@ -23,13 +23,13 @@ t = infinity as v_p(b) - v_p(a), and grunwald.local_model has no chart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
 from .arith import INFINITY, rational
-from .permgrp import Perm, PermGroup, generate, parse_perm, require_normal_inertia
+from .permgrp import Perm, PermGroup, _Record, generate, parse_perm, require_normal_inertia
 from .poly import (
     UniPoly,
     content_in_coeffs,
@@ -47,14 +47,17 @@ class ManifestInconsistent(Exception):
     """Declared manifest data contradicts what was computed from f."""
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(
+    namedtuple("BranchPoint", "location e inertia_generator decomposition rho")
+):
     """One declared branch point of the family.
 
     location is a polynomial in s (the branch point t = m(s)) or the
     INFINITY sentinel.
     """
 
+    __slots__ = ()
+    # the fields' types, for typing.get_type_hints; annotations add no field
     location: object
     e: int
     inertia_generator: Perm
@@ -72,8 +75,7 @@ class BranchPoint:
         return Fraction(self.location.evaluate(rational(s0)))
 
 
-@dataclass(frozen=True)
-class BranchLocus:
+class BranchLocus(namedtuple("BranchLocus", "points residual infinity")):
     """Rational branch points plus the unfactored remainder of the locus.
 
     points are Fractions: in a loaded manifest's locus (s free) the
@@ -89,15 +91,13 @@ class BranchLocus:
     branch points merely meeting there, so it is a conservative flag).
     """
 
-    points: tuple
-    residual: UniPoly
-    infinity: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    s0: Fraction
-    reasons: tuple
+class NondegeneracyReport(namedtuple("NondegeneracyReport", "s0 reasons")):
+    """The failed clauses of binding s = s0; true when there are none."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -107,19 +107,19 @@ class NondegeneracyReport:
         return self.ok
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyManifest:
+class FamilyManifest(_Record):
     """A loaded family.  It hashes and compares by identity, so caches keyed
-    on a manifest (beckmann's certificates) never hash its polynomials."""
+    on a manifest (beckmann's certificates) never hash its polynomials.
+    group is a PermGroup, or None when the manifest declares no group."""
 
-    name: str
-    f: UniPoly
-    group: PermGroup | None
-    branch_points: tuple
-    disc: UniPoly
-    squarefree_disc: UniPoly
-    locus: BranchLocus
-    s_guards: tuple
+    __slots__ = (
+        "name", "f", "group", "branch_points", "disc", "squarefree_disc", "locus", "s_guards",
+    )
+
+    def __init__(self, name, f, group, branch_points, disc, squarefree_disc, locus, s_guards):
+        values = (name, f, group, branch_points, disc, squarefree_disc, locus, s_guards)
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
 
 
 # -- branch locus -------------------------------------------------------------

@@ -32,8 +32,7 @@ fibre divides d, so disc h, and is always measured: disc(t0) alone would
 read X^3 - t0/7 unramified at 7, where it is totally ramified.
 """
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -83,26 +82,21 @@ class UnsupportedConditionCombination(Exception):
 # -- conditions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Unramified:
-    """p must be unramified with this exact splitting type."""
+class Unramified(namedtuple("Unramified", "p target")):
+    """p must be unramified with this exact splitting type, a CycleType."""
 
-    p: int
-    target: CycleType
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ramified:
+class Ramified(namedtuple("Ramified", "p branch d frobenius_target", defaults=(1,))):
     """p must ramify over one branch point with inertia generated by tau^d.
 
     frobenius_target is the order of the residue Frobenius in the Galois
-    group of the branch point's residue subextension; 1 means trivial.
+    group of the branch point's residue subextension; 1 (the default) means
+    trivial.
     """
 
-    p: int
-    branch: int
-    d: int
-    frobenius_target: int = 1
+    __slots__ = ()
 
 
 def parse_condition(text: str, manifest: FamilyManifest):
@@ -300,18 +294,16 @@ def _frobenius_congruence(manifest, bp, cond) -> Congruence:
 # -- the t-line search ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TProgression:
+class TProgression(namedtuple("TProgression", "chart congruence valuations")):
     """Arithmetic progression of specialization values for t.
 
     chart "t" constrains t itself; chart "u" constrains u = 1/t, used when
-    the target branch point sits at infinity.  valuations records the
-    exact prescribed contact order (p, d) per ramified condition.
+    the target branch point sits at infinity.  congruence is the Congruence
+    its integers (t or u) lie in, and valuations records the exact
+    prescribed contact order (p, d) per ramified condition.
     """
 
-    chart: str
-    congruence: Congruence
-    valuations: tuple
+    __slots__ = ()
 
     def member(self, k: int) -> Fraction:
         w = self.congruence.residue + k * self.congruence.modulus
@@ -410,8 +402,9 @@ def _t0_witness(spec, prescription) -> Fraction:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(
+    namedtuple("ConditionRecord", "condition mode predicted observed passed")
+):
     """One condition checked against the measured fiber.
 
     mode is "unramified", "full", or "inertia-only"; the last applies when
@@ -419,15 +412,12 @@ class ConditionRecord:
     ramification indices are certified.
     """
 
-    condition: object
-    mode: str
-    predicted: tuple
-    observed: object
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentificationSummary:
+class IdentificationSummary(
+    namedtuple("IdentificationSummary", "sampled counts missing alien verdict certificate")
+):
     """Splitting types at auxiliary primes vs the group's cycle types.
 
     verdict is "ACCEPT" (certificate holds two observed types that
@@ -437,26 +427,23 @@ class IdentificationSummary:
     those never read, and none after ACCEPT, which proves it realizes all.
     """
 
-    sampled: int
-    counts: tuple
-    missing: tuple
-    alien: tuple
-    verdict: str
-    certificate: tuple
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.verdict == "ACCEPT"
 
 
-@dataclass(frozen=True)
-class SpecializationReport:
-    s0: Fraction
-    t0: Fraction
-    records: tuple
-    identification: IdentificationSummary | None
-    s0_progression: Congruence | None = None
-    t0_progression: TProgression | None = None
+class SpecializationReport(namedtuple(
+    "SpecializationReport",
+    "s0 t0 records identification s0_progression t0_progression",
+    defaults=(None, None),
+)):
+    """verify's or run_search's product: one ConditionRecord per condition,
+    the IdentificationSummary (None when skipped), and run_search's s0
+    Congruence and TProgression (None from verify)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -720,28 +707,28 @@ def verify(
     premise).
 
     Mismatches produce failing records, never exceptions: the report is the
-    product.  n_id = 0 skips the identification stage.
+    product.  n_id = 0 skips the identification stage, and so does a t0 on
+    a branch point (disc h = 0) with conditions: no auxiliary prime reads
+    that fibre, and each record already fails, naming its repeated factor.
+    Without conditions such a t0 still raises, as _identify does.
     """
     _check_n_id(n_id)
     validate_conditions(manifest, conditions)
     spec, t0 = specialization(manifest, s0), rational(t0)
     h, disc = local_model(manifest, spec.s0, t0)
     records = tuple(_check_condition(manifest, spec.s0, h, disc, c) for c in conditions)
-    summary = _identify(manifest, spec, t0, conditions, n_id, seed) if n_id else None
+    read_aux = n_id and (disc or not records)
+    summary = _identify(manifest, spec, t0, conditions, n_id, seed) if read_aux else None
     return SpecializationReport(spec.s0, t0, records, summary)
 
 
 # -- census --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    s0: Fraction
-    t0: int
-    p: int
-    predicted: str
-    observed: str
-    match: str  # "true" | "false" | "bad"
+class CensusRow(namedtuple("CensusRow", "s0 t0 p predicted observed match")):
+    """One census cell; match is "true", "false" or "bad"."""
+
+    __slots__ = ()
 
 
 def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
@@ -815,4 +802,4 @@ def run_search(
     s_progression, s0 = search_s0(manifest, conditions)
     t_prescription, t0 = search_t0(manifest, s0, conditions)
     base = verify(manifest, s0, t0, conditions, n_id=n_id, seed=seed)
-    return replace(base, s0_progression=s_progression, t0_progression=t_prescription)
+    return base._replace(s0_progression=s_progression, t0_progression=t_prescription)

@@ -28,7 +28,7 @@ since the surrounding toolkit only reasons about tame primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import INFINITY, _check_prime, _vp, valuation
@@ -42,12 +42,11 @@ class WildPrime(Exception):
     """p divides a ramification index; the tame analysis refuses."""
 
 
-@dataclass(frozen=True)
-class PadicShape:
-    """Multiset of (e, f) pairs, one per p-adic irreducible factor."""
+class PadicShape(namedtuple("PadicShape", "p pairs")):
+    """Multiset of (e, f) pairs, one per p-adic irreducible factor; pairs
+    is ((e, f), ...) sorted descending."""
 
-    p: int
-    pairs: tuple  # ((e, f), ...) sorted descending
+    __slots__ = ()
 
     def degree(self) -> int:
         return sum(e * f for e, f in self.pairs)

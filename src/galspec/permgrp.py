@@ -16,7 +16,7 @@ internally images are 0-based tuples.  Products compose right-to-left:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -31,15 +31,41 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class Perm:
-    """Bijection on {1..n}; images[i] is the 0-based image of point i."""
+class _Record:
+    """Base of the __slots__ records: each field is set once, in __init__,
+    and assignment or deletion afterwards raises AttributeError."""
 
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Perm(_Record):
+    """Bijection on {1..n}; images[i] is the 0-based image of point i.
+    Equal and hashed by images, and equal only to a Perm."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple):
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection")
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is not Perm:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -149,16 +175,26 @@ def parse_perm(text: str, n: int) -> Perm:
     return Perm.from_cycles(cycles, n)
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Partition of the degree; parts sorted descending."""
+class CycleType(_Record):
+    """Partition of the degree; parts sorted descending.  Equal and hashed
+    by parts, and equal only to a CycleType: iterating one yields its parts,
+    so it is not a tuple of its fields."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
-        if any(p < 1 for p in self.parts):
+    def __init__(self, parts):
+        parts = tuple(sorted(parts, reverse=True))
+        if parts and parts[-1] < 1:
             raise ValueError("cycle lengths must be positive")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not CycleType:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     def degree(self) -> int:
         return sum(self.parts)
@@ -208,13 +244,10 @@ def _closure_tuples(gens: list, n: int, cap: int) -> set:
     return seen
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(namedtuple("PermGroup", "degree generators elements")):
     """Fully enumerated group; elements canonically sorted."""
 
-    degree: int
-    generators: tuple
-    elements: tuple
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -487,6 +487,25 @@ class TestVerify:
         assert code == 1
         assert payload["records"][0]["observed"] == [[2, 1]]
 
+    @pytest.mark.parametrize(
+        "manifest, cond", [("x2mt", "p=3,branch=0,d=1"), ("x3mt", "p=7,branch=0,d=1")]
+    )
+    def test_t0_on_a_branch_point_fails_without_identification(self, capsys, manifest, cond):
+        # X^2 - 0 and X^3 - 0 have repeated roots: no field, and no auxiliary
+        # prime can read the fibre, so identification is skipped, not failed
+        assert main(["verify", "--manifest", manifest, "--t0", "0", "--cond", cond]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert "identification" not in payload and payload["passed"] is False
+        (record,) = payload["records"]
+        assert record["passed"] is False
+        assert record["observed"] == "repeated factor over Q; shapes need squarefree input"
+        assert captured.err.strip().splitlines() == [
+            "0/1 condition(s) hold; report FAILED",
+            "identification skipped: t0 = 0 lies on a branch point, so the fibre has a "
+            "repeated factor and no auxiliary prime can read it",
+        ]
+
     def test_malformed_condition_is_usage_error(self, capsys):
         code, _ = run(
             capsys, "verify", "--manifest", "x2mt", "--t0", "12", "--cond", "p=oops"

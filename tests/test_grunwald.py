@@ -6,13 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-import dataclasses
-
 from galspec.arith import Congruence, format_rat, primes_up_to, valuation
 from galspec.beckmann import (
     InertiaPrediction, bad_primes, is_bad_prime, predict_inertia, specialization,
 )
-from galspec.family import builtin_manifest, load_manifest, nondegenerate_check
+from galspec.family import FamilyManifest, builtin_manifest, load_manifest, nondegenerate_check
 from galspec.ffact import NotPIntegral, NotSquarefree, degree_sequence
 from galspec.grunwald import (
     CensusRow,
@@ -414,6 +412,17 @@ class TestVerify:
         assert (record.mode, record.predicted, record.observed, record.passed) == (
             "full", (), "repeated factor mod 7", False,
         )
+
+    def test_branch_point_skips_identification(self):
+        # no auxiliary prime reads X^2 - 0, so the default identification is
+        # skipped; the failing record already names the reason
+        x2mt = builtin_manifest("x2mt")
+        report = verify(x2mt, 0, 0, [Ramified(7, 0, 1)])
+        assert report.identification is None and not report.passed
+        assert report.records[0].observed.startswith("repeated factor over Q")
+        # with nothing else to check, the unreadable fibre is still refused
+        with pytest.raises(ValueError):
+            verify(x2mt, 0, 0, [])
 
     def test_unramified_conditions_read_the_field_not_the_model(self):
         # 3 divides disc(X^2 - t0) at each x2mt t0 here, and 3 is unramified
@@ -867,6 +876,13 @@ class TestIdentificationSamples:
         assert ident.alien == ()
 
 
+def claiming(m, group):
+    """m with a different declared group, as a new manifest."""
+    return FamilyManifest(
+        m.name, m.f, group, m.branch_points, m.disc, m.squarefree_disc, m.locus, m.s_guards
+    )
+
+
 class TestIdentificationCertificate:
     """verify's identification stops at a theorem: ACCEPT once two observed
     types invariably generate the declared group, REJECT at an alien type."""
@@ -885,7 +901,7 @@ class TestIdentificationCertificate:
         # in A7, a proper subgroup of the claimed S7
         m = builtin_manifest("psl32")
         s7 = generate([parse_perm("(1 2 3 4 5 6 7)", 7), parse_perm("(1 2)", 7)])
-        claim = dataclasses.replace(m, group=s7)
+        claim = claiming(m, s7)
         for seed in range(10):
             report = verify(claim, 1, Fraction(1, 11), [Ramified(11, 0, 1, 2)], n_id=60, seed=seed)
             ident = report.identification
@@ -896,7 +912,7 @@ class TestIdentificationCertificate:
     def test_alien_type_rejects_at_once(self):
         # x3mt's fibres realize S3; a claimed A3 sees a transposition type
         m = builtin_manifest("x3mt")
-        claim = dataclasses.replace(m, group=generate([parse_perm("(1 2 3)", 3)]))
+        claim = claiming(m, generate([parse_perm("(1 2 3)", 3)]))
         ident = verify(claim, 0, 56, [], n_id=60, seed=0).identification
         assert ident.verdict == "REJECT"
         assert ident.alien == (CycleType((2, 1)),)
@@ -925,7 +941,7 @@ class TestIdentifyVerdict:
     def test_overgroup_claim_fails_the_chi2_test(self):
         m = builtin_manifest("psl32")
         s7 = generate([parse_perm("(1 2 3 4 5 6 7)", 7), parse_perm("(1 2)", 7)])
-        claim = dataclasses.replace(m, group=s7)
+        claim = claiming(m, s7)
         for seed in range(10):
             result = identify(claim, 1, 300, seed)
             assert result["verdict"] == "REJECT", seed

@@ -14,15 +14,17 @@ unramified by p ∤ disc of that integral model alone, keeps no table or
 memo and calls neither is_prime nor predict_any per cell, and the t-line
 search reads a residue as the sampler does.  Each polynomial job has one
 entry point, resultants and gcds included, and every library entry point
-refuses a float."""
+refuses a float.  Records are namedtuples or __slots__ classes, never
+dataclasses, and keep a frozen record's semantics."""
 
 import ast
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from galspec import arith, beckmann, family, ffact, grunwald, padic, poly
+from galspec import arith, beckmann, family, ffact, grunwald, padic, permgrp, poly
 
 
 def _tree(name: str):
@@ -100,6 +102,15 @@ def test_no_concurrency_machinery():
     banned = {"concurrent", "threading", "multiprocessing"}
     found = [
         f"{file}: {name}" for file, name in _absolute_imports() if name.split(".")[0] in banned
+    ]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # a frozen dataclass cost more to build than a census cell's arithmetic,
+    # and the import and class building cost every process more than a load
+    found = [
+        f"{file}: {name}" for file, name in _absolute_imports() if name.split(".")[0] == "dataclasses"
     ]
     assert found == []
 
@@ -329,3 +340,82 @@ def test_entry_points_refuse_a_float(name):
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(TypeError, match="float"):
         _float_calls()[name]()
+
+
+def _records():
+    """(class, field values) of one instance of each galspec record but
+    FamilyManifest, which compares by identity."""
+    x2mt = family.builtin_manifest("x2mt")
+    ct, g, bp = permgrp.CycleType((2, 1)), permgrp.Perm((1, 0, 2)), x2mt.branch_points[0]
+    spec = beckmann.specialization(x2mt, 0)
+    cond = grunwald.Unramified(7, ct)
+    return [
+        (permgrp.Perm, ((1, 0, 2),)),
+        (permgrp.CycleType, ((2, 1),)),
+        (permgrp.PermGroup, tuple(permgrp.generate([g]))),
+        (arith.Congruence, (2, 5)),
+        (padic.PadicShape, (5, ((2, 1), (1, 1)))),
+        (beckmann.BadPrimeReport, (5, ("BranchCollision",))),
+        (beckmann.InertiaPrediction, (5, 0, 1, ct, 2)),
+        (beckmann.UnramifiedPrediction, (5,)),
+        (beckmann.Specialization, tuple(spec)),
+        (family.BranchPoint, tuple(bp)),
+        (family.BranchLocus, tuple(x2mt.locus)),
+        (family.NondegeneracyReport, (Fraction(1), ())),
+        (grunwald.Unramified, (7, ct)),
+        (grunwald.Ramified, (7, 0, 1, 2)),
+        (grunwald.TProgression, ("t", arith.Congruence(3, 7), ((7, 1),))),
+        (grunwald.ConditionRecord, (cond, "unramified", (2, 1), (2, 1), True)),
+        (grunwald.IdentificationSummary, (3, ((ct, 3),), (), (), "ACCEPT", (ct, ct))),
+        (grunwald.SpecializationReport, (Fraction(0), Fraction(5), (), None, None, None)),
+        (grunwald.CensusRow, (Fraction(0), 3, 5, "2.1", "2.1", "true")),
+    ]
+
+
+@pytest.mark.parametrize("cls, values", _records(), ids=lambda x: getattr(x, "__name__", ""))
+def test_records_keep_frozen_value_semantics(cls, values):
+    a, b = cls(*values), cls(*values)
+    assert a is not b and a == b and hash(a) == hash(b)
+    field = getattr(cls, "_fields", None) or cls.__slots__
+    with pytest.raises(AttributeError):
+        setattr(a, field[0], getattr(b, field[0]))
+    with pytest.raises(AttributeError):
+        a.undeclared = 1
+    if cls is permgrp.Perm:
+        assert repr(a) == "Perm[(1 2)]"  # cycle notation, as it always printed
+    else:
+        assert repr(a).startswith(f"{cls.__name__}({field[0]}=")
+
+
+def test_cycle_types_and_perms_equal_only_their_own_class():
+    ct = permgrp.CycleType((1, 1))
+    assert ct != (1, 1) and ct != ((1, 1),) and (1, 1) != ct
+    assert list(permgrp.CycleType((1, 2))) == [2, 1]  # it iterates its parts
+    assert permgrp.Perm((1, 0)) != (1, 0) and permgrp.Perm((1, 0)) != ((1, 0),)
+    with pytest.raises(ValueError, match="positive"):
+        permgrp.CycleType((2, 0))
+    with pytest.raises(ValueError, match="bijection"):
+        permgrp.Perm((0, 0, 1))
+
+
+def test_validating_records_still_validate():
+    assert arith.Congruence(12, 5) == arith.Congruence(2, 5)
+    with pytest.raises(ValueError, match="modulus"):
+        arith.Congruence(1, 0)
+    assert beckmann.BadPrimeReport(5, ("BranchCollision", "BranchCollision")).reasons == (
+        "BranchCollision",
+    )
+    with pytest.raises(ValueError, match="without a reason"):
+        beckmann.BadPrimeReport(5, ())
+    assert grunwald.Ramified(7, 0, 1).frobenius_target == 1
+    assert grunwald.SpecializationReport(0, 5, (), None).t0_progression is None
+
+
+def test_a_manifest_equals_only_itself():
+    path = resources.files("galspec").joinpath("data/x2mt.json")
+    m, again = family.load_manifest(path), family.load_manifest(path)
+    assert m == m and m != again and hash(m) != hash(again)
+    assert m != tuple(getattr(m, name) for name in m.__slots__)
+    with pytest.raises(AttributeError):
+        m.group = None
+    assert repr(m).startswith("FamilyManifest(name='x2mt', f=")
