@@ -17,17 +17,18 @@ Distinct-degree splitting applies the q-power map as one linear map, the
 Frobenius matrix of von zur Gathen and Shoup, rather than exponentiating
 afresh at every degree.  It takes x^q itself at degree 1 and builds the
 remaining rows only if a degree-2 step is needed, and it stops as soon as
-the cofactor is too small to hold two factors.  split_degrees needs only
-the degrees, and for deg f = n < p it reads them from the same matrix
-without a gcd: F_p[x]/(f) is a product of fields F_(p^e), one per factor,
-and on each the p-power map permutes a normal basis cyclically (Lidl and
-Niederreiter, Finite Fields, Thm. 2.35), so trace(Q^d) is the sum of the
-factor degrees e dividing d, reduced mod p; that sum is at most n < p, so
-it is read exactly.  For p <= n it falls back to distinct_degree, as does
-factor_poly, which needs the factors themselves.  Equal-degree splitting is
-randomized (Cantor-Zassenhaus, with the trace construction in
-characteristic 2) but seeded, and factor lists are sorted canonically, so
-every public result is deterministic.
+the cofactor is too small to hold two factors, or, given (disc f / p),
+three (Stickelberger's theorem then tells one factor from two).
+split_degrees needs only the degrees, and for deg f = n < p it reads them
+from the same matrix without a gcd: F_p[x]/(f) is a product of fields
+F_(p^e), one per factor, and on each the p-power map permutes a normal
+basis cyclically (Lidl and Niederreiter, Finite Fields, Thm. 2.35), so
+trace(Q^d) is the sum of the factor degrees e dividing d, reduced mod p;
+that sum is at most n < p, so it is read exactly.  For p <= n it falls
+back to distinct_degree, as does factor_poly, which needs the factors
+themselves.  Equal-degree splitting is randomized (Cantor-Zassenhaus, with
+the trace construction in characteristic 2) but seeded, and factor lists
+are sorted canonically, so every public result is deterministic.
 
 Over F_p the multiply, divide and gcd helpers work on plain ints and reduce
 each coefficient mod p once per operation; the gcd runs Euclid on the int
@@ -663,7 +664,7 @@ def reduce_mod_p(coeffs, p: int) -> list:
     return poly_trim(out)
 
 
-def split_degrees(coeffs, p: int) -> list[int]:
+def split_degrees(coeffs, p: int, symbol: int = 0) -> list[int]:
     """Ascending degrees of the irreducible factors of f mod p.
 
     The caller knows f to be monic and squarefree mod p (p ∤ disc(f) is the
@@ -673,9 +674,12 @@ def split_degrees(coeffs, p: int) -> list[int]:
     the Frobenius matrix Q, row i = x^(p*i) mod f: trace(Q^d) mod p is N_d,
     the sum of the factor degrees dividing d (see the module docstring),
     exactly, since N_d <= n < p; so the number of factors of degree d is
-    (N_d - sum of e * r_e over e | d, e < d) / d.  As in distinct_degree,
-    the read stops once the degree left is below 2(d + 1): what is left is
-    one irreducible factor.
+    (N_d - sum of e * r_e over e | d, e < d) / d.  The read stops once the
+    degree L left is below 2(d + 1), one factor, or, given symbol = (disc f
+    / p) (0 for none), once L <= 2d + 3 and L < 3(d + 1): the factors left,
+    of degree > d, are L or d + 1 and L - d - 1, and (disc f / p) =
+    (-1)^(n - r) for r factors (Stickelberger 1897; Swan, Pacific J. Math.
+    12, 1962) tells which.  So degree 7 needs no degree-3 step.
     """
     K, f = FpField(p), reduce_mod_p(coeffs, p)
     n = len(f) - 1
@@ -685,6 +689,9 @@ def split_degrees(coeffs, p: int) -> list[int]:
 
     out, d, left = [], 0, n
     while left >= 2 * (d + 1):
+        if symbol and left <= 2 * d + 3 and left < 3 * (d + 1):
+            one = (-1) ** (n - len(out) - 1) == symbol
+            return out + ([left] if one else [d + 1, left - d - 1])
         d += 1
         if d == 1:
             R = _ring(K, f)

@@ -536,16 +536,19 @@ def _tally_fibres(draws, n: int, stop=None) -> Counter:
     f is monic in X, so disc(f mod p) = disc(f) mod p: a p-integral fibre
     is squarefree mod p exactly when p does not divide disc, and then
     (Dedekind) its split degrees are the cycle type of a Frobenius element.
-    Any other fibre is unreadable and skipped.
+    Any other fibre, or p in disc's denominator (so in a coefficient's), is
+    skipped; Euler's criterion on num * den gives split_degrees (disc / p).
     """
     tally = Counter()
     for coeffs, disc, p in draws:
         if tally.total() == n:
             break
-        if disc.numerator % p == 0:
-            continue  # a repeated factor mod p: an index prime or a ramified one
+        num, den = disc.numerator, disc.denominator
+        if num % p == 0 or den % p == 0:
+            continue  # a repeated factor mod p, or p in a coefficient's denominator
+        symbol = 0 if p == 2 else 1 if pow(num * den, (p - 1) // 2, p) == 1 else -1
         try:
-            tally[CycleType(tuple(split_degrees(coeffs, p)))] += 1
+            tally[CycleType(tuple(split_degrees(coeffs, p, symbol)))] += 1
         except NotPIntegral:
             continue  # p in a denominator: take the next
         if stop is not None and stop(tally):
@@ -710,15 +713,19 @@ def verify(
     product.  n_id = 0 skips the identification stage, and so does a t0 on
     a branch point (disc h = 0) with conditions: no auxiliary prime reads
     that fibre, and each record already fails, naming its repeated factor.
-    Without conditions such a t0 still raises, as _identify does.
+    Without conditions such a t0 raises, naming the branch point.
     """
     _check_n_id(n_id)
     validate_conditions(manifest, conditions)
     spec, t0 = specialization(manifest, s0), rational(t0)
     h, disc = local_model(manifest, spec.s0, t0)
     records = tuple(_check_condition(manifest, spec.s0, h, disc, c) for c in conditions)
-    read_aux = n_id and (disc or not records)
-    summary = _identify(manifest, spec, t0, conditions, n_id, seed) if read_aux else None
+    if n_id and not disc and not records:
+        raise ValueError(
+            f"t0 = {format_rat(t0)} is a branch point at s0 = {format_rat(spec.s0)}, "
+            "so no auxiliary prime reads its fibre"
+        )
+    summary = _identify(manifest, spec, t0, conditions, n_id, seed) if n_id and disc else None
     return SpecializationReport(spec.s0, t0, records, summary)
 
 
@@ -778,7 +785,7 @@ def census(m: FamilyManifest, s0, t_lo: int, t_hi: int, p_max: int):
                     s0, t0, p,
                     label if predicted is unramified else str(predicted),
                     label if observed is unramified else str(observed),
-                    "true" if observed == predicted else "false",
+                    "true" if observed is predicted or observed == predicted else "false",
                 )
             )
     return rows, bad

@@ -10,27 +10,16 @@ represented with X outermost, then t, then s, and that fixed nesting order
 is what the parser produces (``TriPoly`` is an alias documenting the
 convention).
 
-On top of the ring arithmetic this module provides the subresultant PRS,
-which serves resultants, discriminants and the one gcd in the outer
-variable (over Q and over Q[s] alike).  The one normal form, from
-integer_normalize, has integer leaves with gcd 1 and a positive leading
-leaf; resultant and gcd run the PRS on it, in place on integer leaves, and
-every gcd, content, primitive and squarefree part comes back in it, however
-the inputs were scaled.  A resultant over Z[s] (one level deep) is one PRS
-over Z after the Kronecker substitution s = 2^B, where 2^(B-1) bounds the
-result's coefficients, read back as balanced base-2^B digits (Kronecker,
-1882).  A resultant over Z[s][t] in which both t and s occur, such as the
-family's X-discriminant, is that integer PRS at deg g deg_t f +
-deg f deg_t g + 1 integer values of t, skipping values that drop an
-X-degree, Newton-interpolated in t (Collins, J. ACM 18, 1971).  A gcd in t over Z[s]
-in which s occurs, such as the one in the squarefree part of that
-discriminant, is likewise the PRS over Z at integer values of s,
-Newton-interpolated in s; a gcd does not commute with binding s at unlucky
-values, so the interpolant is kept only once trial division proves it
-(Brown, J. ACM 18, 1971).  The module also provides rational roots by
-p-adic lifting, coefficient-valuation Newton polygons, and the text parser
-for the manifest polynomial syntax (`+ - * ^`, implicit multiplication,
-variables s, t, X).
+On top of the ring arithmetic this module provides resultants by the
+subresultant PRS, and the one gcd in the outer variable, over Q, Q[s] and
+Q[s][t] alike: it substitutes a power of two for every variable at once,
+takes one integer gcd and keeps what trial division proves.  The one
+normal form, from integer_normalize, has integer leaves with gcd 1 and a
+positive leading leaf; resultant and gcd run on it, and every gcd,
+content, primitive and squarefree part comes back in it, however the inputs
+were scaled.  The module also provides rational roots by p-adic lifting,
+coefficient-valuation Newton polygons, and the text parser for the manifest
+polynomial syntax (`+ - * ^`, implicit multiplication, variables s, t, X).
 """
 
 from __future__ import annotations
@@ -38,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .arith import INFINITY, format_rat, is_prime, rational
 from .ffact import FpField, poly_deriv, poly_gcd, reduce_mod_p, roots_mod_p
@@ -581,51 +571,57 @@ def resultant(f: UniPoly, g: UniPoly):
     if not f or not g:
         return 0 if not isinstance(f, UniPoly) else f._zero_scalar()
     (a, pf), (b, pg) = _normal(f), _normal(g)
-    depth = _depth(pf), _depth(pg)
-    res = _interpolated(pf, pg) if depth == (2, 2) else None
+    levels = len(_variables(pf)), len(_variables(pg))
+    res = _interpolated(pf, pg) if levels == (3, 3) else None
     if res is None:
-        res = _kronecker(pf, pg) if depth == (1, 1) else _subresultant(pf, pg)
+        res = _kronecker(pf, pg) if levels == (2, 2) else _subresultant(pf, pg)
     return res if a == b == 1 else _coerce(res * (a ** g.degree() * b ** f.degree()))
 
 
-def _depth(f: UniPoly) -> int:
-    """How many polynomial levels lie below f's own, read down its lc."""
-    depth, c = 0, f.lc()
+def _variables(f: UniPoly) -> tuple:
+    """The variables of f's levels, innermost first, read down its lc."""
+    names, c = (f.var,), f.lc()
     while isinstance(c, UniPoly):
-        depth, c = depth + 1, c.lc()
-    return depth
+        names, c = (c.var,) + names, c.lc()
+    return names
 
 
 def _kronecker(f: UniPoly, g: UniPoly) -> UniPoly:
     """Res(f, g) over Z[s] by one PRS over Z at s = 2^B; see resultant."""
-    s = f.lc().var
     nf, ng = _leaf_norm(f), _leaf_norm(g)
     B = max(nf ** g.degree() * ng ** f.degree(), nf, ng).bit_length() + 1
-    N = _subresultant(*(UniPoly([_at_two_power(c, B) for c in p.coeffs], p.var) for p in (f, g)))
-    digits, half, mask = [], 1 << (B - 1), (1 << B) - 1
-    while N:
-        r = N & mask
-        if r >= half:
-            r -= mask + 1
-        digits.append(r)
-        N = (N - r) >> B
-    return UniPoly(digits, s)
+    N = _subresultant(*(UniPoly([_at_two_power(c, (B,)) for c in p.coeffs], p.var) for p in (f, g)))
+    return _from_two_power(N, (B,), (f.lc().var,))
 
 
-def _leaf_norm(f: UniPoly) -> int:
-    """The sum of the absolute values of the integer leaves of f, one level
-    deep; a zero coefficient may be the int 0."""
-    return sum(sum(map(abs, c.coeffs)) if isinstance(c, UniPoly) else abs(c) for c in f.coeffs)
+def _leaf_norm(f) -> int:
+    """The sum of the absolute values of the integer leaves of f; a zero
+    coefficient may be the int 0."""
+    return sum(map(_leaf_norm, f.coeffs)) if isinstance(f, UniPoly) else abs(f)
 
 
-def _at_two_power(c, B: int) -> int:
-    """c(2^B) for c over Z, by shifts."""
+def _at_two_power(c, bits: tuple) -> int:
+    """c over Z with the variable of each level at 2^bits[level], by shifts;
+    bits[-1] is for c's own variable, bits[-2] for its coefficients'."""
     if not isinstance(c, UniPoly):
         return c
-    acc = 0
+    acc, shift, inner = 0, bits[-1], bits[:-1]
     for x in reversed(c.coeffs):
-        acc = (acc << B) + x
+        acc = (acc << shift) + _at_two_power(x, inner)
     return acc
+
+
+def _from_two_power(N: int, bits: tuple, names: tuple):
+    """The polynomial in names (innermost first) with value N under
+    _at_two_power whose digits are in [-2^(b-1), 2^(b-1)), b its level's."""
+    if not bits:
+        return N
+    B, half, digits = bits[-1], 1 << (bits[-1] - 1), []
+    while N:
+        r = ((N + half) & (2 * half - 1)) - half
+        digits.append(_from_two_power(r, bits[:-1], names[:-1]))
+        N = (N - r) >> B
+    return UniPoly(digits, names[-1])
 
 
 def _interpolated(f: UniPoly, g: UniPoly):
@@ -826,23 +822,24 @@ def _squarefree_mod(g: UniPoly, p: int) -> bool:
 
 
 def content_in_coeffs(f: UniPoly) -> UniPoly:
-    """gcd of the (polynomial) coefficients of f, in the normal form."""
+    """gcd in the coefficient ring of the coefficients of f, in the normal
+    form; over Z[s][t], the gcd over Q(s) times that of the s-contents."""
     acc = None
-    for c in f.coeffs:
-        if not c:
-            continue
+    for c in filter(None, f.coeffs):
         acc = c if acc is None else gcd_over_poly_coeffs(acc, c)
         if acc.degree() == 0:
             break
     if acc is None:
         raise ValueError("zero polynomial")
+    if isinstance(acc.lc(), UniPoly):
+        shared = content_in_coeffs(UniPoly([content_in_coeffs(c) for c in f.coeffs if c], f.var))
+        acc = UniPoly([c * shared for c in primitive_part(acc).coeffs], acc.var)
     return _normal(acc)[1]
 
 
 def primitive_part(f: UniPoly) -> UniPoly:
-    """f over its content in the coefficient ring (Q[s] for nested
-    coefficients; over Q every nonzero constant is a unit), in the normal
-    form."""
+    """f over its content in the coefficient ring Z[s] or Z[s][t], in the
+    normal form; over Q every nonzero constant is a unit."""
     if isinstance(f.lc(), UniPoly):
         cont = content_in_coeffs(f)
         if cont != 1:
@@ -851,84 +848,72 @@ def primitive_part(f: UniPoly) -> UniPoly:
 
 
 def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
-    """gcd in the outer variable, the one gcd over Q and Q[s], in the normal
-    form: the primitive part of the gcd over Q or Q(s), so gcd(c1 f, c2 g)
-    = gcd(f, g) for nonzero rationals c1, c2.
+    """gcd in the outer variable x, in the normal form: D, the primitive part
+    over the coefficient ring R (Z, Z[s] or Z[s][t]) of the gcd over R's
+    fraction field, so gcd(c1 f, c2 g) = gcd(f, g) for rationals c1, c2 != 0.
 
-    Inputs in t over Z[s] in which s occurs, both of t-degree >= 1, go by
-    evaluation in s (Brown, "On Euclid's algorithm and the computation of
-    polynomial greatest common divisors", J. ACM 18, 1971).  At s0 = 0, 1,
-    -1, 2, -2, ..., skipping each s0 at which lc f or lc g vanishes, the PRS
-    over Z gives the image gcd of f(s0) and g(s0), scaled to the leading
-    coefficient gamma(s0), gamma = gcd(lc f, lc g).  An image of degree 0
-    proves the gcd is 1, one of higher degree than the least seen is
-    discarded, and one of lower degree restarts the points.  Each
-    t-coefficient is Newton-interpolated in s; once a point leaves the
-    interpolant unchanged, its primitive part G is returned if f and g have
-    zero pseudo-remainders by G, else points are added.  The trial division
-    makes G exact: G divides the gcd, and as lc of the gcd divides gamma,
-    the gcd's image at s0 divides the image gcd, so deg gcd <= deg G.
-    Unlucky points are roots of a nonzero subresultant, finitely many, so
-    the loop ends.  Every other input runs the subresultant PRS on its
-    integer normal form, and the result is the primitive part of the last
-    nonzero remainder, which is what G equals.
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) with all
+    variables, v_0 (innermost) to v_d = x, substituted at once.  On the
+    integer normal forms a, b a round maps phi: v_0 -> xi_0 = 2^B, v_j ->
+    xi_j = xi_(j-1)^L_j, takes gamma = gcd(phi(a), phi(b)) and the h with
+    phi(h) = gamma whose digits are balanced (in [-xi_j/2, xi_j/2)) at each
+    level, and returns G = pp(h) if prem(a, G) = prem(b, G) = 0.  Round 1
+    takes B one bit over the larger leaf norm and L_j two over the larger
+    v_(j-1)-degree; each later one doubles B and every L_j, up to its bound.
+
+    A G that passes is D.  The inputs fit (leaves below xi_0/2,
+    v_(j-1)-degrees at most L_j - 2), so by the geometric sum each c in
+    v_(j-1) inside them has |phi(c)| < xi_(j-1)^(L_j - 1) <= xi_j/4, and
+    phi(c) = 0 only if c = 0; so M = max |phi(c)| over x-coefficients c of
+    a has xi_d >= 2M + 2.  By Gauss D = G Q, Q in R[x]; say deg Q >= 1.  As
+    h = k G, k in R, and phi(D) divides gamma = phi(k) phi(G), phi(Q)
+    divides phi(k), which divides phi of h's top digit: 0 < |phi(Q)| <=
+    xi_d/2.  But Q with inner variables mapped has degree deg Q (lc Q
+    divides lc a) and divides a so mapped, whose roots have |alpha| < 1 + M
+    (Cauchy): |phi(Q)| > (xi_d - 1 - M)^deg Q >= xi_d/2.  So Q is a unit.
+
+    Doubling ends.  With each L_j at its bound, psi: v_j -> v_0^(L_1...L_j)
+    maps a, b to fixed a_0, b_0, so gamma = |g_0(xi_0)| delta, g_0 =
+    gcd(a_0, b_0) in Z[v_0], delta dividing a fixed integer r != 0 in the
+    ideal of the cofactors.  Let a_(i-1) be a_i at v_i -> v_(i-1)^L_i, b
+    likewise, g_i = gcd(a_i, b_i).  The ideal of the coprime a_i/g_i,
+    b_i/g_i holds an e_i != 0 free of v_i (contents times a resultant), so
+    g_(i-1) is g_i X_i at v_i -> v_(i-1)^L_i, X_i dividing e_i: g_0 =
+    psi(P), P = g_d X_d ... X_1.  By Sylvester's matrix deg_(v_(j-1)) e_i
+    <= (1 + n_i(b)) m(a) + (1 + n_i(a)) m(b), m the v_(j-1)-degree, n_i(p)
+    the v_i-degree of p_i; L_j's bound, m(a) + 2 plus these over i >= j,
+    leaves delta P room.  Once 2^B > 2 |r| |g_0|, h = +-delta P: pp(h) = D.
     """
-    a, b = (f, g) if f.degree() >= g.degree() else (g, f)
-    if not a:
-        return a
-    a, b = _normal(a)[1], _normal(b)[1]
-    if b.degree() >= 1 and _depth(a) == 1:
-        s = a.lc().var
-        if max(a.degree_in(s), b.degree_in(s)) >= 1:
-            return _evaluated_gcd(a, b)
-    return _prs_gcd(a, b)
-
-
-def _prs_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """gcd_over_poly_coeffs on the PRS, for deg a >= deg b and nonzero a."""
-    for a, b, _ in _prs(a, b):
-        pass
-    if b:
-        return _one_like(a)
-    return primitive_part(a)
-
-
-def _evaluated_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """gcd_over_poly_coeffs by evaluation in s; see there."""
-    t, s = f.var, f.lc().var
-    lf, lg = f.lc(), g.lc()
-    gamma = gcd_over_poly_coeffs(lf, lg)
-    points, newton, least = [], [], math.inf
-    for s0 in _integers():
-        if not lf.evaluate(s0) or not lg.evaluate(s0):
-            continue  # the binding would drop a t-degree
-        image = _prs_gcd(f.bind(s, s0), g.bind(s, s0))
-        d = image.degree()
-        if d == 0:
-            return _one_like(f)
-        if d > least:
-            continue
-        if d < least:
-            points, newton, least = [], [], d
-        scale, lead = gamma.evaluate(s0), image.lc()
-        image = UniPoly([_exact_div(c * scale, lead) for c in image.coeffs], t)
-        if _newton_step(points, newton, s0, image) or len(points) < 2:
-            continue
-        G = primitive_part(UniPoly(
-            [_newton_expand(points, [c.coeff(i) for c in newton], s) for i in range(d + 1)], t
-        ))
-        if not pseudo_rem(f, G) and not pseudo_rem(g, G):
+    if not f and not g:
+        return f
+    a, b = (_normal(p)[1] for p in ((f, g) if f else (g, f)))
+    names = _variables(a)
+    slots = [max(a.degree_in(v), b.degree_in(v)) + 2 for v in names[:-1]]
+    B, wide = max(_leaf_norm(a), _leaf_norm(b)).bit_length() + 1, None
+    while True:
+        bits = tuple(itertools.accumulate([B, *slots], mul))
+        gamma = math.gcd(_at_two_power(a, bits), _at_two_power(b, bits))
+        G = primitive_part(_from_two_power(gamma, bits, names))
+        if not pseudo_rem(a, G) and not pseudo_rem(b, G):
             return G
+        wide = wide or _wide_slots(a, b, names)
+        B, slots = 2 * B, [min(2 * n, w) for n, w in zip(slots, wide)]
+
+
+def _wide_slots(a: UniPoly, b: UniPoly, names: tuple) -> list:
+    """The bounds on the slots L_1..L_d of gcd_over_poly_coeffs, found from
+    the outside in, as n_i needs L_(i+1)."""
+    slots, n = [0], [(0, 0)]  # L_j and (n_j(a), n_j(b)) for j = d, d - 1, ...
+    for j in range(len(names) - 1, 0, -1):
+        n.append([p.degree_in(names[j]) + slots[-1] * q for p, q in zip((a, b), n[-1])])
+        ma, mb = a.degree_in(names[j - 1]), b.degree_in(names[j - 1])
+        slots.append(ma + 2 + sum((1 + nb) * ma + (1 + na) * mb for na, nb in n[1:]))
+    return slots[:0:-1]
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
     """f divided by gcd(f, f'), over Q or Q[s] coefficients, as a primitive
-    part in the normal form.  In t over Z[s] with s occurring, as for the
-    family's branch locus, the gcd is taken at s0 = 0, 1, -1, ..., skipping
-    the roots of lc f and discarding images of more than the least degree,
-    interpolated in s until a point leaves it unchanged, and kept once trial
-    division proves it (Brown, J. ACM 18, 1971; see gcd_over_poly_coeffs).
-    """
+    part in the normal form; the gcd is gcd_over_poly_coeffs's."""
     base = primitive_part(f)
     if f.degree() < 2:
         return base

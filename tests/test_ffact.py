@@ -7,7 +7,7 @@ from array import array
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from galspec import ffact
 from galspec.arith import is_prime
@@ -33,7 +33,7 @@ from galspec.ffact import (
     split_degrees,
     squarefree_decomposition,
 )
-from galspec.poly import parse_poly, specialize, x_poly_coeffs
+from galspec.poly import UniPoly, discriminant_in, parse_poly, specialize, x_poly_coeffs
 
 F_PSL = (
     "X^7 - 2sX^6 + (s^3 + s^2 + 3s - 2)X^4 + (-2s^3 - 4s^2 + 5s - 8)X^3"
@@ -252,6 +252,42 @@ class TestSplitDegrees:
         for f in cases:
             assert split_degrees(f, p) == frobenius_gcd_degrees(f, p), f
         assert split_degrees(cases[0], p) == [1] * p
+
+
+class TestStickelbergerStop:
+    """split_degrees given (disc f / p) stops where at most two factors are
+    left and reads their number off the parity (-1)^(n - r)."""
+
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 101, 1009]),
+        st.lists(st.integers(-60, 60), min_size=2, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_symbol_matches_factor_poly(self, p, low):
+        # monic integer f of degree 2-12, squarefree mod an odd p > deg f
+        f = low + [1]
+        assume(p > len(low))
+        K, fp = FpField(p), reduce_mod_p(f, p)
+        assume(len(poly_gcd(K, fp, ffact.poly_deriv(K, fp))) == 1)
+        disc = discriminant_in(UniPoly(f, "X"), "X")
+        symbol = 1 if pow(disc % p, (p - 1) // 2, p) == 1 else -1
+        _unit, factors = factor_poly(K, fp)
+        assert split_degrees(f, p, symbol) == sorted(len(g) - 1 for g, _ in factors)
+
+    def test_degree_seven_needs_no_degree_three_step(self, monkeypatch):
+        # after d = 2 an irreducible septic leaves L = 7 <= 2d + 3: it is
+        # one factor or 3 + 4, and the symbol tells them apart; a quadratic
+        # is read off the symbol alone
+        rings, calls = [], []
+        ring, combine = ffact._ring, ffact._FpRing.combine
+        monkeypatch.setattr(ffact, "_ring", lambda *args: rings.append(1) or ring(*args))
+        monkeypatch.setattr(
+            ffact._FpRing, "combine", lambda *args: calls.append(args) or combine(*args)
+        )
+        assert split_degrees([-4, -1, 0, 0, 0, 0, 0, 1], 11, 1) == [7]
+        assert calls == []
+        assert split_degrees([2, 0, 1], 7, -1) == [2] and split_degrees([-2, 0, 1], 7, 1) == [1, 1]
+        assert len(rings) == 1
 
 
 def reference_pow_mod(K, base: list, n: int, mod: list) -> list:

@@ -420,8 +420,9 @@ class TestVerify:
         report = verify(x2mt, 0, 0, [Ramified(7, 0, 1)])
         assert report.identification is None and not report.passed
         assert report.records[0].observed.startswith("repeated factor over Q")
-        # with nothing else to check, the unreadable fibre is still refused
-        with pytest.raises(ValueError):
+        # with nothing else to check, the unreadable fibre is still refused,
+        # by the branch point it lies on
+        with pytest.raises(ValueError, match="t0 = 0 is a branch point at s0 = 0"):
             verify(x2mt, 0, 0, [])
 
     def test_unramified_conditions_read_the_field_not_the_model(self):

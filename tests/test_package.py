@@ -170,6 +170,14 @@ def test_both_identification_modes_share_one_judge():
     assert not hasattr(grunwald, "_compare")
 
 
+def test_gcd_is_one_heuristic_gcd():
+    # one integer gcd per round serves every depth; the PRS serves only
+    # resultants, and evaluation in s with interpolation is gone
+    assert not hasattr(poly, "_evaluated_gcd") and not hasattr(poly, "_prs_gcd")
+    called = _called(_function("poly.py", "gcd_over_poly_coeffs"))
+    assert "_prs" not in called and "_subresultant" not in called and "gcd" in called
+
+
 def test_no_module_factors_an_integer():
     # exceptional primes are tested by division, as bad primes are; a
     # factorization of a manifest's integers can take minutes
@@ -307,8 +315,8 @@ def test_resultants_have_two_public_names():
 
 
 def test_gcds_have_two_public_names():
-    # evaluation in s is a route inside gcd_over_poly_coeffs, chosen by the
-    # input's nesting; a public name for it would be a second entry
+    # every depth takes the one heuristic gcd inside gcd_over_poly_coeffs;
+    # a public name for another route would be a second entry
     # (ffact's poly_gcd, imported for a test mod p, is not poly's)
     names = {
         name

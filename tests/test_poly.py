@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galspec import poly
 from galspec.arith import INFINITY, rational, valuation
@@ -672,7 +672,8 @@ class TestGcdTower:
 
     def test_unlucky_first_points(self):
         # at s0 in {0, ±1, ±2} the images are (t - 1)^2 and interpolate
-        # stably; only trial division rejects them
+        # stably, so evaluation in s needed trial division to reject them;
+        # kept as an input whose large s-factors share a common part
         q = "s(s - 1)(s + 1)(s - 2)(s + 2)"
         f = parse_poly(f"(t - 1)(t - 1 - {q})").coeff(0)
         g = parse_poly(f"(t - 1)(t - 1 + {q})").coeff(0)
@@ -680,8 +681,9 @@ class TestGcdTower:
         assert squarefree_part(f * f) == primitive_part(f)
 
     def test_unlucky_point_among_lucky_ones(self, monkeypatch):
-        # the image at s0 = 1 is (t - 1)(t - 5), of degree 2; it must not
-        # enter the interpolation of t - s^3 from the points around it
+        # the image at s0 = 1 is (t - 1)(t - 5), of degree 2, which evaluation
+        # in s had to keep out of the interpolation of t - s^3; the points
+        # are capped so that no gcd may lean on an evaluation route
         points = poly._integers
         monkeypatch.setattr(poly, "_integers", lambda: itertools.islice(points(), 12))
         f = parse_poly("(t - s^3)(t - 2s - 3)").coeff(0)
@@ -689,8 +691,8 @@ class TestGcdTower:
         assert gcd_over_poly_coeffs(f, g) == parse_poly("t - s^3").coeff(0)
 
     def test_vanishing_leading_coefficient(self):
-        # lc_t is s for both, so s0 = 0 is skipped: there the images are
-        # coprime; the gcd's own lc depends on s
+        # lc_t is s for both, and at s = 0 the images are coprime; the gcd's
+        # own lc depends on s
         f = parse_poly("(s t - 1)(t + s)").coeff(0)
         g = parse_poly("(s t - 1)(t - 2)").coeff(0)
         assert gcd_over_poly_coeffs(f, g) == parse_poly("s t - 1").coeff(0)
@@ -716,6 +718,86 @@ class TestGcdTower:
         expected = primitive_part(back(sympy.gcd(to_sympy(f), to_sympy(g))))
         assert gcd_over_poly_coeffs(f, g) == expected
         assert squarefree_part(f) == primitive_part(back(sympy.sqf_part(to_sympy(f))))
+
+
+def leveled(depth):
+    """Nonzero polynomials at one depth, integer leaves: in t (depth 0), in t
+    over Z[s] (1), or in X over Z[s][t] (2); degree <= 2 at every level."""
+    strat = st.integers(-3, 3)
+    for var in ("s", "t", "X")[: depth + 1] if depth else ("t",):
+        strat = nested(var, strat, 3)
+    return strat.filter(bool)
+
+
+def planted_pairs(depth):
+    # c is a planted common factor of f and g, and c^k a repeated one of f
+    return st.tuples(leveled(depth), leveled(depth), leveled(depth), st.integers(1, 2)).map(
+        lambda abck: (abck[0] * abck[2] ** abck[3], abck[1] * abck[2])
+    )
+
+
+def prs_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Test-only oracle: the last nonzero remainder of the subresultant PRS
+    on the integer normal forms, a multiple of the gcd over the fraction
+    field by a unit of it."""
+    a, b = sorted((poly._normal(f)[1], poly._normal(g)[1]), key=UniPoly.degree, reverse=True)
+    for a, b, _ in poly._prs(a, b):
+        pass
+    return b if b else a
+
+
+# inputs on which the first round's base is too small, one per depth
+FIRST_BASE_FAILS = [
+    (UniPoly([4, -4, 1], "t"), UniPoly([-4, 2, 6, -3], "t")),
+    (
+        parse_poly("(4 - 4s)t^2 + (4s^2 + 8s - 12)t - s^3 - 5s^2 - 3s + 9").coeff(0),
+        parse_poly("4t^2 - (2s + 8)t + s + 3").coeff(0),
+    ),
+    (
+        parse_poly("-(3s^2 + 10s + 3)X - 3s - 1"),
+        parse_poly("(s + 3)X^2 + ((-3s - 9)t^2 + (3s^2 + 9s)t - 2s - 5)X - 3t^2 + 3st - 2"),
+    ),
+]
+
+
+class TestHeuristicGcd:
+    """gcd_over_poly_coeffs, one integer gcd per round, against the PRS."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2).flatmap(planted_pairs))
+    @example(FIRST_BASE_FAILS[0])
+    @example(FIRST_BASE_FAILS[1])
+    @example(FIRST_BASE_FAILS[2])
+    def test_matches_the_prs(self, sympy, fg):
+        f, g = fg
+        G, oracle = gcd_over_poly_coeffs(f, g), prs_gcd(f, g)
+        # equal up to a unit of the fraction field, and dividing both inputs
+        assert G.degree() == oracle.degree()
+        assert not pseudo_rem(oracle, G) and not pseudo_rem(f, G) and not pseudo_rem(g, G)
+        # in the normal form, and primitive over the whole coefficient ring
+        assert_normal_form(G)
+        content, _ = sympy.Poly(to_sympy_expr(sympy, G), sympy.Symbol(G.var)).primitive()
+        assert content == 1
+
+    @pytest.mark.parametrize("fg", FIRST_BASE_FAILS)
+    def test_first_base_fails_and_doubling_proves(self, monkeypatch, fg):
+        rounds = []
+        wide = poly._wide_slots
+        monkeypatch.setattr(poly, "_wide_slots", lambda *args: rounds.append(1) or wide(*args))
+        f, g = fg
+        G = gcd_over_poly_coeffs(f, g)
+        assert rounds
+        assert G.degree() == prs_gcd(f, g).degree() == 1
+        assert not pseudo_rem(f, G) and not pseudo_rem(g, G)
+
+    def test_content_over_z_s_t_leaves_no_factor_in_s(self):
+        # the X-coefficients share s, t - 1 and 2; the X-gcd over Q(s, t)
+        # is X + 1 however much of that content the inputs carry
+        c = parse_poly("2s(t - 1)")
+        f = parse_poly("(X + 1)(X - t)") * c
+        g = parse_poly("(X + 1)(X + s)") * c * c
+        assert gcd_over_poly_coeffs(f, g) == parse_poly("X + 1")
+        assert primitive_part(f) == parse_poly("(X + 1)(X - t)")
 
 
 def random_over_s(rng, t_degree, s_degree=2):
