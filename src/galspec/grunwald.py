@@ -184,7 +184,7 @@ def _validate_unramified(manifest, cond):
             f"target cycle type has degree {cond.target.degree()}, "
             f"the family has degree {n}"
         )
-    if cond.target not in fingerprint(manifest.group):
+    if cond.target not in _fingerprint(manifest):
         raise ValueError(f"cycle type {cond.target} is not realized in the group")
 
 
@@ -561,6 +561,13 @@ def _generates(manifest, lam: CycleType, mu: CycleType) -> bool:
     return invariably_generates(manifest.group, lam, mu)
 
 
+@lru_cache(maxsize=64)
+def _fingerprint(manifest) -> dict:
+    """fingerprint of the declared group, read once per manifest; callers
+    must not change the dict."""
+    return fingerprint(manifest.group)
+
+
 def _judge(manifest, fp: dict, tally: Counter) -> tuple:
     """(alien, missing, certificate, verdict) of a tally of cycle types
     against the declared group, fp its fingerprint, as IdentificationSummary
@@ -623,11 +630,11 @@ def _identify(manifest, spec, t0, conditions, n_id, seed) -> IdentificationSumma
         if q not in skip
         and spec.s0.denominator % q
         and t0.denominator % q
-        and not is_bad_prime(manifest, spec.s0, q)
+        and all(n % q for _, n in spec.certificates)
     ]
     Random(seed).shuffle(pool)
     coeffs, disc = spec.fibre(t0)
-    fp = fingerprint(manifest.group)
+    fp = _fingerprint(manifest)
     settled = lambda tally: _judge(manifest, fp, tally)[3] != "INCONCLUSIVE"
     counts = _tally_fibres(((coeffs, disc, q) for q in pool), n_id, settled)
     sampled = counts.total()
@@ -654,9 +661,10 @@ def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
         raise ValueError(f"identify needs at least one sample, not {samples}")
     spec = specialization(m, s0)
     s0 = spec.s0
+    certificates = () if m.group is None else spec.certificates
     pool = [
         p for p in primes_up_to(IDENTIFY_PRIME_BOUND)
-        if p > 2 and (m.group is None or not is_bad_prime(m, s0, p))
+        if p > 2 and all(n % p for _, n in certificates)
     ]
     rng = Random(seed)
 
@@ -675,7 +683,7 @@ def identify(m: FamilyManifest, s0, samples: int, seed: int) -> dict:
     if m.group is None:
         result["verdict"] = "SUPPORT-ONLY"
         return result
-    fp = fingerprint(m.group)
+    fp = _fingerprint(m)
     alien, _, certificate, verdict = _judge(m, fp, tally)
     statistic = df = None
     violations = []

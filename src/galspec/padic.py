@@ -7,14 +7,18 @@ multiset of pairs, nothing more; factor coefficients are never produced.
 
 The method is exact throughout.  When p does not divide disc(f) every
 factor is unramified and the shape is read off the mod-p degree sequence.
-Otherwise the engine runs chains of inductive valuations: starting from a
-Newton polygon face it grows a key polynomial stage by stage, factoring a
-residual polynomial over the current residue field at each step.  A chain
-ends at its first simple residual factor, which is one p-adic factor whose
-(e, f) the stage already holds; only a repeated factor takes a further
-stage.  Each stage keeps the key expansions it has computed, with the
-values of their coefficients, for the life of its chain, so no polynomial
-is expanded in the same key twice.  v_p(disc f) bounds every chain:
+Otherwise the shape is read face by face off f's Newton polygon.  A face
+whose length is the denominator of its slope has a linear residual
+polynomial, so it is one factor, read with no further work (Ore's theorem
+of the residual polynomial); this is the usual ramified census cell.
+Every other face starts a chain of inductive valuations, which grows a
+key polynomial stage by stage, factoring a residual polynomial over the
+current residue field at each step.  A chain ends at its first simple
+residual factor, which is one p-adic factor whose (e, f) the stage
+already holds; only a repeated factor takes a further stage.  Each stage
+keeps the key expansions it has computed, with the values of their
+coefficients, for the life of its chain, so no polynomial is expanded in
+the same key twice.  v_p(disc f) bounds every chain:
 a stage past it raises RuntimeError, which names input that is not
 squarefree (see _decompose_face for the proof).  Every value is an integer,
 scaled by the ramification denominator D of the stage that computes it,
@@ -31,7 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import INFINITY, _check_prime, _vp, valuation
+from .arith import INFINITY, _check_prime, _vp
 from .ffact import (
     ExtField, FpField, NotPIntegral, NotSquarefree, factor_poly, split_degrees,
 )
@@ -54,6 +58,15 @@ class PadicShape(namedtuple("PadicShape", "p pairs")):
     def __str__(self):
         body = " ".join(f"({e},{f})" for e, f in self.pairs) or "-"
         return f"p={self.p}: {body}"
+
+
+def _v(c, p: int):
+    """v_p of a rational c, INFINITY for c = 0: padic's one v_p reader.
+
+    It takes _vp on numerator and denominator and no prime check; p is
+    checked once per shape, by padic_shape at entry, by census through
+    primes_up_to, and by verify through validate_conditions."""
+    return _vp(c.numerator, p) - _vp(c.denominator, p) if c else INFINITY
 
 
 # -- inductive valuation stages ----------------------------------------------
@@ -189,7 +202,7 @@ class _StageZero(_Stage):
         best = INFINITY
         for i, c in enumerate(g.coeffs):
             if c:
-                v = d * (_vp(c.numerator, p) - _vp(c.denominator, p)) + i * n
+                v = d * _v(c, p) + i * n
                 if v < best:
                     best = v
         return best
@@ -201,9 +214,7 @@ class _StageZero(_Stage):
         to h(Y) * x^i0 * p^j0, and value = self.value(g).
         """
         p, n, d = self.p, self.n, self.d
-        vals = [
-            (i, _vp(c.numerator, p) - _vp(c.denominator, p)) for i, c in enumerate(g.coeffs) if c
-        ]
+        vals = [(i, _v(c, p)) for i, c in enumerate(g.coeffs) if c]
         vg = min(d * j + i * n for i, j in vals)
         S = [(i, j) for i, j in vals if d * j + i * n == vg]
         i0, j0 = S[0]
@@ -346,6 +357,10 @@ def _decompose_face(f: UniPoly, p: int, lam: Fraction, dv: int) -> list:
     D-scaled value is an integer, so that stage keeps D = V.D and has
     F = V.F * deg u.  Both give the pair above, so the length-1 and
     INFINITY branches below are reached only under repeated factors.
+
+    _shape applies the same rule one stage earlier: a face whose length is
+    its slope's denominator d has a linear residual, so it is one factor
+    (d, 1) and never reaches this function.
     """
     out = []
     work = [_StageZero(p, lam, f.var)]
@@ -406,23 +421,33 @@ def padic_shape(f: UniPoly, p: int) -> PadicShape:
 
 
 def _shape(f: UniPoly, p: int, disc) -> PadicShape:
-    """padic_shape of a checked monic f of degree >= 1, given disc = disc(f)."""
+    """padic_shape of a checked monic f of degree >= 1, given disc = disc(f),
+    at a prime p its caller has checked.
+
+    With p | disc, a polygon face (lam, ell) whose length ell is lam's
+    denominator has a linear residual polynomial, so by Ore's theorem of
+    the residual polynomial (Math. Ann. 99, 1928) it is one factor
+    (ell, 1), read with no stage; _decompose_face takes the other faces.
+    """
     for c in f.coeffs:
         if not isinstance(c, int) and c.denominator % p == 0:
             raise NotPIntegral(f"coefficient {c} has {p} in the denominator")
     if disc == 0:
         raise NotSquarefree("repeated factor over Q; shapes need squarefree input")
-    dv = valuation(disc, p)
+    dv = _v(disc, p)
     if dv == 0:  # f is squarefree mod p, so every factor is unramified
         pairs = [(1, d) for d in split_degrees(f.coeffs, p)]
-    else:  # inductive valuations, one chain per Newton polygon face
+    else:  # the Newton polygon, read face by face
         pairs, h = [], f
         if not h.coeff(0):
             pairs.append((1, 1))  # the factor x itself
             h = h.exact_div(UniPoly.gen(h.var))
         if h.degree() > 0:
-            for lam, _ell in newton_polygon(h, lambda c: valuation(c, p)):
-                pairs.extend(_decompose_face(h, p, lam, dv))
+            for lam, ell in newton_polygon(h, lambda c: _v(c, p)):
+                if ell == lam.denominator:  # a linear residual polynomial
+                    pairs.append((ell, 1))
+                else:
+                    pairs.extend(_decompose_face(h, p, lam, dv))
     assert sum(e * res for e, res in pairs) == f.degree()
 
     for e, _res in pairs:

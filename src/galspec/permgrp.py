@@ -216,8 +216,11 @@ def cycle_type(g: Perm) -> CycleType:
     return CycleType(tuple(moved) + (1,) * fixed)
 
 
+@lru_cache(maxsize=256)
 def power_cycle_type(g: Perm, k: int) -> CycleType:
-    """The class of g^k: an l-cycle of g is gcd(l, k) cycles of length l / gcd(l, k)."""
+    """The class of g^k: an l-cycle of g is gcd(l, k) cycles of length l / gcd(l, k).
+    Memoized: beckmann._meet asks for one per ramified census cell, and a
+    family has few (inertia generator, contact) pairs."""
     pairs = [(length, gcd(length, k)) for length in cycle_type(g).parts]
     return CycleType(tuple(length // d for length, d in pairs for _ in range(d)))
 

@@ -7,6 +7,7 @@ products of pieces with known shapes, where the expected answer is a
 theorem (coprime-mod-p pieces contribute independently).
 """
 
+import contextlib
 import itertools
 import math
 import time
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galspec.arith import NonPrimeError, primes_up_to, rational, valuation
@@ -477,6 +478,84 @@ class TestChainEnds:
         f = xp(-10, 0, 1) ** 3 - 625 * 3
         assert shape_of(f, 5) == Counter({(6, 1): 1})
         assert lifts == [1]
+
+
+@st.composite
+def polygon_read_cases(draw):
+    """One or two ramified pieces, each an Eisenstein X^e - p*u or a cube
+    X^3 - p^k*u with k in {1, 2, 3}, times up to two unramified pieces
+    X - c (c a unit) or irreducible quadratics mod p."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    unit = st.integers(1, p - 1)
+    f = xp(1)
+    for _ in range(draw(st.integers(1, 2))):
+        e, k = draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (3, 2), (3, 3)]))
+        f = f * (xp(0, 1) ** e - p**k * draw(unit))
+    table = [xp(-c, 1) for c in range(1, p)] + irreducibles_mod(p, 2, 3)
+    for i in draw(st.lists(st.integers(0, len(table) - 1), max_size=2, unique=True)):
+        f = f * table[i]
+    return f, p
+
+
+@contextlib.contextmanager
+def stages_built():
+    """The slopes of the _StageZero stages built inside the block, in order."""
+    built = []
+    init = _StageZero.__init__
+
+    def counted(stage, p, lam, var):
+        built.append(lam)
+        init(stage, p, lam, var)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_StageZero, "__init__", counted)
+        yield built
+
+
+class TestPolygonRead:
+    """A face whose length is its slope's denominator has a linear residual
+    polynomial; _shape reads its pair without building a stage."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(polygon_read_cases())
+    @example((xp(-10, 0, 1), 5))
+    @example((xp(-21, 0, 0, 1), 7))
+    @example((xp(-98, 0, 0, 1), 7))
+    @example((xp(-343 * 2, 0, 0, 1), 7))
+    @example((xp(-22, 0, 0, 0, 1) * xp(-1, 1) * xp(1, 0, 1), 11))
+    @example((xp(-5, 0, 1) * xp(-50, 0, 0, 1), 5))
+    def test_read_equals_decompose_face(self, case):
+        # _shape's pairs are _decompose_face's, face by face, and _shape
+        # builds a stage only for the faces it cannot read
+        f, p = case
+        disc = discriminant_in(f, f.var)
+        assume(disc != 0)
+        faces = newton_polygon(f, lambda c: valuation(c, p))
+        with stages_built() as built:
+            got = _shape(f, p, disc).pairs
+        assert built == [lam for lam, ell in faces if ell != lam.denominator]
+        dv = valuation(disc, p)
+        expected = [pair for lam, _ell in faces for pair in _decompose_face(f, p, lam, dv)]
+        assert Counter(got) == Counter(expected)
+
+    def test_x3mt_census_builds_no_stage(self):
+        # every ramified good cell in this block has 3 not dividing v_p(t0)
+        # (5^3 > 60, and 2 and 3 are bad), so its one face has slope
+        # v_p(t0)/3 and length 3
+        with stages_built() as built:
+            rows, _bad = census(builtin_manifest("x3mt"), 0, -60, 60, 97)
+        ramified = [(r.t0, r.p) for r in rows if r.match != "bad" and r.t0 % r.p == 0]
+        assert ramified and all(valuation(t0, p) % 3 for t0, p in ramified)
+        assert {r.observed for r in rows if (r.t0, r.p) in ramified} == {"3"}
+        assert built == []
+
+    def test_integral_slope_still_builds_a_stage(self):
+        # v_5(125) = 3: X^3 - 125 has one face, of slope 1 and length 3,
+        # so its residual y^3 - 1 is a cubic and takes a stage
+        with stages_built() as built:
+            rows, _bad = census(builtin_manifest("x3mt"), 0, 125, 125, 5)
+        assert [r.observed for r in rows if r.p == 5] == ["1^3"]
+        assert built == [1]
 
 
 class TestOneExpansionPerKey:
