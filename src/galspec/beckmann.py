@@ -114,8 +114,10 @@ class Specialization(
         """(X-coefficients lowest first, disc) of f(s0, t0, X); both are ints
         when t0 and the bound leaves are integral.  f is monic in X, so disc
         is the discriminant of the fibre itself.  Each X-coefficient of f is
-        a polynomial in t, bound by Horner's rule."""
-        t0 = _coerce(rational(t0))
+        a polynomial in t, bound by Horner's rule.  An int t0 is bound as it
+        is; any other goes through Fraction, so 3/1 binds as 3."""
+        if not isinstance(t0, int):
+            t0 = _coerce(rational(t0))
         return [_coerce(c.evaluate(t0)) for c in self.f.coeffs], self.disc.evaluate(t0)
 
 

@@ -35,10 +35,16 @@ each coefficient mod p once per operation; the gcd runs Euclid on the int
 lists directly, with one modular inverse and one division per step.  Powers
 mod f and the Frobenius matrix live in one quotient ring F_p[x]/(f) whose
 elements are single ints, one 64-bit slot per coefficient (Kronecker
-substitution; Harvey, J. Symb. Comput. 44, 2009): a product is one bigint
-multiplication and its reduction a few more on whole ints, so the per-
-coefficient work runs in C.  For p too large for the slots (2*n*p^2 >=
-2^31, n = deg f) the ring falls back to the list helpers.
+substitution; Harvey, J. Symb. Comput. 44, 2009), so the per-coefficient
+work runs in C.  A product c is one bigint multiplication, reduced mod
+g = f / lc(f) by polynomial Barrett division (Barrett, CRYPTO '86; von zur
+Gathen and Gerhard, Modern Computer Algebra, 9.1) in two more: the top
+n - 1 slots of c, reduced mod p, times mu = floor(x^(2n-2) / g), shifted
+down n - 2 slots and reduced, give the quotient q, and the remainder is
+the low n slots of c + q * (x^n mod g), each below
+n*p^2 + (n - 1)*p^2 < 2*n*p^2 (the proof is _FpRing's).  For p too large
+for the slots (2*n*p^2 >= 2^31, n = deg f) the ring falls back to the list
+helpers.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from functools import lru_cache
 from operator import mul
 
 from .arith import _check_prime, rational
@@ -301,11 +308,14 @@ def poly_pow_mod(K, base: list, n: int, mod: list) -> list:
 
 def _ring(K, f: list):
     """The quotient ring K[x]/(f) for nonzero f: packed when K is F_p and
-    the slots fit, on coefficient lists otherwise."""
+    the slots fit, on coefficient lists otherwise.  K may be a prime p
+    itself, taken as prime unchecked while the packed ring holds it; the
+    list ring checks it with FpField(p)."""
     n = len(f) - 1
-    if isinstance(K, FpField) and n >= 1 and _FpRing.fits(K.p, n):
-        return _FpRing(K.p, f)
-    return _ListRing(K, f)
+    p = K if isinstance(K, int) else K.p if isinstance(K, FpField) else 0
+    if p and n >= 1 and _FpRing.fits(p, n):
+        return _FpRing(p, f)
+    return _ListRing(FpField(K) if isinstance(K, int) else K, f)
 
 
 class _ListRing:
@@ -363,19 +373,34 @@ class _ListRing:
 class _FpRing(_ListRing):
     """F_p[x]/(f), f of degree n >= 1, each element packed into one int.
 
-    Coefficient i sits in bits 64i to 64i + 63, so a product is one bigint
-    multiplication.  It is reduced by folding its top n - 1 slots, reduced
-    mod p, onto the low n slots with rows[j] = x^(n+j) mod f (f made monic
-    by lc^-1), then reducing every slot mod p.  A slot stays below
-    B = 2*n*p^2 throughout: a product's slots are below n*p^2, and the fold
-    adds n - 1 terms below p^2.  All slots are reduced mod p at once by
-    Barrett's rule: with B*p < 2^s and m = ceil(2^s / p), floor(v*m / 2^s)
-    is floor(v / p) for every v < B, and v*m < 2*B^2 < 2^64 while B < 2^31
-    (fits), so no slot spills into the next.  The rows are built only as
-    products need them, since x^k with k < n needs none.
+    Coefficient i sits in bits 64i to 64i + 63, so a product c = a*b is one
+    bigint multiplication, and its reduction mod g = f * lc(f)^-1 is
+    Barrett's (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1)
+    in two more.  Write c = hi * x^n + lo, hi its top n - 1 slots reduced
+    mod p, and mu = floor(x^(2n-2) / g) (reversed, rev(g)^-1 mod x^(n-1)),
+    so x^(2n-2) = mu * g + r with deg r < n.  Then q = floor(hi * mu /
+    x^(n-2)) is the quotient of c by g, exactly: c / g - hi * mu / x^(n-2)
+    is lo / g + hi * r / (g * x^(n-2)), of degree below 0.  So c - q*g is
+    the remainder.  Its low n slots are those of c + q * xn, where
+    xn = x^n mod g = sum of t_j x^j is -g below degree n, and its higher
+    slots vanish mod p.
+
+    A slot stays below B = 2*n*p^2 throughout: c has at most n terms below
+    p^2 in each slot, so slots below n*p^2; hi * mu, with hi and mu
+    reduced, has slots below (n - 1)*p^2, and q, reduced mod p, adds to
+    each of the low n slots of c at most n - 1 terms q_i * t_j below p^2,
+    so the sum stays below n*p^2 + (n - 1)*p^2 < 2*n*p^2 and no slot
+    carries into the next.  (Left unreduced, hi would take q's slots, and
+    q the sum's, past B.)  All slots are reduced mod p at once by
+    Barrett's rule for ints: with B*p < 2^s and m = ceil(2^s / p),
+    floor(v*m / 2^s) is floor(v / p) for every v < B, and v*m < 2*B^2 <
+    2^64 while B < 2^31 (fits), so no slot spills into the next.  The
+    constants s, m and the slot mask depend on (p, n) alone and are kept
+    per pair; mu is built at the first product with a high part, since
+    x^k with k < n needs none.
     """
 
-    __slots__ = ("p", "rows", "shift", "low", "m", "s", "mask")
+    __slots__ = ("p", "shift", "low", "m", "s", "mask", "xn", "mu")
 
     @staticmethod
     def fits(p: int, n: int) -> bool:
@@ -385,13 +410,12 @@ class _FpRing(_ListRing):
     def __init__(self, p: int, f: list):
         n = len(f) - 1
         self.p, self.f, self.n, self.one = p, f, n, 1
-        self.rows = []
         self.shift = 64 * n
         self.low = (1 << 64 * n) - 1
-        self.s = (2 * n * p**3).bit_length()
-        self.m = -(-(1 << self.s) // p)
-        slot = ((1 << 64 - self.s) - 1).to_bytes(8, "little")
-        self.mask = int.from_bytes(slot * n, "little")
+        self.s, self.m, self.mask = _barrett(p, n)
+        inv = pow(f[-1], -1, p)
+        self.xn = self.pack([-c * inv for c in f[:-1]])
+        self.mu = 0  # built by _mu; nonzero once built, as mu is monic for n >= 2
 
     def pack(self, a: list) -> int:
         p = self.p
@@ -410,27 +434,25 @@ class _FpRing(_ListRing):
     def _mod(self, a: int) -> int:
         return a - ((a * self.m >> self.s) & self.mask) * self.p
 
+    def _mu(self) -> int:
+        # reversed, mu is 1 / rev(g) to n - 1 terms; as xn = sum of t_j x^j
+        # is -g below degree n, u_0 = 1 and u_k = sum of t_(n-j) u_(k-j), j <= k
+        t, u = self.dense([self.xn])[::-1], [1]
+        for _ in range(self.n - 2):
+            u.append(sum(map(mul, t, reversed(u))) % self.p)
+        self.mu = int.from_bytes(array("Q", reversed(u)), "little")
+        return self.mu
+
     def mul(self, a: int, b: int) -> int:
         a *= b
+        m, s, mask, p = self.m, self.s, self.mask, self.p
         high = a >> self.shift
         if high:
-            k = (high.bit_length() + 63) >> 6
-            rows = self.rows
-            if len(rows) < k:
-                self._grow(k)
-            high = self._mod(high).to_bytes(8 * k, "little")
-            a = (a & self.low) + sum(map(mul, memoryview(high).cast("Q"), rows))
-        return self._mod(a)
-
-    def _grow(self, k: int):
-        rows = self.rows
-        if not rows:
-            inv = pow(self.f[-1], -1, self.p)
-            rows.append(self.pack([-c * inv for c in self.f[:-1]]))
-        while len(rows) < k:
-            # x^(n+j+1) = x * x^(n+j): one slot shifts out and folds back
-            a = rows[-1] << 64
-            rows.append(self._mod((a & self.low) + (a >> self.shift) * rows[0]))
+            high -= ((high * m >> s) & mask) * p
+            q = high * (self.mu or self._mu()) >> self.shift - 128
+            q -= ((q * m >> s) & mask) * p
+            a = (a + q * self.xn) & self.low
+        return a - ((a * m >> s) & mask) * p
 
     def combine(self, cs: list, rows: list) -> int:
         # n terms below p^2 in each slot, none above slot n - 1
@@ -439,21 +461,29 @@ class _FpRing(_ListRing):
     def xpow(self, e: int) -> int:
         """x^e for e >= 1 by squares and shifts: x^k is the single slot k
         for the leading bits of e while k < n, and each product by x is a
-        shift by one slot whose top slot folds back by rows[0] = x^n."""
+        shift by one slot whose top slot folds back by xn = x^n mod g."""
         bits = bin(e)[2:]
         k = i = 0
         while i < len(bits) and 2 * k + (bits[i] == "1") < self.n:
             k = 2 * k + (bits[i] == "1")
             i += 1
-        self._grow(1)
-        a, x_n = 1 << 64 * k, self.rows[0]
+        a, xn = 1 << 64 * k, self.xn
         for bit in bits[i:]:
             a = self.mul(a, a)
             if bit == "1":
                 a <<= 64
-                # the top slot is below p, rows[0]'s slots too
-                a = self._mod((a & self.low) + (a >> self.shift) * x_n)
+                # the top slot is below p, xn's slots too
+                a = self._mod((a & self.low) + (a >> self.shift) * xn)
         return a
+
+
+@lru_cache(maxsize=1024)
+def _barrett(p: int, n: int) -> tuple:
+    """(s, m, mask) of Barrett's rule for slots below 2*n*p^2 (see _FpRing);
+    the cache holds a degree's every auxiliary prime below 5000."""
+    s = (2 * n * p**3).bit_length()
+    slot = ((1 << 64 - s) - 1).to_bytes(8, "little")
+    return s, -(-(1 << s) // p), int.from_bytes(slot * n, "little")
 
 
 def _fp_mul(a: list, b: list) -> list:
@@ -668,11 +698,13 @@ def split_degrees(coeffs, p: int, symbol: int = 0) -> list[int]:
     """Ascending degrees of the irreducible factors of f mod p.
 
     The caller knows f to be monic and squarefree mod p (p ∤ disc(f) is the
-    usual warrant), so nothing is checked beyond p-integrality, and no
+    usual warrant) and p to be prime, so nothing is checked beyond
+    p-integrality while the packed ring holds f (2*n*p^2 < 2^31), and no
     randomized stage is involved.  For p <= n = deg f distinct-degree
-    splitting gives the degrees.  For n < p they are read with no gcd from
-    the Frobenius matrix Q, row i = x^(p*i) mod f: trace(Q^d) mod p is N_d,
-    the sum of the factor degrees dividing d (see the module docstring),
+    splitting gives the degrees, over an FpField checked once per p.  For
+    n < p they are read with no gcd from the Frobenius matrix Q, row i =
+    x^(p*i) mod f: trace(Q^d) mod p is N_d, the sum of the factor degrees
+    dividing d (see the module docstring),
     exactly, since N_d <= n < p; so the number of factors of degree d is
     (N_d - sum of e * r_e over e | d, e < d) / d.  The read stops once the
     degree L left is below 2(d + 1), one factor, or, given symbol = (disc f
@@ -681,10 +713,10 @@ def split_degrees(coeffs, p: int, symbol: int = 0) -> list[int]:
     (-1)^(n - r) for r factors (Stickelberger 1897; Swan, Pacific J. Math.
     12, 1962) tells which.  So degree 7 needs no degree-3 step.
     """
-    K, f = FpField(p), reduce_mod_p(coeffs, p)
+    f = reduce_mod_p(coeffs, p)
     n = len(f) - 1
     if n >= p:
-        split = distinct_degree(K, f)
+        split = distinct_degree(_small_field(p), f)
         return [d for prod, d in split for _ in range((len(prod) - 1) // d)]
 
     out, d, left = [], 0, n
@@ -694,7 +726,7 @@ def split_degrees(coeffs, p: int, symbol: int = 0) -> list[int]:
             return out + ([left] if one else [d + 1, left - d - 1])
         d += 1
         if d == 1:
-            R = _ring(K, f)
+            R = _ring(p, f)
             h = R.xpow(p)
             rows = [R.one, h]
             for _ in range(2, n):
@@ -714,6 +746,12 @@ def split_degrees(coeffs, p: int, symbol: int = 0) -> list[int]:
     if left:
         out.append(left)
     return out
+
+
+@lru_cache(maxsize=64)
+def _small_field(p: int) -> FpField:
+    # p <= deg f: few such p recur from fibre to fibre, each checked once
+    return FpField(p)
 
 
 def roots_mod_p(coeffs, p: int) -> list[int]:

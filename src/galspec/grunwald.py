@@ -539,18 +539,23 @@ def _tally_fibres(draws, n: int, stop=None) -> Counter:
     Any other fibre, or p in disc's denominator (so in a coefficient's), is
     skipped; Euler's criterion on num * den gives split_degrees (disc / p).
     """
-    tally = Counter()
+    tally, types, read = Counter(), {}, 0
     for coeffs, disc, p in draws:
-        if tally.total() == n:
+        if read == n:
             break
         num, den = disc.numerator, disc.denominator
         if num % p == 0 or den % p == 0:
             continue  # a repeated factor mod p, or p in a coefficient's denominator
         symbol = 0 if p == 2 else 1 if pow(num * den, (p - 1) // 2, p) == 1 else -1
         try:
-            tally[CycleType(tuple(split_degrees(coeffs, p, symbol)))] += 1
+            parts = tuple(split_degrees(coeffs, p, symbol))
         except NotPIntegral:
             continue  # p in a denominator: take the next
+        ct = types.get(parts)
+        if ct is None:
+            ct = types[parts] = CycleType(parts)  # one per type read, not per fibre
+        tally[ct] += 1
+        read += 1
         if stop is not None and stop(tally):
             break
     return tally

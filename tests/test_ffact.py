@@ -380,6 +380,14 @@ class TestPowMod:
             slots = [0, p - 1, p, B // 2, B - p, B - 2, B - 1][-n:]
             packed = int.from_bytes(array("Q", slots), "little")
             assert R.unpack(R._mod(packed)) == poly_trim([v % p for v in slots])
+            # a product's Barrett step at its worst: every slot p - 1, so hi
+            # and q must be reduced before their products; mu has no slot
+            # at n = 1 and one at n = 2, and the non-monic f takes lc^-1
+            a = [p - 1] * n
+            for f in ([1] * (n + 1), [p - 1] * (n + 1)):
+                R = ffact._FpRing(p, f)
+                want = ffact._fp_divmod(p, ffact._fp_mul(a, a), f, pow(f[-1], -1, p))[1]
+                assert R.unpack(R.mul(R.pack(a), R.pack(a))) == want
 
     def test_non_monic_modulus(self):
         # roots_mod_p passes f as it is, not made monic first

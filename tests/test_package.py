@@ -264,6 +264,25 @@ def test_census_cells_call_neither_is_prime_nor_predict_any(monkeypatch):
     assert len(rows) == 120 * 25
 
 
+def test_identify_calls_no_is_prime_per_fibre(monkeypatch):
+    # identify's primes come from primes_up_to, and split_degrees builds no
+    # FpField for p > deg f and one per p <= deg f, kept, so a warm call
+    # checks no prime: neither arith's is_prime, behind FpField, nor one
+    # of its own
+    psl32 = family.builtin_manifest("psl32")
+    first = grunwald.identify(psl32, 1, 300, 0)
+    calls, is_prime = [], arith.is_prime
+
+    def spy(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (arith, ffact, beckmann, grunwald):
+        monkeypatch.setattr(module, "is_prime", spy, raising=False)
+    assert grunwald.identify(psl32, 1, 300, 0) == first
+    assert calls == []
+
+
 def test_each_polynomial_job_has_one_entry_point():
     # s is bound by specialize, a constant built by the UniPoly constructor,
     # a quotient taken by divmod or exact_div, a polygon read as its faces,
