@@ -220,8 +220,7 @@ def bad_primes(manifest: FamilyManifest, s0, bound: int = 1000) -> list:
     membership of any individual prime, however large.
     """
     certs = specialization(manifest, s0).certificates
-    if manifest.group is None:
-        raise ValueError("manifest declares no group; its order is needed")
+    _require_group(manifest)
     out = []
     for p in primes_up_to(bound):
         reasons = {reason for reason, n in certs if n % p == 0}
@@ -234,8 +233,7 @@ def is_bad_prime(manifest: FamilyManifest, s0, p: int) -> bool:
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     certs = specialization(manifest, s0).certificates
-    if manifest.group is None:
-        raise ValueError("manifest declares no group; its order is needed")
+    _require_group(manifest)
     return any(n % p == 0 for _, n in certs)
 
 
@@ -250,8 +248,7 @@ def is_exceptional(manifest: FamilyManifest, p: int) -> bool:
     (f is monic, so their lcm is the denominator of its content)."""
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
-    if manifest.group is None:
-        raise ValueError("manifest declares no group; its order is needed")
+    _require_group(manifest)
     return (
         manifest.group.order % p == 0
         or any(g.coeff(g.degree()).numerator % p == 0 for _, g in manifest.s_guards)
@@ -305,6 +302,11 @@ def predict_any(manifest: FamilyManifest, s0, t0, p: int):
 def _require_branch_points(manifest: FamilyManifest) -> None:
     if not manifest.branch_points:
         raise ValueError("the manifest declares no branch points")
+
+
+def _require_group(manifest: FamilyManifest) -> None:
+    if manifest.group is None:
+        raise ValueError("manifest declares no group; its order is needed")
 
 
 def _contacts(spec: Specialization, t0) -> tuple:

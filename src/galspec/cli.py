@@ -71,10 +71,6 @@ def _note_bad_prime(report) -> None:
     _note(f"p={report.p} is bad at this specialization: {', '.join(report.reasons)}")
 
 
-def _shape_list(pairs) -> list:
-    return [list(pair) for pair in pairs]
-
-
 def _s0(args, m: FamilyManifest):
     """--s0, else 0; a degenerate default is refused with a nondegenerate hint."""
     check = nondegenerate_check(m, 0) if args.s0 is None else True
@@ -139,7 +135,7 @@ def cmd_badprimes(args) -> int:
         "family": m.name,
         "s0": format_rat(s0),
         "bound": args.bound,
-        "bad_primes": [{"p": r.p, "reasons": list(r.reasons)} for r in reports],
+        "bad_primes": [r._asdict() for r in reports],
     }
     _emit(payload, args.out)
     _note(f"{m.name} at s0={format_rat(s0)}: {len(reports)} bad prime(s) <= {args.bound}")
@@ -155,31 +151,16 @@ def cmd_predict(args) -> int:
     try:
         result = predict_any(m, s0, t0, args.p)
     except PredictionContradiction as exc:
-        _emit(
-            {
-                "p": exc.report.p,
-                "bad_prime": True,
-                "reasons": list(exc.report.reasons),
-            },
-            args.out,
-        )
+        _emit({**exc.report._asdict(), "bad_prime": True}, args.out)
         _note_bad_prime(exc.report)
         return 1
     if result is None:
         _emit({"p": args.p, "ramified": False}, args.out)
         _note(f"p={args.p} is unramified at (s0={args.s0 or 0}, t0={args.t0})")
         return 0
-    _emit(
-        {
-            "p": result.p,
-            "ramified": result.order > 1,
-            "branch": result.branch,
-            "multiplicity": result.multiplicity,
-            "inertia_class": str(result.generator_class),
-            "order": result.order,
-        },
-        args.out,
-    )
+    payload = result._asdict()
+    payload["inertia_class"] = str(payload.pop("generator_class"))
+    _emit({**payload, "ramified": result.order > 1}, args.out)
     _note(
         f"p={args.p}: inertia order {result.order} "
         f"(class {result.generator_class}, contact {result.multiplicity})"
@@ -193,33 +174,11 @@ def cmd_predict(args) -> int:
 def _condition_json(cond) -> dict:
     if isinstance(cond, Unramified):
         return {"kind": "unramified", "p": cond.p, "type": str(cond.target)}
-    return {
-        "kind": "ramified",
-        "p": cond.p,
-        "branch": cond.branch,
-        "d": cond.d,
-        "frobenius_target": cond.frobenius_target,
-    }
+    return {"kind": "ramified", **cond._asdict()}
 
 
 def _record_json(record) -> dict:
-    if isinstance(record.observed, str):
-        observed = record.observed
-    elif record.mode == "full":
-        observed = _shape_list(record.observed)
-    else:
-        observed = list(record.observed)
-    if record.mode == "full":
-        predicted = [_shape_list(shape) for shape in record.predicted]
-    else:
-        predicted = list(record.predicted)
-    return {
-        "condition": _condition_json(record.condition),
-        "mode": record.mode,
-        "predicted": predicted,
-        "observed": observed,
-        "passed": record.passed,
-    }
+    return {**record._asdict(), "condition": _condition_json(record.condition)}
 
 
 def _report_json(report) -> dict:
@@ -233,11 +192,7 @@ def _report_json(report) -> dict:
         payload["s0_progression"] = str(report.s0_progression)
     if report.t0_progression is not None:
         prog = report.t0_progression
-        payload["t0_progression"] = {
-            "chart": prog.chart,
-            "congruence": str(prog.congruence),
-            "valuations": [list(v) for v in prog.valuations],
-        }
+        payload["t0_progression"] = {**prog._asdict(), "congruence": str(prog.congruence)}
     ident = report.identification
     if ident is not None:
         payload["identification"] = {
@@ -414,7 +369,6 @@ def main(argv=None) -> int:
         OSError,
         ManifestInconsistent,
         UnsupportedConditionCombination,
-        json.JSONDecodeError,
     ) as exc:
         _note(f"error: {exc}")
         return 2

@@ -396,8 +396,7 @@ class _FpRing(_ListRing):
     floor(v*m / 2^s) is floor(v / p) for every v < B, and v*m < 2*B^2 <
     2^64 while B < 2^31 (fits), so no slot spills into the next.  The
     constants s, m and the slot mask depend on (p, n) alone and are kept
-    per pair; mu is built at the first product with a high part, since
-    x^k with k < n needs none.
+    per pair.
     """
 
     __slots__ = ("p", "shift", "low", "m", "s", "mask", "xn", "mu")
@@ -415,7 +414,12 @@ class _FpRing(_ListRing):
         self.s, self.m, self.mask = _barrett(p, n)
         inv = pow(f[-1], -1, p)
         self.xn = self.pack([-c * inv for c in f[:-1]])
-        self.mu = 0  # built by _mu; nonzero once built, as mu is monic for n >= 2
+        # reversed, mu is 1 / rev(g) to n - 1 terms; as xn = sum of t_j x^j
+        # is -g below degree n, u_0 = 1 and u_k = sum of t_(n-j) u_(k-j), j <= k
+        t, u = self.dense([self.xn])[::-1], [1]
+        for _ in range(n - 2):
+            u.append(sum(map(mul, t, reversed(u))) % p)
+        self.mu = int.from_bytes(array("Q", reversed(u)), "little")
 
     def pack(self, a: list) -> int:
         p = self.p
@@ -434,22 +438,13 @@ class _FpRing(_ListRing):
     def _mod(self, a: int) -> int:
         return a - ((a * self.m >> self.s) & self.mask) * self.p
 
-    def _mu(self) -> int:
-        # reversed, mu is 1 / rev(g) to n - 1 terms; as xn = sum of t_j x^j
-        # is -g below degree n, u_0 = 1 and u_k = sum of t_(n-j) u_(k-j), j <= k
-        t, u = self.dense([self.xn])[::-1], [1]
-        for _ in range(self.n - 2):
-            u.append(sum(map(mul, t, reversed(u))) % self.p)
-        self.mu = int.from_bytes(array("Q", reversed(u)), "little")
-        return self.mu
-
     def mul(self, a: int, b: int) -> int:
         a *= b
         m, s, mask, p = self.m, self.s, self.mask, self.p
         high = a >> self.shift
         if high:
             high -= ((high * m >> s) & mask) * p
-            q = high * (self.mu or self._mu()) >> self.shift - 128
+            q = high * self.mu >> self.shift - 128
             q -= ((q * m >> s) & mask) * p
             a = (a + q * self.xn) & self.low
         return a - ((a * m >> s) & mask) * p

@@ -10,16 +10,18 @@ represented with X outermost, then t, then s, and that fixed nesting order
 is what the parser produces (``TriPoly`` is an alias documenting the
 convention).
 
-On top of the ring arithmetic this module provides resultants by the
-subresultant PRS, and the one gcd in the outer variable, over Q, Q[s] and
-Q[s][t] alike: it substitutes a power of two for every variable at once,
-takes one integer gcd and keeps what trial division proves.  The one
-normal form, from integer_normalize, has integer leaves with gcd 1 and a
-positive leading leaf; resultant and gcd run on it, and every gcd,
-content, primitive and squarefree part comes back in it, however the inputs
-were scaled.  The module also provides rational roots by p-adic lifting,
-coefficient-valuation Newton polygons, and the text parser for the manifest
-polynomial syntax (`+ - * ^`, implicit multiplication, variables s, t, X).
+On top of the ring arithmetic this module provides the one resultant and
+the one gcd in the outer variable, over Q, Q[s] and Q[s][t] alike.  The
+resultant interpolates in t, substitutes a power of two for s and ends in
+one subresultant PRS over Z; the gcd substitutes a power of two for every
+variable at once, takes one integer gcd and keeps what trial division
+proves.  The one normal form, from integer_normalize, has integer leaves
+with gcd 1 and a positive leading leaf; resultant and gcd run on it, and
+every gcd, content, primitive and squarefree part comes back in it,
+however the inputs were scaled.  The module also provides rational roots
+by p-adic lifting, coefficient-valuation Newton polygons, and the text
+parser for the manifest polynomial syntax (`+ - * ^`, implicit
+multiplication, variables s, t, X).
 """
 
 from __future__ import annotations
@@ -538,43 +540,41 @@ def resultant(f: UniPoly, g: UniPoly):
     """Res(f, g), exact over nested domains.
 
     Zero iff f and g share a root in an algebraic closure (for nonzero
-    inputs of positive degree).  Every route runs on the integer normal
-    forms, and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the contents
-    back.  The route follows the nesting of the coefficients.
+    inputs of positive degree).  One route serves every nesting.  It runs
+    on the integer normal forms over Z[v], v the inner variables of the
+    deeper input, and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the
+    contents back, so the result lives over Q[v].
 
-    One level deep, polynomials over Z[s] (or Z[t]), the result is one PRS
-    over Z by Kronecker substitution (Kronecker, "Grundzüge einer
-    arithmetischen Theorie der algebraischen Grössen", J. reine angew.
-    Math. 92, 1882).  With n = deg f, m = deg g and |p| the sum of the
-    absolute values of p's integer leaves, take B one bit longer than
-    |f|^m |g|^n (than |f| and |g| too, which only matters when a degree is
-    0), map each coefficient c to c(2^B), and read the integer resultant N
-    back as balanced base-2^B digits, each in [-2^(B-1), 2^(B-1)).  This is
-    exact: s -> 2^B is a ring map Z[s] -> Z, and a nonzero polynomial whose
-    leaves lie below 2^(B-1) in absolute value maps to a nonzero integer, so
-    the X-degrees survive and the Sylvester determinant commutes with the
-    map; expanding that determinant over permutations with |ab| <= |a| |b|
-    bounds every coefficient of Res(f, g) by |f|^m |g|^n < 2^(B-1), and
-    balanced digits of that size are unique, so they are its coefficients.
+    With two inner variables, t over s, the t-coefficients of the result
+    come by evaluation and interpolation (Collins, "The calculation of
+    multivariate polynomial resultants", J. ACM 18, 1971): the route over
+    Z[s] at t0 = 0, 1, -1, 2, -2, ..., skipping each t0 at which an
+    X-leading coefficient vanishes, until deg g deg_t f + deg f deg_t g + 1
+    points bound the Sylvester determinant's degree in t; Newton
+    interpolation fixes it.  An input free of t counts deg_t as 0 there.
 
-    Two levels deep, polynomials in t over Z[s] in which both t and s
-    occur, the t-coefficients of the result come by evaluation and
-    interpolation (Collins, "The calculation of multivariate polynomial
-    resultants", J. ACM 18, 1971): the one-level route at t0 = 0, 1, -1, 2,
-    -2, ..., skipping each t0 at which an X-leading coefficient vanishes,
-    until deg g deg_t f + deg f deg_t g + 1 points bound the Sylvester
-    determinant's degree in t; Newton interpolation fixes it.  Every other
-    input, scalar leaves above all, takes the subresultant PRS.
+    Over Z[s] the result is one PRS over Z by Kronecker substitution
+    (Kronecker, "Grundzüge einer arithmetischen Theorie der algebraischen
+    Grössen", J. reine angew. Math. 92, 1882).  With n = deg f, m = deg g
+    and |p| the sum of the absolute values of p's integer leaves, take B
+    one bit longer than |f|^m |g|^n (than |f| and |g| too, which only
+    matters when a degree is 0), map each coefficient c to c(2^B), and read
+    the integer resultant N back as balanced base-2^B digits, each in
+    [-2^(B-1), 2^(B-1)).  This is exact: s -> 2^B is a ring map Z[s] -> Z,
+    and a nonzero polynomial whose leaves lie below 2^(B-1) in absolute
+    value maps to a nonzero integer, so the X-degrees survive and the
+    Sylvester determinant commutes with the map; expanding that determinant
+    over permutations with |ab| <= |a| |b| bounds every coefficient of
+    Res(f, g) by |f|^m |g|^n < 2^(B-1), and balanced digits of that size
+    are unique, so they are its coefficients.  Over Z, scalar leaves, the
+    subresultant PRS runs at once.
     """
     if isinstance(f, UniPoly) and isinstance(g, UniPoly) and f.var != g.var:
         raise ValueError(f"variable mismatch: {f.var} vs {g.var}")
     if not f or not g:
         return 0 if not isinstance(f, UniPoly) else f._zero_scalar()
     (a, pf), (b, pg) = _normal(f), _normal(g)
-    levels = len(_variables(pf)), len(_variables(pg))
-    res = _interpolated(pf, pg) if levels == (3, 3) else None
-    if res is None:
-        res = _kronecker(pf, pg) if levels == (2, 2) else _subresultant(pf, pg)
+    res = _integer_resultant(pf, pg, max(_variables(pf), _variables(pg), key=len)[:-1])
     return res if a == b == 1 else _coerce(res * (a ** g.degree() * b ** f.degree()))
 
 
@@ -586,12 +586,28 @@ def _variables(f: UniPoly) -> tuple:
     return names
 
 
-def _kronecker(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Res(f, g) over Z[s] by one PRS over Z at s = 2^B; see resultant."""
+def _integer_resultant(f: UniPoly, g: UniPoly, inner: tuple):
+    """Res(f, g) over Z[inner], inner innermost first: every inner variable
+    but the innermost by interpolation, the innermost at 2^B, then one PRS
+    over Z; see resultant."""
+    n, m = f.degree(), g.degree()
+    if len(inner) > 1:
+        t = inner[-1]
+        need = m * max(f.degree_in(t), 0) + n * max(g.degree_in(t), 0) + 1
+        points, newton = [], []  # Newton divided differences, one per point
+        for t0 in _integers():
+            ft, gt = f.bind(t, t0), g.bind(t, t0)
+            if ft.degree() < n or gt.degree() < m:
+                continue  # Res does not commute with a binding that drops a degree
+            _newton_step(points, newton, t0, _integer_resultant(ft, gt, inner[:-1]))
+            if len(points) == need:
+                return _newton_expand(points, newton, t)
+    if not inner:
+        return _subresultant(f, g)
     nf, ng = _leaf_norm(f), _leaf_norm(g)
-    B = max(nf ** g.degree() * ng ** f.degree(), nf, ng).bit_length() + 1
+    B = max(nf**m * ng**n, nf, ng).bit_length() + 1
     N = _subresultant(*(UniPoly([_at_two_power(c, (B,)) for c in p.coeffs], p.var) for p in (f, g)))
-    return _from_two_power(N, (B,), (f.lc().var,))
+    return _from_two_power(N, (B,), inner)
 
 
 def _leaf_norm(f) -> int:
@@ -622,25 +638,6 @@ def _from_two_power(N: int, bits: tuple, names: tuple):
         digits.append(_from_two_power(r, bits[:-1], names[:-1]))
         N = (N - r) >> B
     return UniPoly(digits, names[-1])
-
-
-def _interpolated(f: UniPoly, g: UniPoly):
-    """Res(f, g) over Z[s][t] by evaluation in t, the one-level route at each
-    point, and Newton interpolation, or None when t or s does not occur (the
-    PRS is faster there)."""
-    t, s = f.lc().var, f.lc().lc().var
-    n, m = f.degree(), g.degree()
-    need = m * f.degree_in(t) + n * g.degree_in(t) + 1
-    if need == 1 or max(f.degree_in(s), g.degree_in(s)) < 1:
-        return None
-    points, newton = [], []  # Newton divided differences, one per point
-    for t0 in _integers():
-        ft, gt = f.bind(t, t0), g.bind(t, t0)
-        if ft.degree() < n or gt.degree() < m:
-            continue  # Res does not commute with a binding that drops a degree
-        _newton_step(points, newton, t0, _kronecker(ft, gt))
-        if len(points) == need:
-            return _newton_expand(points, newton, t)
 
 
 def _integers():
@@ -691,7 +688,8 @@ def _prs(A: UniPoly, B: UniPoly):
             h = _exact_div(g**delta, h ** (delta - 1))
 
 
-def _subresultant(f: UniPoly, g: UniPoly):
+def _subresultant(f: UniPoly, g: UniPoly) -> int:
+    """Res(f, g) over Z by the subresultant PRS."""
     sign = 1
     A, B = f, g
     if A.degree() < B.degree():
@@ -699,13 +697,13 @@ def _subresultant(f: UniPoly, g: UniPoly):
             sign = -sign
         A, B = B, A
     if B.degree() == 0:
-        return sign * B.lc() ** A.degree() if A.degree() > 0 else _one_like(A.lc()) * sign
+        return sign * B.lc() ** A.degree()
     for A, B, h in _prs(A, B):
         if B.degree() >= 1 and A.degree() % 2 == 1 and B.degree() % 2 == 1:
             sign = -sign
     if not B:
-        return A._zero_scalar()  # positive-degree common factor
-    return sign * _exact_div(B.lc() ** A.degree(), h ** (A.degree() - 1))
+        return 0  # positive-degree common factor
+    return sign * (B.lc() ** A.degree() // h ** (A.degree() - 1))
 
 
 def discriminant_in(f: UniPoly, var: str):

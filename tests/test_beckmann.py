@@ -637,6 +637,8 @@ class TestSpecialization:
             bad_primes(m, 3)
         with pytest.raises(ValueError, match="declares no group"):
             is_bad_prime(m, 3, 5)
+        with pytest.raises(ValueError, match="declares no group"):
+            is_exceptional(m, 5)
 
 
 def nesting(g):

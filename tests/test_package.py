@@ -13,8 +13,9 @@ verify reads every condition by padic._shape, census reads a cell
 unramified by p ∤ disc of that integral model alone, keeps no table or
 memo and calls neither is_prime nor predict_any per cell, and the t-line
 search reads a residue as the sampler does.  Each polynomial job has one
-entry point, resultants and gcds included, and every library entry point
-refuses a float.  Records are namedtuples or __slots__ classes, never
+entry point, resultants and gcds included, every resultant reaches its
+PRS with integer coefficients, and every library entry point refuses a
+float.  Records are namedtuples or __slots__ classes, never
 dataclasses, and keep a frozen record's semantics."""
 
 import ast
@@ -323,8 +324,9 @@ def test_ffact_public_names_are_its_interface():
 
 
 def test_resultants_have_two_public_names():
-    # evaluation and interpolation in t is a route inside resultant, chosen
-    # by the input's nesting; a public name for it would be a second entry
+    # interpolation in t and Kronecker substitution for s are steps of
+    # resultant's one route, whatever the nesting; a public name for either
+    # would be a second entry
     names = {
         name
         for name in vars(poly)
@@ -332,6 +334,31 @@ def test_resultants_have_two_public_names():
         and any(word in name.lower() for word in ("resultant", "interpol", "discriminant"))
     }
     assert names == {"resultant", "discriminant_in"}
+
+
+def test_resultants_run_the_prs_over_z_alone(monkeypatch):
+    # every resultant the loader, branch_locus and padic_shape take reaches
+    # the subresultant PRS with integer coefficients: t is interpolated and
+    # s substituted first, whatever the nesting.  Fresh loads, since
+    # builtin_manifest is cached
+    inputs, prs = [], poly._prs
+
+    def spy(A, B):
+        inputs.append((A, B))
+        return prs(A, B)
+
+    monkeypatch.setattr(poly, "_prs", spy)
+    data = resources.files("galspec").joinpath("data")
+    for name in ("psl32", "x2mt", "x3mt"):
+        m = family.load_manifest(str(data.joinpath(f"{name}.json")))
+        for s0 in (1, 2, 7, Fraction(3, 7)):
+            if family.nondegenerate_check(m, s0):
+                family.branch_locus(m.f, s0)
+    X = poly.UniPoly.gen("X")
+    for f, p in [(X**3 - 5, 5), (X**2 + 3 * X + 7, 3), (X**4 - 12 * X**2 + 18, 3)]:
+        padic.padic_shape(f, p)
+    assert len(inputs) > 20
+    assert all(type(c) is int for pair in inputs for q in pair for c in q.coeffs)
 
 
 def test_gcds_have_two_public_names():

@@ -390,6 +390,26 @@ class TestResultant:
         got = resultant(f, g) * (int(a) ** n * int(b) ** m)
         assert sympy.Poly.from_dict(monomials(sympy, got), t, s, domain="ZZ") == expected
 
+    @settings(max_examples=50, deadline=None)
+    @given(trivariate_polys, zs_xpolys.filter(bool))
+    def test_over_z_s_t_against_z_s_matches_sympy(self, sympy, f, g):
+        # g is free of t: it counts as t-degree 0 in the interpolation's
+        # point bound, and the PRS over polynomial coefficients, with t- and
+        # s-polynomials side by side, used to raise a variable mismatch
+        X = sympy.Symbol("X")
+        sf, sg = (to_sympy_expr(sympy, p) for p in (f, g))
+        m, n = f.degree(), g.degree()
+        if m == 0 and n == 0:
+            assert resultant(f, g) == 1  # empty Sylvester matrix
+            return
+        if m >= n:
+            expected = sympy.resultant(sf, sg, X)
+        else:
+            expected = (-1) ** (m * n) * sympy.resultant(sg, sf, X)
+        got = resultant(f, g)
+        assert got.var == "t"
+        assert sympy.expand(to_sympy_expr(sympy, got) - expected) == 0
+
 
 def monomials(sympy, p, exponents=()):
     """A nested UniPoly, or a leaf, as {exponent tuple: sympy Rational}."""
