@@ -11,17 +11,19 @@ is what the parser produces (``TriPoly`` is an alias documenting the
 convention).
 
 On top of the ring arithmetic this module provides the one resultant and
-the one gcd in the outer variable, over Q, Q[s] and Q[s][t] alike.  The
-resultant interpolates in t, substitutes a power of two for s and ends in
-one subresultant PRS over Z; the gcd substitutes a power of two for every
-variable at once, takes one integer gcd and keeps what trial division
+the one gcd in the outer variable, over Q, Q[s] and Q[s][t] alike, both
+over the union of their inputs' variables in the order of VARS, each input
+constant in the variables it lacks (_on_one_chain).  The resultant
+interpolates in t, substitutes a power of two for s and ends in one
+subresultant PRS over integers; the gcd substitutes a power of two for
+every variable at once, takes one integer gcd and keeps what trial division
 proves.  The one normal form, from integer_normalize, has integer leaves
 with gcd 1 and a positive leading leaf; resultant and gcd run on it, and
-every gcd, content, primitive and squarefree part comes back in it,
-however the inputs were scaled.  The module also provides rational roots
-by p-adic lifting, coefficient-valuation Newton polygons, and the text
-parser for the manifest polynomial syntax (`+ - * ^`, implicit
-multiplication, variables s, t, X).
+every gcd, content, primitive and squarefree part comes back in it, however
+the inputs were scaled.  The module also provides rational roots by p-adic
+lifting, coefficient-valuation Newton polygons, and the text parser for the
+manifest polynomial syntax (`+ - * ^`, implicit multiplication, variables
+s, t, X).
 """
 
 from __future__ import annotations
@@ -160,8 +162,6 @@ class UniPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return UniPoly([c * other for c in self.coeffs], self.var)
-        if isinstance(other, UniPoly) and other.var != self.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
@@ -181,7 +181,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = _one_like(self) if self else UniPoly([1], self.var)
+        result = UniPoly([self.lc() ** 0 if self else 1], self.var)  # 1 at self's nesting
         base = self
         while n:
             if n & 1:
@@ -266,15 +266,11 @@ class UniPoly:
 TriPoly = UniPoly
 
 
-def _one_like(c):
-    """1 at the nesting of c, which must be nonzero: an empty polynomial does
-    not record how deep its leaves would sit."""
-    if isinstance(c, UniPoly):
-        return UniPoly([_one_like(c.lc())], c.var)
-    return 1
-
-
 def _exact_div(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        # divmod raises ZeroDivisionError for b = 0; a / b would be a float
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     if isinstance(a, UniPoly):
         if isinstance(b, UniPoly):
             return a.exact_div(b)
@@ -283,10 +279,6 @@ def _exact_div(a, b):
         if not a:
             return UniPoly((), b.var)
         raise ArithmeticError("scalar not divisible by a nonconstant polynomial")
-    if isinstance(a, int) and isinstance(b, int):
-        # divmod raises ZeroDivisionError for b = 0; a / b would be a float
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
     # a Fraction operand keeps the quotient exact; a float fails in _coerce
     return _coerce(a / b)
 
@@ -541,9 +533,11 @@ def resultant(f: UniPoly, g: UniPoly):
 
     Zero iff f and g share a root in an algebraic closure (for nonzero
     inputs of positive degree).  One route serves every nesting.  It runs
-    on the integer normal forms over Z[v], v the inner variables of the
-    deeper input, and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the
-    contents back, so the result lives over Q[v].
+    on the integer normal forms over Z[v], v the union of the inputs' inner
+    variables in the order of VARS, each input constant in those it lacks
+    (so Res(X - t, X - s) = t - s however each is nested; _on_one_chain),
+    and Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g) puts the contents back,
+    so the result lives over Q[v].
 
     With two inner variables, t over s, the t-coefficients of the result
     come by evaluation and interpolation (Collins, "The calculation of
@@ -551,7 +545,8 @@ def resultant(f: UniPoly, g: UniPoly):
     Z[s] at t0 = 0, 1, -1, 2, -2, ..., skipping each t0 at which an
     X-leading coefficient vanishes, until deg g deg_t f + deg f deg_t g + 1
     points bound the Sylvester determinant's degree in t; Newton
-    interpolation fixes it.  An input free of t counts deg_t as 0 there.
+    interpolation fixes it.  An input free of t is constant in t there, of
+    deg_t 0.
 
     Over Z[s] the result is one PRS over Z by Kronecker substitution
     (Kronecker, "Grundzüge einer arithmetischen Theorie der algebraischen
@@ -569,21 +564,34 @@ def resultant(f: UniPoly, g: UniPoly):
     are unique, so they are its coefficients.  Over Z, scalar leaves, the
     subresultant PRS runs at once.
     """
-    if isinstance(f, UniPoly) and isinstance(g, UniPoly) and f.var != g.var:
-        raise ValueError(f"variable mismatch: {f.var} vs {g.var}")
+    names, (a, pf), (b, pg) = _on_one_chain(f, g)
     if not f or not g:
-        return 0 if not isinstance(f, UniPoly) else f._zero_scalar()
-    (a, pf), (b, pg) = _normal(f), _normal(g)
-    res = _integer_resultant(pf, pg, max(_variables(pf), _variables(pg), key=len)[:-1])
+        return f._zero_scalar()
+    res = _integer_resultant(pf, pg, names[:-1])
     return res if a == b == 1 else _coerce(res * (a ** g.degree() * b ** f.degree()))
 
 
-def _variables(f: UniPoly) -> tuple:
-    """The variables of f's levels, innermost first, read down its lc."""
-    names, c = (f.var,), f.lc()
-    while isinstance(c, UniPoly):
-        names, c = (c.var,) + names, c.lc()
-    return names
+def _on_one_chain(f: UniPoly, g: UniPoly):
+    """The chain of variables of f and g, innermost first, and _normal's
+    (content, primitive part) of each, the part lifted to the chain: the
+    union of their variables in the order of VARS, a level that an input
+    lacks read as a constant polynomial in its variable.  An input on the
+    chain comes back as it is; inputs that no such chain holds raise."""
+    (a, f, fv), (b, g, gv) = _normal(f), _normal(g)
+    if fv == gv and len(fv) == 1:
+        return fv, (a, f), (b, g)  # no inner variable
+    names = tuple(v for v in VARS if v in fv or v in gv)
+    if None in fv + gv or fv[-1] != gv[-1] or any(v != tuple(x for x in names if x in v) for v in (fv, gv)):
+        raise ValueError(f"no one chain of variables in the order {VARS} holds {fv} and {gv}")
+    return names, (a, f if fv == names else _lift(f, names)), (b, g if gv == names else _lift(g, names))
+
+
+def _lift(c, names: tuple):
+    """c on the levels of names, each one it lacks as a constant polynomial."""
+    if not names:
+        return c
+    own = isinstance(c, UniPoly) and c.var == names[-1]
+    return UniPoly([_lift(x, names[:-1]) for x in (c.coeffs if own else (c,))], names[-1])
 
 
 def _integer_resultant(f: UniPoly, g: UniPoly, inner: tuple):
@@ -623,7 +631,7 @@ def _at_two_power(c, bits: tuple) -> int:
         return c
     acc, shift, inner = 0, bits[-1], bits[:-1]
     for x in reversed(c.coeffs):
-        acc = (acc << shift) + _at_two_power(x, inner)
+        acc = (acc << shift) + (_at_two_power(x, inner) if inner else x)
     return acc
 
 
@@ -635,7 +643,7 @@ def _from_two_power(N: int, bits: tuple, names: tuple):
     B, half, digits = bits[-1], 1 << (bits[-1] - 1), []
     while N:
         r = ((N + half) & (2 * half - 1)) - half
-        digits.append(_from_two_power(r, bits[:-1], names[:-1]))
+        digits.append(_from_two_power(r, bits[:-1], names[:-1]) if len(bits) > 1 else r)
         N = (N - r) >> B
     return UniPoly(digits, names[-1])
 
@@ -665,42 +673,26 @@ def _newton_expand(points: list, newton: list, var: str) -> UniPoly:
     return UniPoly(coeffs, var)
 
 
-def _prs(A: UniPoly, B: UniPoly):
-    """The subresultant PRS from deg A >= deg B: yields each pair (A, B) with
-    its subresultant coefficient h, the given pair first, and stops after a
-    pair whose B is zero or constant.  Exact coefficient divisions control
-    growth without the per-step content gcds of the primitive PRS."""
-    g = h = _one_like(A.lc())
-    while True:
-        yield A, B, h
-        if B.degree() < 1:
-            return
-        delta = A.degree() - B.degree()
-        R = pseudo_rem(A, B)
-        denom = g * h**delta
-        if denom != 1:
-            R = UniPoly([_exact_div(c, denom) for c in R.coeffs], R.var)
-        A, B = B, R
-        g = A.lc()
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _exact_div(g**delta, h ** (delta - 1))
-
-
 def _subresultant(f: UniPoly, g: UniPoly) -> int:
-    """Res(f, g) over Z by the subresultant PRS."""
-    sign = 1
-    A, B = f, g
+    """Res(f, g) over Z by the subresultant PRS (Brown and Traub, J. ACM
+    18, 1971): (A, B) -> (B, prem(A, B) / (g h^delta)), delta = deg A -
+    deg B, g = lc(A) and h the subresultant coefficient (both 1 at first),
+    an exact division, until B is zero (Res = 0) or constant (lc(B)^deg A /
+    h^(deg A - 1)), with a sign for each step of odd degrees."""
+    sign, A, B = 1, f, g
     if A.degree() < B.degree():
-        if A.degree() % 2 == 1 and B.degree() % 2 == 1:
-            sign = -sign
-        A, B = B, A
+        sign, A, B = (-1) ** (A.degree() * B.degree()), B, A
     if B.degree() == 0:
         return sign * B.lc() ** A.degree()
-    for A, B, h in _prs(A, B):
-        if B.degree() >= 1 and A.degree() % 2 == 1 and B.degree() % 2 == 1:
-            sign = -sign
+    g = h = 1
+    while B.degree() >= 1:
+        sign = -sign if A.degree() * B.degree() % 2 else sign
+        delta = A.degree() - B.degree()
+        denom = g * h**delta
+        A, B = B, UniPoly([c // denom for c in pseudo_rem(A, B).coeffs], A.var)
+        g = A.lc()
+        if delta:
+            h = g**delta // h ** (delta - 1)
     if not B:
         return 0  # positive-degree common factor
     return sign * (B.lc() ** A.degree() // h ** (A.degree() - 1))
@@ -731,28 +723,36 @@ def integer_normalize(f: UniPoly) -> tuple[int | Fraction, list]:
     the module's one normal form: integer leaves at every depth with gcd 1
     and a positive leading leaf (the lc of the lc, down to a scalar).  Like
     a leaf, the content is an int when integral."""
-    content, prim = _normal(f)
+    content, prim, _ = _normal(f)
     return content, list(prim.coeffs)
 
 
-def _normal(f: UniPoly) -> tuple[int | Fraction, UniPoly]:
+def _normal(f: UniPoly) -> tuple[int | Fraction, UniPoly, tuple | None]:
     """integer_normalize with the primitive part as a UniPoly, f itself when
-    the content is 1."""
+    the content is 1, and the variables of f's levels, innermost first (None
+    for a level that mixes them)."""
     if not f:
-        return 0, f
-    nums, dens, stack = [], [], [f]
-    while stack:  # an lc is pushed last and popped first: nums[0] leads
-        c = stack.pop()
-        if isinstance(c, UniPoly):
-            stack.extend(c.coeffs)
-        else:
-            nums.append(c.numerator)
-            dens.append(c.denominator)
-    num, den = math.gcd(*nums) * (1 if nums[0] > 0 else -1), math.lcm(*dens)
+        return 0, f, (f.var,)
+    nums, dens, names, nodes = [], [], (), [f]
+    while nodes:  # one level per pass
+        var, inner = nodes[0].var, []
+        for p in nodes:
+            var = var if p.var == var else None
+            for c in p.coeffs:
+                if isinstance(c, UniPoly):
+                    inner.append(c)
+                else:
+                    nums.append(c.numerator)
+                    dens.append(c.denominator)
+        names, nodes = (var,) + names, inner
+    lead = f.coeffs[-1]
+    while isinstance(lead, UniPoly):
+        lead = lead.coeffs[-1]
+    num, den = math.gcd(*nums) * (1 if lead > 0 else -1), math.lcm(*dens)
     content = num if den == 1 else Fraction(num, den)
     if content == 1:
-        return content, f
-    return content, UniPoly([_exact_div(c, content) for c in f.coeffs], f.var)
+        return content, f, names
+    return content, UniPoly([_exact_div(c, content) for c in f.coeffs], f.var), names
 
 
 def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
@@ -851,7 +851,8 @@ def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
     fraction field, so gcd(c1 f, c2 g) = gcd(f, g) for rationals c1, c2 != 0.
 
     GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) with all
-    variables, v_0 (innermost) to v_d = x, substituted at once.  On the
+    variables, v_0 (innermost) to v_d = x, substituted at once, v_0..v_d
+    the union of both inputs' variables that _on_one_chain joins.  On the
     integer normal forms a, b a round maps phi: v_0 -> xi_0 = 2^B, v_j ->
     xi_j = xi_(j-1)^L_j, takes gamma = gcd(phi(a), phi(b)) and the h with
     phi(h) = gamma whose digits are balanced (in [-xi_j/2, xi_j/2)) at each
@@ -884,15 +885,14 @@ def gcd_over_poly_coeffs(f: UniPoly, g: UniPoly) -> UniPoly:
     """
     if not f and not g:
         return f
-    a, b = (_normal(p)[1] for p in ((f, g) if f else (g, f)))
-    names = _variables(a)
+    names, (_, a), (_, b) = _on_one_chain(*((f, g) if f else (g, f)))
     slots = [max(a.degree_in(v), b.degree_in(v)) + 2 for v in names[:-1]]
     B, wide = max(_leaf_norm(a), _leaf_norm(b)).bit_length() + 1, None
     while True:
         bits = tuple(itertools.accumulate([B, *slots], mul))
         gamma = math.gcd(_at_two_power(a, bits), _at_two_power(b, bits))
         G = primitive_part(_from_two_power(gamma, bits, names))
-        if not pseudo_rem(a, G) and not pseudo_rem(b, G):
+        if G.degree() < 1 or not pseudo_rem(a, G) and not pseudo_rem(b, G):
             return G
         wide = wide or _wide_slots(a, b, names)
         B, slots = 2 * B, [min(2 * n, w) for n, w in zip(slots, wide)]

@@ -1,6 +1,48 @@
-"""Shared fixtures."""
+"""Shared fixtures, and a time limit that makes a hang fail."""
+
+import contextlib
+import signal
 
 import pytest
+
+#: seconds one test, or the collection of one node, may take; the slowest
+#: test takes a few.  Some loops end only because a proved bound holds (the
+#: resultant's interpolation stops at its point count), so a wrong bound
+#: would stall the suite rather than fail it.
+LIMIT = 120
+
+
+class _Expired(KeyboardInterrupt):
+    """Raised by the alarm.  As a KeyboardInterrupt it passes through
+    pytest's reports and hypothesis's shrinking to the hook below."""
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+@contextlib.contextmanager
+def _time_limit():
+    previous, pending = signal.signal(signal.SIGALRM, _expire), signal.alarm(LIMIT)
+    try:
+        yield
+    except _Expired:
+        pytest.exit(f"ran past {LIMIT} s; a loop whose end rests on a proved bound may not end", returncode=3)
+    finally:
+        signal.alarm(pending)  # a nested hook hands the outer one its alarm back
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    with _time_limit():
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit():
+        return (yield)
 
 
 @pytest.fixture(scope="session")

@@ -177,6 +177,11 @@ def test_gcd_is_one_heuristic_gcd():
     assert not hasattr(poly, "_evaluated_gcd") and not hasattr(poly, "_prs_gcd")
     called = _called(_function("poly.py", "gcd_over_poly_coeffs"))
     assert "_prs" not in called and "_subresultant" not in called and "gcd" in called
+    # one rule decides the variables of both inputs, in both binary routes;
+    # the PRS is integer-only, with no generator over polynomial coefficients
+    for name in ("resultant", "gcd_over_poly_coeffs"):
+        assert "_on_one_chain" in _called(_function("poly.py", name)), name
+    assert not hasattr(poly, "_prs") and not hasattr(poly, "_variables")
 
 
 def test_no_module_factors_an_integer():
@@ -341,13 +346,13 @@ def test_resultants_run_the_prs_over_z_alone(monkeypatch):
     # the subresultant PRS with integer coefficients: t is interpolated and
     # s substituted first, whatever the nesting.  Fresh loads, since
     # builtin_manifest is cached
-    inputs, prs = [], poly._prs
+    inputs, subresultant = [], poly._subresultant
 
-    def spy(A, B):
-        inputs.append((A, B))
-        return prs(A, B)
+    def spy(f, g):
+        inputs.append((f, g))
+        return subresultant(f, g)
 
-    monkeypatch.setattr(poly, "_prs", spy)
+    monkeypatch.setattr(poly, "_subresultant", spy)
     data = resources.files("galspec").joinpath("data")
     for name in ("psl32", "x2mt", "x3mt"):
         m = family.load_manifest(str(data.joinpath(f"{name}.json")))

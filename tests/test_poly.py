@@ -262,6 +262,29 @@ trivariate_polys = nested(
 ).filter(bool)
 
 
+def mixed_chains(leaves, x_size):
+    """Nonzero polynomials in X over their own subset of {s, t}, nested in
+    the parser's order: X-degree < x_size, s- and t-degree <= 2."""
+
+    def over(inner):
+        strat = leaves
+        for var in inner:
+            strat = nested(var, strat, 3)
+        return nested("X", strat, x_size).filter(bool)
+
+    return st.sampled_from([(), ("s",), ("t",), ("s", "t")]).flatmap(over)
+
+
+def inner_variables(p) -> tuple:
+    """The variables below the outer one of a nested UniPoly, innermost
+    first, read down its lc."""
+    names = ()
+    while isinstance(p.lc(), UniPoly):
+        p = p.lc()
+        names = (p.var,) + names
+    return names
+
+
 int_xpolys = st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(lambda c: UniPoly(c, "X"))
 zs_xpolys = st.lists(
     st.lists(st.integers(-3, 3), max_size=3).map(lambda c: UniPoly(c, "s")), min_size=1, max_size=5
@@ -391,11 +414,17 @@ class TestResultant:
         assert sympy.Poly.from_dict(monomials(sympy, got), t, s, domain="ZZ") == expected
 
     @settings(max_examples=50, deadline=None)
-    @given(trivariate_polys, zs_xpolys.filter(bool))
+    @given(mixed_chains(st.integers(-3, 3) | small_fracs, 4), mixed_chains(st.integers(-3, 3) | small_fracs, 4))
+    @example(
+        UniPoly([UniPoly([0, -1], "t"), UniPoly([1], "t")], "X"),
+        UniPoly([UniPoly([0, -1], "s"), UniPoly([1], "s")], "X"),
+    )
     def test_over_z_s_t_against_z_s_matches_sympy(self, sympy, f, g):
-        # g is free of t: it counts as t-degree 0 in the interpolation's
-        # point bound, and the PRS over polynomial coefficients, with t- and
-        # s-polynomials side by side, used to raise a variable mismatch
+        # each input is over its own subset of {s, t}, and the result over
+        # their union.  Res(X - t, X - s) = t - s once read over Z[s][t];
+        # with the variables read off one input it was 0.  An input free of
+        # t counts as t-degree 0 in the interpolation's point bound, and the
+        # PRS over polynomial coefficients used to raise a variable mismatch
         X = sympy.Symbol("X")
         sf, sg = (to_sympy_expr(sympy, p) for p in (f, g))
         m, n = f.degree(), g.degree()
@@ -407,7 +436,8 @@ class TestResultant:
         else:
             expected = (-1) ** (m * n) * sympy.resultant(sg, sf, X)
         got = resultant(f, g)
-        assert got.var == "t"
+        union = [v for v in ("s", "t") if v in inner_variables(f) + inner_variables(g)]
+        assert (got.var if isinstance(got, UniPoly) else None) == (union[-1] if union else None)
         assert sympy.expand(to_sympy_expr(sympy, got) - expected) == 0
 
 
@@ -740,30 +770,36 @@ class TestGcdTower:
         assert squarefree_part(f) == primitive_part(back(sympy.sqf_part(to_sympy(f))))
 
 
-def leveled(depth):
-    """Nonzero polynomials at one depth, integer leaves: in t (depth 0), in t
-    over Z[s] (1), or in X over Z[s][t] (2); degree <= 2 at every level."""
-    strat = st.integers(-3, 3)
-    for var in ("s", "t", "X")[: depth + 1] if depth else ("t",):
-        strat = nested(var, strat, 3)
-    return strat.filter(bool)
+def planted(sympy, a, b, c, k):
+    """(a c^k, b c), each over the union of its factors' variables.  The
+    products are taken in sympy, since the factors' chains may differ."""
+
+    def times(p, e):
+        inner = inner_variables(p) + inner_variables(c)
+        names = tuple(v for v in ("s", "t") if v in inner) + (p.var,)
+        return from_sympy(sympy, to_sympy_expr(sympy, p) * to_sympy_expr(sympy, c) ** e, names)
+
+    return times(a, k), times(b, 1)
 
 
-def planted_pairs(depth):
-    # c is a planted common factor of f and g, and c^k a repeated one of f
-    return st.tuples(leveled(depth), leveled(depth), leveled(depth), st.integers(1, 2)).map(
-        lambda abck: (abck[0] * abck[2] ** abck[3], abck[1] * abck[2])
-    )
+def from_sympy(sympy, expr, names):
+    """A sympy polynomial with integer coefficients as a UniPoly nested over
+    names, innermost first."""
+    if not names:
+        return int(expr)
+    coeffs = sympy.Poly(expr, sympy.Symbol(names[-1])).all_coeffs()[::-1]
+    return UniPoly([from_sympy(sympy, c, names[:-1]) for c in coeffs], names[-1])
 
 
-def prs_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Test-only oracle: the last nonzero remainder of the subresultant PRS
-    on the integer normal forms, a multiple of the gcd over the fraction
-    field by a unit of it."""
-    a, b = sorted((poly._normal(f)[1], poly._normal(g)[1]), key=UniPoly.degree, reverse=True)
-    for a, b, _ in poly._prs(a, b):
-        pass
-    return b if b else a
+def assert_is_the_gcd(sympy, f, g, G):
+    """G is sympy's gcd of f and g, over the fraction field of their
+    coefficient ring, made primitive over the ring, up to its sign; and G
+    is in the normal form."""
+    x = sympy.Symbol(G.var)
+    want = sympy.Poly(sympy.gcd(to_sympy_expr(sympy, f), to_sympy_expr(sympy, g)), x).primitive()[1].as_expr()
+    got = to_sympy_expr(sympy, G)
+    assert sympy.expand(got - want) == 0 or sympy.expand(got + want) == 0
+    assert_normal_form(G)
 
 
 # inputs on which the first round's base is too small, one per depth
@@ -781,34 +817,34 @@ FIRST_BASE_FAILS = [
 
 
 class TestHeuristicGcd:
-    """gcd_over_poly_coeffs, one integer gcd per round, against the PRS."""
+    """gcd_over_poly_coeffs, one integer gcd per round, against sympy."""
+
+    ONE = UniPoly([1], "X")
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2).flatmap(planted_pairs))
-    @example(FIRST_BASE_FAILS[0])
-    @example(FIRST_BASE_FAILS[1])
-    @example(FIRST_BASE_FAILS[2])
-    def test_matches_the_prs(self, sympy, fg):
-        f, g = fg
-        G, oracle = gcd_over_poly_coeffs(f, g), prs_gcd(f, g)
-        # equal up to a unit of the fraction field, and dividing both inputs
-        assert G.degree() == oracle.degree()
-        assert not pseudo_rem(oracle, G) and not pseudo_rem(f, G) and not pseudo_rem(g, G)
-        # in the normal form, and primitive over the whole coefficient ring
-        assert_normal_form(G)
-        content, _ = sympy.Poly(to_sympy_expr(sympy, G), sympy.Symbol(G.var)).primitive()
-        assert content == 1
+    @given(st.tuples(*[mixed_chains(st.integers(-3, 3), 3)] * 3, st.integers(1, 2)))
+    @example((*FIRST_BASE_FAILS[0], ONE, 1))
+    @example((*FIRST_BASE_FAILS[1], ONE, 1))
+    @example((*FIRST_BASE_FAILS[2], ONE, 1))
+    @example((ONE, parse_poly("X - t"), UniPoly([UniPoly([0, -1], "s"), UniPoly([1], "s")], "X"), 1))
+    def test_matches_sympy(self, sympy, abck):
+        # f = a c^k and g = b c, each over its own chain of variables; the
+        # last example is X - s over Z[s] against (X - t)(X - s), which
+        # raised an IndexError when the variables were read off one input
+        f, g = planted(sympy, *abck)
+        assert_is_the_gcd(sympy, f, g, gcd_over_poly_coeffs(f, g))
 
     @pytest.mark.parametrize("fg", FIRST_BASE_FAILS)
-    def test_first_base_fails_and_doubling_proves(self, monkeypatch, fg):
+    def test_first_base_fails_and_doubling_proves(self, sympy, monkeypatch, fg):
         rounds = []
         wide = poly._wide_slots
         monkeypatch.setattr(poly, "_wide_slots", lambda *args: rounds.append(1) or wide(*args))
         f, g = fg
         G = gcd_over_poly_coeffs(f, g)
         assert rounds
-        assert G.degree() == prs_gcd(f, g).degree() == 1
+        assert G.degree() == 1
         assert not pseudo_rem(f, G) and not pseudo_rem(g, G)
+        assert_is_the_gcd(sympy, f, g, G)
 
     def test_content_over_z_s_t_leaves_no_factor_in_s(self):
         # the X-coefficients share s, t - 1 and 2; the X-gcd over Q(s, t)
